@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -149,14 +150,24 @@ class DynamicBoundary:
         if self.c < 0.0:
             raise UsageError(f"premium coefficient must be nonnegative, got {self.c}")
 
-    @property
+    @cached_property
     def q_floor(self) -> float:
         return self.c * (2.0 * self.params.gamma - 1.0) / self.params.p_star
 
+    @cached_property
+    def _floor_limit(self) -> float:
+        return self.q_floor - _FLOOR_SLACK * max(1.0, self.q_floor)
+
     def _check_floor(self, *qs):
-        slack = _FLOOR_SLACK * max(1.0, self.q_floor)
+        # Scalars (numpy scalars are floats too) are compared as plain floats;
+        # only arrays go through numpy.
+        limit = self._floor_limit
         for q in qs:
-            if np.any(np.asarray(q) < self.q_floor - slack):
+            if isinstance(q, (float, int)):
+                below = float(q) < limit
+            else:
+                below = np.any(np.asarray(q) < limit)
+            if below:
                 raise BelowFloorError(
                     f"capital below admissible floor {self.q_floor} for c={self.c}"
                 )
@@ -165,7 +176,12 @@ class DynamicBoundary:
         # Formula without the floor check; used by quadrature and root finding
         # where intermediate abscissae are guaranteed admissible by the caller.
         q = q_i + q_mi
-        prem = self.c / np.maximum(q_i, q_mi) if self.c > 0.0 else 0.0
+        prem = 0.0
+        if self.c > 0.0:
+            if isinstance(q_i, float) and isinstance(q_mi, float):
+                prem = self.c / (q_i if q_i > q_mi else q_mi)
+            else:
+                prem = self.c / np.maximum(q_i, q_mi)
         return (self.params.p_star + prem) * q ** (1.0 / self.params.gamma)
 
     def trigger(self, q_i: float, q_mi: float) -> float:

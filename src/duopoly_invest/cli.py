@@ -90,13 +90,23 @@ def _value_fn(config: dict, params: ModelParams):
     raise UsageError(f"unknown value kind: {kind!r}")
 
 
+def _state(row) -> tuple:
+    """(x, q1, q2) from a list of three numbers, or UsageError."""
+    if isinstance(row, (list, tuple)) and len(row) == 3:
+        try:
+            return tuple(float(v) for v in row)
+        except (TypeError, ValueError):
+            pass
+    raise UsageError(f"a state must be three numbers x,q1,q2, got {row!r}")
+
+
 def _states(config: dict) -> list:
     raw = config.get("states", config.get("state"))
-    if raw is None:
+    if not isinstance(raw, list):
         raise UsageError('config needs "states": [[x, q1, q2], ...]')
     if raw and isinstance(raw[0], (int, float)):
         raw = [raw]
-    return [(float(s[0]), float(s[1]), float(s[2])) for s in raw]
+    return [_state(s) for s in raw]
 
 
 def _write_out(text: str, out: str | None):
@@ -195,10 +205,7 @@ def _builder_for(strategy: dict, params: ModelParams, q1: float, q2: float):
 def cmd_simulate(args) -> int:
     params = _params_block(_load_json(args.params))
     strategy = _load_json(args.strategy)
-    try:
-        x0, q1, q2 = (float(v) for v in args.state.split(","))
-    except ValueError as exc:
-        raise UsageError(f"--state must be x,q1,q2, got {args.state!r}") from exc
+    x0, q1, q2 = _state(args.state.split(","))
     builder = _builder_for(strategy, params, q1, q2)
     boundary = boundary_from_json(strategy, params)
     firm = int(strategy.get("firm", 1))
@@ -270,7 +277,7 @@ def cmd_deviation(args) -> int:
     params = _params_block(_load_json(args.params))
     eq = boundary_from_json(_load_json(args.equilibrium), params)
     dev = boundary_from_json(_load_json(args.deviant), params)
-    x0, q1, q2 = (float(v) for v in args.state.split(","))
+    x0, q1, q2 = _state(args.state.split(","))
     res = deviation_experiment(params, eq, dev, x0, q1, q2, n_paths=args.paths,
                                dt=args.dt, horizon=args.horizon, seed=args.seed,
                                threads=args.threads)
@@ -285,7 +292,10 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--threads", type=int, default=1)
+
+    def threads(p):
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads for the Monte Carlo paths")
 
     p = sub.add_parser("derive", help="derive beta, p_star, mu_gamma from primitives")
     p.add_argument("--config", required=True)
@@ -314,6 +324,7 @@ def build_parser() -> _Parser:
                    help="write t,x,q1,q2 CSVs for the first --dump-count paths")
     p.add_argument("--dump-count", type=int, default=1)
     common(p)
+    threads(p)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("sweep", help="value sweep over thresholds; CSV output")
@@ -337,6 +348,7 @@ def build_parser() -> _Parser:
     p.add_argument("--horizon", type=float, default=20.0)
     p.add_argument("--seed", type=int, default=0)
     common(p)
+    threads(p)
     p.set_defaults(fn=cmd_deviation)
     return parser
 

@@ -10,7 +10,6 @@ numbers regardless of how work is scheduled across workers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +73,3 @@ def running_sup(values) -> np.ndarray:
     """Running supremum of a functional's values along the grid."""
     return np.maximum.accumulate(np.asarray(values, dtype=float))
 
-
-def dump_path_csv(path: ShockPath, fileobj) -> None:
-    """Write t,x rows for debugging; 17 significant digits."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["t", "x"])
-    for t, x in zip(path.times, path.values):
-        writer.writerow([format(t, ".17g"), format(x, ".17g")])

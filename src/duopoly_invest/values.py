@@ -21,7 +21,11 @@ re-dispatching, so floating-point ties at the trigger cannot recurse).
 DynamicValue's B coefficient is an improper integral evaluated by panels of
 Gauss-Kronrod 15 on a geometric grid anchored at the integrand's kink
 q = q_mi, truncated where a closed-form envelope certifies the remaining
-tail below 1e-12 * (1 + |B|).
+tail below 1e-12 * (1 + |B|).  All B(., q_mi) share the panels beyond the
+first edge above q_i: the first call for a q_mi integrates them once and
+keeps their suffix sums, so each later call integrates one panel and adds
+a stored sum.  A sum that misses the error budget falls back to split
+refinement over the full edge list.
 """
 
 from __future__ import annotations
@@ -67,6 +71,12 @@ _G7_WEIGHTS = np.array([
 ])
 
 _FD_STEP = 1e-5
+
+# B's panel edges are q_mi * 2**k for k >= _K_MIN; the shared-panel table of
+# one q_mi keeps suffix sums for its first _TABLE_EDGES edges, which covers
+# q_i up to q_mi * 2**10.
+_K_MIN = -5
+_TABLE_EDGES = 16
 
 
 @dataclass(frozen=True)
@@ -436,6 +446,7 @@ class DynamicValue(ValueFunction):
         self.quadrature = quadrature
         self.boundary = DynamicBoundary(params, c)
         self._b_cache: dict = {}
+        self._panel_tables: dict = {}   # q_mi -> _panel_table entry
 
     kind = "dynamic_c"
 
@@ -479,11 +490,13 @@ class DynamicValue(ValueFunction):
             * pr.p_star ** (-pr.beta)
         return k_env * s ** (-decay) / decay
 
-    def _edges(self, q_i, q_mi):
-        """Geometric panel edges anchored at the kink q = q_mi.
+    def _edge_range(self, q_mi):
+        """Anchor and last exponent of the panel edges anchor * 2**k.
 
-        Anchoring at q_mi (not q_i) keeps the interior grid identical across
-        nearby q_i, so finite-difference stencils of B stay smooth.
+        Anchoring at the kink q_mi (not at q_i) makes every B(., q_mi) share
+        the same edges, so the panels beyond the first edge above q_i are
+        computed once per q_mi and finite-difference stencils of B stay
+        smooth.  The last edge is where the tail envelope meets its budget.
         """
         qs = self.quadrature
         pr = self.params
@@ -498,22 +511,64 @@ class DynamicValue(ValueFunction):
                 f"(beta/gamma = {pr.beta / pr.gamma:.6g})"
             )
         anchor = q_mi if q_mi > 0.0 else 1.0
-        k_lo = math.floor(math.log2(max(q_i, anchor * 2.0 ** -6) / anchor)) + 1
-        k_hi = math.ceil((log_s_needed - math.log(anchor)) / math.log(2.0)) + 1
+        return anchor, math.ceil((log_s_needed - math.log(anchor)) / math.log(2.0)) + 1
+
+    @staticmethod
+    def _first_edge(q_i, anchor):
+        """Exponent k of the first edge anchor * 2**k above q_i (k >= _K_MIN)."""
+        k = math.floor(math.log2(max(q_i, anchor * 2.0 ** (_K_MIN - 1)) / anchor)) + 1
+        if q_i > 0.0:
+            while anchor * 2.0 ** k <= q_i * (1.0 + 1e-12):
+                k += 1
+        return k
+
+    def _edges(self, q_i, q_mi):
+        """All panel edges of B(q_i, q_mi): q_i, then the anchored edges above it."""
+        anchor, k_hi = self._edge_range(q_mi)
+        k_lo = self._first_edge(q_i, anchor)
         edges = anchor * 2.0 ** np.arange(k_lo, k_hi + 1, dtype=float)
-        edges = edges[edges > q_i * (1.0 + 1e-12)] if q_i > 0.0 else edges
         if edges.size == 0:
             edges = np.array([2.0 * q_i])
         return np.concatenate(([q_i], edges))
 
-    def B(self, q_i: float, q_mi: float) -> float:
-        """Coefficient of x**beta, with panel refinement and a tail budget."""
-        key = (float(q_i), float(q_mi))
-        hit = self._b_cache.get(key)
-        if hit is not None:
-            return hit
-        if q_i + q_mi <= 0.0:
-            raise ZeroCapacityError("B needs positive aggregate capacity")
+    def _panel_table(self, q_mi):
+        """Shared panels of one q_mi, computed on its first B call.
+
+        Keeps the anchor, the tail bound and, for the first _TABLE_EDGES
+        anchored edges, the suffix sums of the Kronrod values (row 0) and
+        error gauges (row 1) of the panels beyond each edge.
+        """
+        table = self._panel_tables.get(q_mi)
+        if table is None:
+            anchor, k_hi = self._edge_range(q_mi)
+            edges = anchor * 2.0 ** np.arange(_K_MIN, k_hi + 1, dtype=float)
+            vals, errs = _gk15_panels(lambda q: self._integrand(q, q_mi), edges)
+            suffix = np.zeros((2, edges.size))
+            # Summed from the far end, where the panels are smallest.
+            suffix[:, :-1] = np.cumsum(np.stack((vals, errs))[:, ::-1], axis=1)[:, ::-1]
+            table = (anchor, float(self._tail_envelope(edges[-1] + q_mi)),
+                     suffix[:, :_TABLE_EDGES].copy())
+            self._panel_tables[q_mi] = table
+        return table
+
+    def _shared_sum(self, q_i, q_mi):
+        """Integral of B by one panel from q_i to the first anchored edge
+        plus the shared suffix beyond it; None when that edge lies outside
+        the table or the sum misses the certified tolerance."""
+        anchor, tail, suffix = self._panel_table(q_mi)
+        k = self._first_edge(q_i, anchor)
+        j = k - _K_MIN
+        if j >= suffix.shape[1]:
+            return None
+        val, err = _gk15_panels(lambda q: self._integrand(q, q_mi),
+                                np.array([q_i, anchor * 2.0 ** k]))
+        total = float(val[0]) + suffix.item(0, j)
+        if float(err[0]) + suffix.item(1, j) + tail > self.quadrature.rel_tol * (1.0 + abs(total)):
+            return None
+        return total
+
+    def _refined_sum(self, q_i, q_mi):
+        """Integral of B over all its panels, split until certified."""
         qs = self.quadrature
         edges = self._edges(q_i, q_mi)
         vals, errs = _gk15_panels(lambda q: self._integrand(q, q_mi), edges)
@@ -523,7 +578,7 @@ class DynamicValue(ValueFunction):
         while True:
             budget = qs.rel_tol * (1.0 + abs(total))
             if errs.sum() + tail <= budget:
-                break
+                return float(total)
             if splits >= qs.max_splits:
                 raise QuadratureNotConvergedError(
                     f"panel error {errs.sum():.3g} above tolerance after refinement"
@@ -536,7 +591,19 @@ class DynamicValue(ValueFunction):
             vals, errs = _gk15_panels(lambda q: self._integrand(q, q_mi), edges)
             total = vals.sum()
             splits += 1
-        b = -float(total)
+
+    def B(self, q_i: float, q_mi: float) -> float:
+        """Coefficient of x**beta, with panel refinement and a tail budget."""
+        key = (float(q_i), float(q_mi))
+        hit = self._b_cache.get(key)
+        if hit is not None:
+            return hit
+        if q_i + q_mi <= 0.0:
+            raise ZeroCapacityError("B needs positive aggregate capacity")
+        total = self._shared_sum(*key)
+        if total is None:
+            total = self._refined_sum(*key)
+        b = -total
         bound = self.b_linear_bound(q_i, q_mi)
         if abs(b) > bound * (1.0 + 1e-6) + 1e-250:
             raise QuadratureNotConvergedError(

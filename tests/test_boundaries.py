@@ -48,6 +48,15 @@ def test_dynamic_c1_floor_and_trigger(golden):
         b.trigger(0.5 * q_floor, q_floor)
 
 
+def test_check_floor_scalars_and_arrays(golden):
+    b = DynamicBoundary(golden, 1.0)
+    below = 0.9 * b.q_floor
+    for q in (below, np.float64(below), np.array([b.q_floor, below])):
+        with pytest.raises(BelowFloorError):
+            b._check_floor(b.q_floor, q)
+    b._check_floor(b.q_floor, np.float64(b.q_floor), np.full(3, b.q_floor))
+
+
 def test_trigger_diverges_with_capital(golden):
     for b in (ConstantPriceBoundary(golden, 1.0), DynamicBoundary(golden, 1.0)):
         assert b.trigger(1e9, 1.0) > 1e5

@@ -105,6 +105,29 @@ def test_simulate_bad_state_exit_64(tmp_path):
                  "--state", "oops"]) == EXIT_USAGE
 
 
+def test_deviation_short_state_exit_64(tmp_path, capsys):
+    params_file = tmp_path / "params.json"
+    params_file.write_text(json.dumps(GOLDEN_BLOCK))
+    strat = tmp_path / "strategy.json"
+    strat.write_text(json.dumps({"kind": "constant_price", "p": 2.6}))
+    assert main(["deviation", "--params", str(params_file), "--equilibrium", str(strat),
+                 "--deviant", str(strat), "--state", "1,2"]) == EXIT_USAGE
+    assert "x,q1,q2" in capsys.readouterr().err
+
+
+def test_value_short_state_row_exit_64(tmp_path, capsys):
+    cfg = tmp_path / "value.json"
+    cfg.write_text(json.dumps({"params": GOLDEN_BLOCK, "value": {"kind": "abstain"},
+                               "states": [[2.0, 1.0]]}))
+    assert main(["value", "--config", str(cfg)]) == EXIT_USAGE
+    assert "x,q1,q2" in capsys.readouterr().err
+
+
+def test_threads_only_where_read(golden_config, capsys):
+    assert main(["derive", "--config", str(golden_config), "--threads", "8"]) == EXIT_USAGE
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_sweep_monotone_in_c(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({

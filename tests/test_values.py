@@ -309,4 +309,29 @@ def test_perturbed_value_channel_only(golden):
 def test_quadrature_settings_respected(golden):
     loose = DynamicValue(golden, 1.0, QuadratureSettings(rel_tol=1e-6, tail_rel_tol=1e-8))
     tight = DynamicValue(golden, 1.0)
-    assert loose.B(1.0, 1.0) == pytest.approx(tight.B(1.0, 1.0), rel=1e-6)
+    # The second and third calls read the panels that the first stored for q_mi = 1.
+    for q_i in (1.0, 2.5, 0.8):
+        assert loose.B(q_i, 1.0) == pytest.approx(tight.B(q_i, 1.0), rel=1e-6)
+
+
+def test_b_shared_panels_match_full_evaluation(golden):
+    """B through the per-q_mi panel table equals the sum over all its panels."""
+    for c, q_mi in ((0.0, 1.3), (1.0, 1.3), (0.5, 2.0)):
+        fn = DynamicValue(golden, c)
+        cases = {"below q_mi/64": q_mi * 2.0 ** -8, "on an edge": q_mi * 2.0 ** 3,
+                 "between edges": q_mi * 1.37, "outside the table": q_mi * 2.0 ** 14}
+        for where, q_i in cases.items():
+            full = -fn._refined_sum(q_i, q_mi)
+            assert abs(fn.B(q_i, q_mi) - full) <= 1e-14 * (1.0 + abs(full)), (c, where)
+            shared = fn._shared_sum(q_i, q_mi)
+            assert (shared is None) == (where == "outside the table"), (c, where)
+        assert list(fn._panel_tables) == [q_mi]
+
+
+def test_b_uncertified_shared_sum_falls_back_to_refinement(golden):
+    """A tolerance the unsplit panels miss goes through split refinement."""
+    strict = DynamicValue(golden, 1.0, QuadratureSettings(rel_tol=1e-12))
+    assert strict._shared_sum(1.0, 1.0) is None
+    assert strict.B(1.0, 1.0) == -strict._refined_sum(1.0, 1.0)
+    assert strict.B(1.0, 1.0) == pytest.approx(DynamicValue(golden, 1.0).B(1.0, 1.0),
+                                               rel=1e-10)
