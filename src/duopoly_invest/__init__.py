@@ -34,7 +34,7 @@ from .outcomes import (
     discount_identity_defect,
     payoff,
 )
-from .paths import ShockPath, generate_path, running_sup, running_sup_update
+from .paths import ShockPath, generate_path, running_sup
 from .values import (
     AbstainValue,
     DynamicValue,
@@ -54,5 +54,5 @@ __all__ = [
     "catch_up_report", "check_consistency", "derive_params",
     "deviation_experiment", "discount_identity_defect", "estimate_payoff",
     "generate_path", "npv_at_boundary", "params_from_json", "payoff",
-    "running_sup", "running_sup_update", "run_verification", "solve_beta",
+    "running_sup", "run_verification", "solve_beta",
 ]

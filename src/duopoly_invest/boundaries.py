@@ -30,8 +30,11 @@ from .errors import (
 )
 from .model import ModelParams
 
-# Absolute bisection tolerance: 1e-12 * max(1, q).
+# Absolute root tolerance: 1e-12 * max(1, q).
 _ROOT_TOL = 1e-12
+# Safeguarded Newton falls back to bisection, so this cap is never reached
+# on a valid bracket.
+_NEWTON_MAX_ITER = 200
 # Relative slack when validating the capital floor, so that capital grids
 # built from floating-point arithmetic at exactly q_floor stay admissible.
 _FLOOR_SLACK = 1e-9
@@ -197,27 +200,48 @@ class DynamicBoundary:
         return self._raw_trigger(q_i, q_mi)
 
     def base_capacity(self, x: float, q_mi: float) -> float:
-        """Scalar counterpart of base_capacity_array (plain-float bisection)."""
-        p_star = self.params.p_star
-        gamma = self.params.gamma
-        if self.c == 0.0:
+        """Smallest own capital (>= q_floor) keeping the trigger at or above
+        one shock level x; the scalar counterpart of base_capacity_array.
+
+        Closed form for c = 0.  Otherwise the trigger has a kink at q = q_mi:
+        below it the premium is frozen at c/q_mi and the trigger inverts in
+        closed form; above it a safeguarded Newton iteration on
+        (p_star + c/q)(q + q_mi)**(1/gamma), with its analytic derivative,
+        stays inside [max(q_floor, q_mi), max(q_floor, (x/p_star)**gamma -
+        q_mi) + 1], bisects whenever a step would leave that bracket, and
+        stops once a step is below 1e-12 * max(1, q).
+        """
+        x, q_mi = float(x), float(q_mi)
+        p_star, gamma, c = self.params.p_star, self.params.gamma, self.c
+        if c == 0.0:
             return max(0.0, (x / p_star) ** gamma - q_mi)
         self._check_floor(q_mi)
         floor = self.q_floor
-
-        def trig(q):
-            return (p_star + self.c / (q if q > q_mi else q_mi)) * (q + q_mi) ** (1.0 / gamma)
-
-        if x <= trig(floor):
+        a = 1.0 / gamma
+        if x <= (p_star + c / (floor if floor > q_mi else q_mi)) * (floor + q_mi) ** a:
             return floor
-        lo, hi = floor, max(floor, (x / p_star) ** gamma - q_mi) + 1.0
-        while hi - lo > _ROOT_TOL * max(1.0, lo):
-            mid = 0.5 * (lo + hi)
-            if trig(mid) >= x:
-                hi = mid
+        if floor < q_mi and x <= (p_star + c / q_mi) * (2.0 * q_mi) ** a:
+            return max(floor, (x / (p_star + c / q_mi)) ** gamma - q_mi)
+        lo = floor if floor > q_mi else q_mi
+        hi = max(floor, (x / p_star) ** gamma - q_mi) + 1.0
+        # The premium frozen at its value at lo overstates the trigger, so
+        # this start lies in [lo, root].
+        q = max(lo, (x / (p_star + c / lo)) ** gamma - q_mi)
+        for _ in range(_NEWTON_MAX_ITER):
+            s_a = (q + q_mi) ** a
+            price = p_star + c / q
+            f = price * s_a - x
+            if f < 0.0:
+                lo = q
             else:
-                lo = mid
-        return 0.5 * (lo + hi)
+                hi = q
+            step = f / (a * price * s_a / (q + q_mi) - c * s_a / (q * q))
+            if abs(step) <= _ROOT_TOL * max(1.0, q):
+                return min(max(q - step, lo), hi)
+            q -= step
+            if not lo < q < hi:
+                q = 0.5 * (lo + hi)
+        raise RootBracketError("Newton iteration for the trigger inverse did not converge")
 
     def base_capacity_array(self, x, q_mi):
         """Smallest own capital (>= q_floor) keeping the trigger at or above x.

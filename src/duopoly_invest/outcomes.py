@@ -72,6 +72,16 @@ def build_abstain_outcome(boundary_pair, path: ShockPath, q1_0: float, q2_0: flo
     return Outcome(path, Q1, Q2, q1_0, q2_0, construction=f"abstain({abstaining_firm})")
 
 
+def _records(values):
+    """Grid indices at which the running maximum of values sets a new record,
+    and for every grid index the position of the latest record among them."""
+    sup = running_sup(values)
+    new = np.empty(len(sup), dtype=bool)
+    new[0] = True
+    np.greater(sup[1:], sup[:-1], out=new[1:])
+    return np.flatnonzero(new), np.cumsum(new) - 1
+
+
 def build_symmetric_outcome(boundary_pair, path: ShockPath, q1_0: float,
                             q2_0: float) -> Outcome:
     """Catch-up outcome for a symmetric capital-dependent trigger pair.
@@ -84,7 +94,10 @@ def build_symmetric_outcome(boundary_pair, path: ShockPath, q1_0: float,
 
     Until psi(X) first reaches the larger initial stock only the smaller
     firm invests; afterwards both capitals equal the running supremum of
-    psi(X).
+    psi(X).  phi and psi increase in x, so the supremum is attained where
+    the running maximum M of X sets a record: the roots are solved there
+    only, and each grid index takes the value of its latest record,
+    Q_i(t) = q_i v min(phi_i(M_t, q_mi), psi(M_t)).
     """
     b1, b2 = boundary_pair
     if not (isinstance(b1, DynamicBoundary) and isinstance(b2, DynamicBoundary)
@@ -93,11 +106,13 @@ def build_symmetric_outcome(boundary_pair, path: ShockPath, q1_0: float,
     floor = b1.q_floor
     if min(q1_0, q2_0) < floor - 1e-12 * max(1.0, floor):
         raise BelowFloorError(f"initial capitals must be at least {floor}")
-    psi = np.asarray(b1.symmetric_base_capacity(path.values))
-    phi1 = b1.base_capacity_array(path.values, q2_0)
-    phi2 = b2.base_capacity_array(path.values, q1_0)
-    Q1 = np.maximum(q1_0, running_sup(np.minimum(phi1, psi)))
-    Q2 = np.maximum(q2_0, running_sup(np.minimum(phi2, psi)))
+    rec, latest = _records(path.values)
+    x = path.values[rec]
+    psi = np.asarray(b1.symmetric_base_capacity(x))
+    phi1 = b1.base_capacity_array(x, q2_0)
+    phi2 = b2.base_capacity_array(x, q1_0)
+    Q1 = np.maximum(q1_0, running_sup(np.minimum(phi1, psi)))[latest]
+    Q2 = np.maximum(q2_0, running_sup(np.minimum(phi2, psi)))[latest]
     return Outcome(path, Q1, Q2, q1_0, q2_0, construction="symmetric")
 
 
@@ -160,14 +175,16 @@ def _joint_closed_form(b1, b2, path, q1_0, q2_0):
     running supremum of its base capacity against a constant opponent, which
     by monotonicity in x is the base capacity at the running supremum of X.
     """
-    sup_x = running_sup(path.values)
+    # Every branch evaluates at the records of the running maximum only.
+    rec, latest = _records(path.values)
+    x = path.values[rec]
     if isinstance(b1, InfiniteBoundary):
-        Q2 = np.maximum(q2_0, np.asarray(b2.base_capacity_array(sup_x, q1_0)))
+        Q2 = np.maximum(q2_0, b2.base_capacity_array(x, q1_0))[latest]
         Q1 = np.full_like(Q2, q1_0)
         return Outcome(path, Q1, Q2, q1_0, q2_0, construction="joint")
     if isinstance(b1, DynamicBoundary) and isinstance(b2, DynamicBoundary) \
             and b1.c == b2.c:
-        Q1 = np.maximum(q1_0, np.asarray(b1.base_capacity_array(sup_x, q2_0)))
+        Q1 = np.maximum(q1_0, b1.base_capacity_array(x, q2_0))[latest]
         Q2 = np.full_like(Q1, q2_0)
         return Outcome(path, Q1, Q2, q1_0, q2_0, construction="joint")
     if not isinstance(b1, ConstantPriceBoundary):
@@ -180,7 +197,7 @@ def _joint_closed_form(b1, b2, path, q1_0, q2_0):
     if not dominated:
         return None
     gamma = b1.params.gamma
-    Q1 = np.maximum(q1_0, (sup_x / b1.p) ** gamma - q2_0)
+    Q1 = np.maximum(q1_0, (x / b1.p) ** gamma - q2_0)[latest]
     Q2 = np.full_like(Q1, q2_0)
     return Outcome(path, Q1, Q2, q1_0, q2_0, construction="joint")
 
@@ -246,13 +263,16 @@ def catch_up_report(boundary: DynamicBoundary, outcome: Outcome) -> dict:
     """
     q_hi = max(outcome.q1_0, outcome.q2_0)
     larger = 1 if outcome.q1_0 >= outcome.q2_0 else 2
-    psi = np.asarray(boundary.symmetric_base_capacity(outcome.path.values))
+    n = len(outcome.path.values)
+    # psi increases in x, so it first reaches q_hi at a running-max record.
+    rec, _ = _records(outcome.path.values)
+    psi = np.asarray(boundary.symmetric_base_capacity(outcome.path.values[rec]))
     reached = np.nonzero(psi >= q_hi)[0]
-    tau = int(reached[0]) if len(reached) else len(psi)
+    tau = int(rec[reached[0]]) if len(reached) else n
     q_big = outcome.capital(larger)
     before_ok = bool(np.all(q_big[:tau] == q_big[0])) if tau > 0 else True
     gap_after = float(np.max(np.abs(outcome.Q1[tau:] - outcome.Q2[tau:]))) \
-        if tau < len(psi) else 0.0
+        if tau < n else 0.0
     return {"tau_index": tau, "larger_firm": larger,
             "larger_constant_before": before_ok,
             "max_gap_after": gap_after}

@@ -64,11 +64,6 @@ def generate_path(params: ModelParams, x0: float, dt: float, horizon: float,
                      seed=seed, path_index=path_index)
 
 
-def running_sup_update(current: float, new_value: float) -> float:
-    """Fold step for a running supremum."""
-    return new_value if new_value > current else current
-
-
 def running_sup(values) -> np.ndarray:
     """Running supremum of a functional's values along the grid."""
     return np.maximum.accumulate(np.asarray(values, dtype=float))

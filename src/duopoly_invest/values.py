@@ -104,7 +104,13 @@ def _gk15_panels(f, edges):
 
 
 class ValueFunction:
-    """Shared evaluation plumbing; concrete kinds fill in the branch math."""
+    """Shared evaluation plumbing; concrete kinds fill in the branch math.
+
+    Every evaluation takes one capital pair and a shock level x that is a
+    float or a numpy array of levels.  The below-trigger formulas take a
+    whole array of levels at once; only levels above the own trigger, which
+    paste to phi(x, q_mi), are evaluated one by one.
+    """
 
     params: ModelParams
 
@@ -125,40 +131,69 @@ class ValueFunction:
     def _phi(self, x, q_mi):
         raise NotImplementedError
 
+    # Continuation at one shock level above the own trigger: the branch at
+    # the paste point phi(x, q_mi).  Kinds with an explicit continuation
+    # override these.
+
+    def _above(self, x, q_i, q_mi):
+        phi = self._phi(x, q_mi)
+        return self._below(x, phi, q_mi) - phi + q_i
+
+    def _above_x(self, x, q_i, q_mi):
+        return self._below_x(x, self._phi(x, q_mi), q_mi)
+
+    def _above_xx(self, x, q_i, q_mi):
+        raise TooCloseToBoundaryError("second x-derivative is only provided below the trigger")
+
+    def _piecewise(self, below, above, x, q_i, q_mi):
+        """below(x, q_i, q_mi) at levels up to the own trigger, in one call
+        for an array; above(x_k, q_i, q_mi) at each level over it."""
+        trig = self._own_trigger(q_i, q_mi)
+        if not isinstance(x, np.ndarray):
+            return below(x, q_i, q_mi) if x <= trig else above(x, q_i, q_mi)
+        out = np.empty(x.shape)
+        under = x <= trig
+        if under.any():
+            out[under] = below(x[under], q_i, q_mi)
+        for k in np.flatnonzero(~under):
+            out.flat[k] = above(float(x.flat[k]), q_i, q_mi)
+        return out
+
     # -- generic surface ------------------------------------------------------
 
     def value(self, x, q_i, q_mi):
         if q_i + q_mi <= 0.0:
             raise ZeroCapacityError("value needs positive aggregate capacity")
-        if x <= self._own_trigger(q_i, q_mi):
-            return self._below(x, q_i, q_mi)
-        phi = self._phi(x, q_mi)
-        return self._below(x, phi, q_mi) - phi + q_i
+        return self._piecewise(self._below, self._above, x, q_i, q_mi)
 
     def value_x(self, x, q_i, q_mi):
-        if x <= self._own_trigger(q_i, q_mi):
-            return self._below_x(x, q_i, q_mi)
-        phi = self._phi(x, q_mi)
-        return self._below_x(x, phi, q_mi)
+        return self._piecewise(self._below_x, self._above_x, x, q_i, q_mi)
 
     def value_xx(self, x, q_i, q_mi):
-        if x <= self._own_trigger(q_i, q_mi):
-            return self._below_xx(x, q_i, q_mi)
-        raise TooCloseToBoundaryError("second x-derivative is only provided below the trigger")
+        return self._piecewise(self._below_xx, self._above_xx, x, q_i, q_mi)
 
     def option_term(self, x, q_i, q_mi):
         """x**beta component of the below-trigger branch."""
         raise NotImplementedError
 
+    def below_branch_arrays(self, x, q_i, q_mi):
+        """(value, V_x, V_xx) of the below-trigger branch, vectorized over x."""
+        x = np.asarray(x, dtype=float)
+        return (self._below(x, q_i, q_mi), self._below_x(x, q_i, q_mi),
+                self._below_xx(x, q_i, q_mi))
+
     def partials(self, x, q_i, q_mi, which=("x", "xx", "qi", "qmi"),
                  boundary_mode: str = "error") -> dict:
-        """Requested partial derivatives at one state.
+        """Requested partial derivatives at one capital pair.
 
-        Analytic where the kind has closed forms; finite differences with one
-        Richardson level otherwise.  With boundary_mode="error" a stencil
-        that would straddle the trigger raises TooCloseToBoundaryError;
-        "allow" trusts the built-in value-matching across the trigger (the
-        function is C1 there by construction) and differentiates through it.
+        x is one shock level or a numpy array of them; each entry of the
+        result has the shape of x.  Analytic where the kind has closed forms;
+        finite differences with one Richardson level otherwise, one value
+        call per stencil point for all levels.  With boundary_mode="error" a
+        stencil that would straddle the trigger at any level raises
+        TooCloseToBoundaryError; "allow" trusts the built-in value-matching
+        across the trigger (the function is C1 there by construction) and
+        differentiates through it.
         """
         if isinstance(which, str):
             which = (which,)
@@ -206,7 +241,7 @@ class ValueFunction:
             probes = (coord - h, coord + h)
             trig = [self._own_trigger(q, q_mi) if own else self._own_trigger(q_i, q)
                     for q in probes]
-            if (x > min(trig)) != (x > max(trig)):
+            if np.any((x > min(trig)) != (x > max(trig))):
                 raise TooCloseToBoundaryError(
                     "finite-difference stencil straddles the trigger; "
                     "pass boundary_mode='allow' to differentiate through it"
@@ -257,44 +292,41 @@ class AbstainValue(ValueFunction):
     def _own_trigger(self, q_i, q_mi):
         return self.opponent_boundary.trigger(q_i, q_mi)
 
-    def _phi(self, x, q_mi):
-        raise AssertionError("abstain value has an explicit continuation branch")
-
-    def value(self, x, q_i, q_mi):
+    def _below(self, x, q_i, q_mi):
         pr = self.params
         y = self._y(x, q_i, q_mi)
-        scale = self.p / (pr.r - pr.mu)
-        if y <= 1.0:
-            return scale * (y - y ** pr.beta / pr.beta) * q_i
-        return scale * (pr.beta - 1.0) / pr.beta * q_i
+        return self.p / (pr.r - pr.mu) * (y - y ** pr.beta / pr.beta) * q_i
 
-    def option_term(self, x, q_i, q_mi):
+    def _below_x(self, x, q_i, q_mi):
         pr = self.params
         y = self._y(x, q_i, q_mi)
-        return -self.p / (pr.r - pr.mu) * min(y, 1.0) ** pr.beta / pr.beta * q_i
-
-    def value_x(self, x, q_i, q_mi):
-        pr = self.params
-        y = self._y(x, q_i, q_mi)
-        if y > 1.0:
-            return 0.0
         P = (q_i + q_mi) ** (-1.0 / pr.gamma)
         return self.p / (pr.r - pr.mu) * (1.0 - y ** (pr.beta - 1.0)) * (P / self.p) * q_i
 
-    def value_xx(self, x, q_i, q_mi):
+    def _below_xx(self, x, q_i, q_mi):
         pr = self.params
         y = self._y(x, q_i, q_mi)
-        if y > 1.0:
-            return 0.0
         P = (q_i + q_mi) ** (-1.0 / pr.gamma)
         return -self.p / (pr.r - pr.mu) * (pr.beta - 1.0) * y ** (pr.beta - 2.0) \
             * (P / self.p) ** 2 * q_i
 
-    def _d_own(self, x, q_i, q_mi, boundary_mode):
+    def _above(self, x, q_i, q_mi):
+        pr = self.params
+        return self.p / (pr.r - pr.mu) * (pr.beta - 1.0) / pr.beta * q_i
+
+    def _above_x(self, x, q_i, q_mi):
+        return 0.0
+
+    _above_xx = _above_x   # the annuity does not depend on x
+
+    def option_term(self, x, q_i, q_mi):
         pr = self.params
         y = self._y(x, q_i, q_mi)
-        if y > 1.0:
-            return self.p / pr.p_star
+        return -self.p / (pr.r - pr.mu) * np.minimum(y, 1.0) ** pr.beta / pr.beta * q_i
+
+    def _own_below(self, x, q_i, q_mi):
+        pr = self.params
+        y = self._y(x, q_i, q_mi)
         q = q_i + q_mi
         P = q ** (-1.0 / pr.gamma)
         Pp = -P / (pr.gamma * q)
@@ -302,27 +334,20 @@ class AbstainValue(ValueFunction):
         return scale * ((y - y ** pr.beta / pr.beta)
                         + q_i * (1.0 - y ** (pr.beta - 1.0)) * x * Pp / self.p)
 
-    def _d_opp(self, x, q_i, q_mi, boundary_mode):
+    def _opp_below(self, x, q_i, q_mi):
         pr = self.params
         y = self._y(x, q_i, q_mi)
-        if y > 1.0:
-            return 0.0
         q = q_i + q_mi
         P = q ** (-1.0 / pr.gamma)
         Pp = -P / (pr.gamma * q)
         return self.p / (pr.r - pr.mu) * q_i * (1.0 - y ** (pr.beta - 1.0)) * x * Pp / self.p
 
-    def below_branch_arrays(self, x, q_i, q_mi):
-        """(value, V_x, V_xx) vectorized over x, valid for x <= trigger."""
-        pr = self.params
-        x = np.asarray(x, dtype=float)
-        P = (q_i + q_mi) ** (-1.0 / pr.gamma)
-        y = x * P / self.p
-        scale = self.p / (pr.r - pr.mu)
-        v = scale * (y - y ** pr.beta / pr.beta) * q_i
-        vx = scale * (1.0 - y ** (pr.beta - 1.0)) * (P / self.p) * q_i
-        vxx = -scale * (pr.beta - 1.0) * y ** (pr.beta - 2.0) * (P / self.p) ** 2 * q_i
-        return v, vx, vxx
+    def _d_own(self, x, q_i, q_mi, boundary_mode):
+        return self._piecewise(self._own_below, lambda *_: self.p / self.params.p_star,
+                               x, q_i, q_mi)
+
+    def _d_opp(self, x, q_i, q_mi, boundary_mode):
+        return self._piecewise(self._opp_below, lambda *_: 0.0, x, q_i, q_mi)
 
 
 class SoleInvestorValue(ValueFunction):
@@ -379,13 +404,11 @@ class SoleInvestorValue(ValueFunction):
     def option_term(self, x, q_i, q_mi):
         pr = self.params
         P = (q_i + q_mi) ** (-1.0 / pr.gamma)
-        y = min(x * P / self.p, 1.0)
+        y = np.minimum(x * P / self.p, 1.0)
         return self._btil(q_i, q_mi) * y ** pr.beta
 
-    def _d_own(self, x, q_i, q_mi, boundary_mode):
+    def _own_below(self, x, q_i, q_mi):
         pr = self.params
-        if x > self._own_trigger(q_i, q_mi):
-            return 1.0
         q = q_i + q_mi
         P = q ** (-1.0 / pr.gamma)
         Pp = -P / (pr.gamma * q)
@@ -404,23 +427,16 @@ class SoleInvestorValue(ValueFunction):
             + self.coef * self.k_opp * y ** pr.beta \
             + self._btil(q_i, q_mi) * pr.beta * y ** (pr.beta - 1.0) * x * Pp / self.p
 
-    def _d_opp(self, x, q_i, q_mi, boundary_mode):
-        if x > self._own_trigger(q_i, q_mi):
-            # Differentiating the continuation branch: the phi terms cancel
-            # because the own-capital derivative is one at the paste point.
-            return self._opp_below(x, self._phi(x, q_mi), q_mi)
-        return self._opp_below(x, q_i, q_mi)
+    def _d_own(self, x, q_i, q_mi, boundary_mode):
+        return self._piecewise(self._own_below, lambda *_: 1.0, x, q_i, q_mi)
 
-    def below_branch_arrays(self, x, q_i, q_mi):
-        pr = self.params
-        x = np.asarray(x, dtype=float)
-        P = (q_i + q_mi) ** (-1.0 / pr.gamma)
-        y = x * P / self.p
-        btil = self._btil(q_i, q_mi)
-        v = x * P * q_i / (pr.r - pr.mu) + btil * y ** pr.beta
-        vx = P * q_i / (pr.r - pr.mu) + btil * pr.beta * y ** (pr.beta - 1.0) * P / self.p
-        vxx = btil * pr.beta * (pr.beta - 1.0) * y ** (pr.beta - 2.0) * (P / self.p) ** 2
-        return v, vx, vxx
+    def _d_opp(self, x, q_i, q_mi, boundary_mode):
+        # Differentiating the continuation branch: the phi terms cancel
+        # because the own-capital derivative is one at the paste point.
+        return self._piecewise(
+            self._opp_below,
+            lambda v, q_i, q_mi: self._opp_below(v, self._phi(v, q_mi), q_mi),
+            x, q_i, q_mi)
 
 
 # ---------------------------------------------------------------------------
@@ -638,16 +654,6 @@ class DynamicValue(ValueFunction):
     def option_term(self, x, q_i, q_mi):
         return self.B(q_i, q_mi) * x ** self.params.beta
 
-    def below_branch_arrays(self, x, q_i, q_mi):
-        pr = self.params
-        x = np.asarray(x, dtype=float)
-        P = (q_i + q_mi) ** (-1.0 / pr.gamma)
-        b = self.B(q_i, q_mi)
-        v = x * P * q_i / (pr.r - pr.mu) + b * x ** pr.beta
-        vx = P * q_i / (pr.r - pr.mu) + pr.beta * b * x ** (pr.beta - 1.0)
-        vxx = pr.beta * (pr.beta - 1.0) * b * x ** (pr.beta - 2.0)
-        return v, vx, vxx
-
 
 class PerturbedValue:
     """Negative-control candidate: the option term is scaled in the value
@@ -681,6 +687,5 @@ class PerturbedValue:
 
     def below_branch_arrays(self, x, q_i, q_mi):
         v, vx, vxx = self.base.below_branch_arrays(x, q_i, q_mi)
-        x = np.asarray(x, dtype=float)
-        opt = np.array([self.base.option_term(xx, q_i, q_mi) for xx in np.atleast_1d(x)])
-        return v + (self.option_scale - 1.0) * opt.reshape(np.shape(v)), vx, vxx
+        opt = self.base.option_term(np.asarray(x, dtype=float), q_i, q_mi)
+        return v + (self.option_scale - 1.0) * opt, vx, vxx

@@ -175,11 +175,11 @@ def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec()) -> list:
     # Condition 5: V_qi <= 1 below both triggers (boundary included).
     worst, at = -np.inf, ()
     for q_i, q_mi in pairs:
-        cap = min(own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i))
-        for x in spec.x_levels(cap):
-            d = value_fn.partials(float(x), q_i, q_mi, ("qi",), boundary_mode="allow")["qi"]
-            if d - 1.0 > worst:
-                worst, at = d - 1.0, (float(x), q_i, q_mi)
+        xs = spec.x_levels(min(own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i)))
+        excess = value_fn.partials(xs, q_i, q_mi, ("qi",), boundary_mode="allow")["qi"] - 1.0
+        k = int(np.argmax(excess))
+        if excess[k] > worst:
+            worst, at = float(excess[k]), (float(xs[k]), q_i, q_mi)
     results.append(ConditionResult("own_derivative_below_trigger", worst, at, tol,
                                    worst <= tol))
 

@@ -57,6 +57,27 @@ def test_check_floor_scalars_and_arrays(golden):
     b._check_floor(b.q_floor, np.float64(b.q_floor), np.full(3, b.q_floor))
 
 
+def test_newton_base_capacity_matches_bisection(golden):
+    """The scalar Newton inverse agrees with the array bisection at the
+    floor, just above the floor trigger, across the kink q = q_mi and far
+    above the trigger."""
+    for c in (0.5, 1.0):
+        b = DynamicBoundary(golden, c)
+        qf = b.q_floor
+        for q_mi in (qf + 0.3, qf + 1.0, 3.0):
+            t_floor, t_kink = b.trigger(qf, q_mi), b.trigger(q_mi, q_mi)
+            xs = np.concatenate((
+                [0.5 * t_floor, t_floor, t_floor * (1.0 + 1e-9), t_floor * (1.0 + 1e-6)],
+                t_kink * (1.0 + np.array([-1e-9, -1e-15, 0.0, 1e-15, 1e-9])),
+                t_floor * np.exp(np.linspace(0.01, 4.0, 25)),
+                [1e3 * t_floor, 1e3 * t_kink]))
+            ref = b.base_capacity_array(xs, q_mi)
+            got = np.array([b.base_capacity(float(x), q_mi) for x in xs])
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, got)), (c, q_mi)
+            assert got[0] == got[1] == qf
+            assert got[4] < q_mi < got[8]
+
+
 def test_trigger_diverges_with_capital(golden):
     for b in (ConstantPriceBoundary(golden, 1.0), DynamicBoundary(golden, 1.0)):
         assert b.trigger(1e9, 1.0) > 1e5

@@ -157,6 +157,44 @@ def test_symmetric_catch_up_structure(golden):
     assert hits >= 6  # the catch-up time is interior on most of these paths
 
 
+def _symmetric_cases(params, dyn, n_paths):
+    """Random paths and initial stocks, with equal stocks, a stock at the
+    floor and a path whose maximum is at t = 0 among them."""
+    rng = np.random.default_rng(29)
+    qf = dyn.q_floor
+    cases = []
+    for j in range(n_paths):
+        path = generate_path(params, rng.uniform(0.5, 8.0), 0.01, 2.0, 31, j)
+        q1, q2 = qf + rng.uniform(0.0, 1.0, 2)
+        cases.append((path, q1, q2))
+    cases[0] = (cases[0][0], cases[0][1], cases[0][1])
+    cases[1] = (cases[1][0], qf, cases[1][2])
+    x0 = 1.5 * dyn.trigger(1.3 * qf, 1.3 * qf)
+    falling = ShockPath(x0=x0, dt=0.01, horizon=1.0,
+                        values=x0 * np.exp(-np.linspace(0.0, 1.0, 101)), seed=0, path_index=0)
+    cases[2] = (falling, qf, 1.3 * qf)
+    return cases
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0])
+def test_symmetric_records_match_full_path(golden, c):
+    """Roots solved at the running-max records give the full-path running
+    supremum of min(phi, psi), and the catch-up structure holds exactly."""
+    dyn = DynamicBoundary(golden, c)
+    for path, q1, q2 in _symmetric_cases(golden, dyn, 200):
+        out = build_symmetric_outcome((dyn, dyn), path, q1, q2)
+        psi = dyn.symmetric_base_capacity(path.values)
+        for q, q_own, q_opp in ((out.Q1, q1, q2), (out.Q2, q2, q1)):
+            ref = np.maximum(q_own, running_sup(np.minimum(
+                dyn.base_capacity_array(path.values, q_opp), psi)))
+            assert np.all(np.abs(q - ref) <= 1e-12 * (1.0 + ref))
+        rep = catch_up_report(dyn, out)
+        reached = np.nonzero(psi >= max(q1, q2))[0]
+        assert rep["tau_index"] == (reached[0] if len(reached) else len(psi))
+        assert rep["larger_constant_before"]
+        assert rep["max_gap_after"] == 0.0
+
+
 def test_symmetric_c0_aggregate_matches_abstain(golden, cp):
     d0 = DynamicBoundary(golden, 0.0)
     path = _path(golden, x0=3.0, seed=71, T=2.0)

@@ -5,7 +5,7 @@ import pytest
 
 from duopoly_invest.errors import ParamDomainError
 from duopoly_invest.model import ModelParams, derive_params
-from duopoly_invest.paths import generate_path, running_sup, running_sup_update
+from duopoly_invest.paths import generate_path, running_sup
 
 
 @pytest.fixture(scope="module")
@@ -58,13 +58,6 @@ def test_domain_errors(golden):
 
 
 def test_running_sup_fold():
-    assert running_sup_update(5.0, 3.0) == 5.0
-    assert running_sup_update(5.0, 7.0) == 7.0
-    acc, out = -math.inf, []
-    for v in [1.0, 4.0, 2.0, 8.0]:
-        acc = running_sup_update(acc, v)
-        out.append(acc)
-    assert out == [1.0, 4.0, 4.0, 8.0]
     assert np.array_equal(running_sup([1.0, 4.0, 2.0, 8.0]), [1.0, 4.0, 4.0, 8.0])
 
 

@@ -297,6 +297,76 @@ def test_partials_straddle_guard(golden):
     fn.partials(xb, q_i, q_mi, ("qi",), boundary_mode="allow")
 
 
+# numpy's vectorized power may differ from the scalar one in the last bit,
+# and a finite-difference stencil divides such a difference by its step
+# (stencil weights sum to at most 12/h).
+_ULPS = 4 * np.finfo(float).eps
+
+
+def _array_cases(golden):
+    kinds = [DynamicValue(golden, c) for c in (0.0, 0.5, 1.0)] + [
+        AbstainValue(golden, golden.p_star), SoleInvestorValue(golden, golden.p_star),
+        PerturbedValue(DynamicValue(golden, 0.5), 1.01)]
+    for fn in kinds:
+        own, opp = fn.strategy_pair()
+        floor = max(b.q_floor for b in (own, opp))
+        # The first pair sits on the floor (one-sided stencil in q_i).
+        for q_i, q_mi in ((floor, floor + 0.4), (floor + 0.7, floor + 0.2)):
+            cap = min(own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i))
+            yield fn, q_i, q_mi, cap * np.exp(np.linspace(np.log(0.05), 0.0, 12))
+
+
+def test_array_partials_match_scalar(golden):
+    """Values and partials over an array of shock levels equal the scalar
+    ones level by level: below the trigger, at the top grid level, whose
+    stencil straddles the trigger, and above the trigger."""
+    for fn, q_i, q_mi, xs in _array_cases(golden):
+        levels = np.append(xs, 1.6 * xs[-1])
+        vals = fn.value(levels, q_i, q_mi)
+        keys = ("x", "qi", "qmi")
+        arr = fn.partials(levels, q_i, q_mi, keys, boundary_mode="allow")
+        arr["xx"] = fn.partials(xs, q_i, q_mi, ("xx",))["xx"]
+        for k, x in enumerate(levels):
+            v = fn.value(float(x), q_i, q_mi)
+            assert abs(vals[k] - v) <= _ULPS * (1.0 + abs(v)), (fn.kind, k)
+            one = fn.partials(float(x), q_i, q_mi, keys, boundary_mode="allow")
+            if k < len(xs):
+                one["xx"] = fn.partials(float(x), q_i, q_mi, ("xx",))["xx"]
+            for key, d in one.items():
+                tol = _ULPS * (1.0 + abs(d))
+                if key in ("qi", "qmi"):
+                    tol += 12.0 * _ULPS * (1.0 + abs(v)) / (1e-5 * max(1.0, q_i, q_mi))
+                assert abs(arr[key][k] - d) <= tol, (fn.kind, key, k)
+
+
+def test_array_partials_straddle_guard(golden):
+    """boundary_mode="error" raises when any level's stencil straddles the
+    trigger, and not when none does."""
+    for c in (0.5, 1.0):
+        fn = DynamicValue(golden, c)
+        q_i, q_mi = fn.q_floor + 0.7, fn.q_floor + 0.2
+        xs = fn.boundary.trigger(q_i, q_mi) * np.exp(np.linspace(np.log(0.05), 0.0, 12))
+        with pytest.raises(TooCloseToBoundaryError):
+            fn.partials(xs, q_i, q_mi, ("qi",), boundary_mode="error")
+        with pytest.raises(TooCloseToBoundaryError):
+            fn.partials(xs, q_i, q_mi, ("qmi",), boundary_mode="error")
+        d = fn.partials(xs[:-1], q_i, q_mi, ("qi", "qmi"), boundary_mode="error")
+        assert d["qi"].shape == d["qmi"].shape == (len(xs) - 1,)
+
+
+def test_perturbed_below_branch_matches_loop(golden):
+    """The vectorized option term of every kind reproduces the per-level loop."""
+    for fn, q_i, q_mi, xs in _array_cases(golden):
+        base = fn.base if isinstance(fn, PerturbedValue) else fn
+        bad = PerturbedValue(base, 1.01)
+        levels = np.append(xs, 1.6 * xs[-1])   # above the trigger y is capped at 1
+        v, vx, vxx = bad.below_branch_arrays(levels, q_i, q_mi)
+        b, bx, bxx = base.below_branch_arrays(levels, q_i, q_mi)
+        loop = b + 0.01 * np.array([base.option_term(x, q_i, q_mi) for x in levels])
+        assert np.all(np.abs(v - loop) <= _ULPS * np.abs(loop)), base.kind
+        assert np.array_equal(vx, bx) and np.array_equal(vxx, bxx)
+
+
 def test_perturbed_value_channel_only(golden):
     base = DynamicValue(golden, 0.5)
     bad = PerturbedValue(base, 1.01)
