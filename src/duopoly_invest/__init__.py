@@ -22,7 +22,7 @@ from .mc import (
     estimate_payoff,
     npv_at_boundary,
 )
-from .model import ModelParams, State, derive_params, params_from_json, solve_beta
+from .model import ModelParams, derive_params, params_from_json, solve_beta
 from .outcomes import (
     Outcome,
     build_abstain_outcome,
@@ -48,7 +48,7 @@ __all__ = [
     "AbstainValue", "Boundary", "ConstantPriceBoundary", "DeviationResult",
     "DynamicBoundary", "DynamicValue", "GridSpec", "InfiniteBoundary",
     "ModelParams", "Outcome", "PayoffEstimate", "PerturbedValue",
-    "QuadratureSettings", "ShockPath", "SoleInvestorValue", "State",
+    "QuadratureSettings", "ShockPath", "SoleInvestorValue",
     "VerificationReport", "boundary_from_json", "build_abstain_outcome",
     "build_aggregate_split", "build_joint_outcome", "build_symmetric_outcome",
     "catch_up_report", "check_consistency", "derive_params",

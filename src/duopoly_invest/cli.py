@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .boundaries import boundary_from_json
@@ -42,8 +43,10 @@ from .verify import GridSpec, run_verification
 
 _DOMAIN_ERRORS = (ParamDomainError, IntegrabilityError, ZeroCapacityError,
                   BelowFloorError, KindMismatchError, InvalidSplitError)
+# A float operation out of range (a power of a capital near zero, say)
+# raises OverflowError: a numeric failure like the others.
 _NUMERIC_ERRORS = (QuadratureNotConvergedError, RootBracketError,
-                   TooCloseToBoundaryError)
+                   TooCloseToBoundaryError, OverflowError)
 
 EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
@@ -59,11 +62,35 @@ class _Parser(argparse.ArgumentParser):
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError as exc:
         raise UsageError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UsageError(f"{path} must hold a JSON object, got {type(config).__name__}")
+    return config
+
+
+def _finite(raw):
+    """raw as a finite float, or None for anything else (booleans included)."""
+    if isinstance(raw, bool):
+        return None
+    try:
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _number(raw, what: str, rule: str = "", valid=lambda v: True, integer: bool = False):
+    """A numeric input field: finite, whole if integer, and passing valid,
+    or UsageError naming the field and its rule."""
+    value = _finite(raw)
+    if value is None or not valid(value) or (integer and not value.is_integer()):
+        kind = "a whole number" if integer else "a finite number"
+        raise UsageError(f"{what} must be {kind}{rule}, got {raw!r}")
+    return int(value) if integer else value
 
 
 def _params_block(config: dict) -> ModelParams:
@@ -71,7 +98,16 @@ def _params_block(config: dict) -> ModelParams:
         else config.get("params")
     if not isinstance(block, dict):
         raise UsageError('config needs a "params" block with r, mu, sigma, gamma')
-    return params_from_json(block)
+    return params_from_json({k: _number(block[k], f"params.{k}")
+                             for k in ("r", "mu", "sigma", "gamma") if k in block})
+
+
+def _boundary(block, params: ModelParams):
+    """A boundary from its JSON object, with its numeric fields checked."""
+    if not isinstance(block, dict):
+        raise UsageError(f"a boundary must be a JSON object, got {block!r}")
+    return boundary_from_json({k: _number(v, f"boundary.{k}") if k in ("p", "c") else v
+                               for k, v in block.items()}, params)
 
 
 def _value_fn(config: dict, params: ModelParams):
@@ -80,24 +116,28 @@ def _value_fn(config: dict, params: ModelParams):
         raise UsageError('config needs a "value" block with a "kind"')
     kind = block["kind"]
     if kind == "abstain":
-        return AbstainValue(params, float(block.get("p", params.p_star)))
+        return AbstainValue(params, _number(block.get("p", params.p_star), "value.p"))
     if kind == "sole_investor":
-        return SoleInvestorValue(params, float(block.get("p", params.p_star)))
+        return SoleInvestorValue(params, _number(block.get("p", params.p_star), "value.p"))
     if kind == "dynamic_c":
         if "c" not in block:
             raise UsageError('value kind dynamic_c needs field "c"')
-        return DynamicValue(params, float(block["c"]))
+        return DynamicValue(params, _number(block["c"], "value.c"))
     raise UsageError(f"unknown value kind: {kind!r}")
 
 
 def _state(row) -> tuple:
-    """(x, q1, q2) from a list of three numbers, or UsageError."""
+    """(x, q1, q2) from a list of three numbers, or UsageError; a shock
+    level x <= 0 or a negative capital is outside the state space."""
     if isinstance(row, (list, tuple)) and len(row) == 3:
-        try:
-            return tuple(float(v) for v in row)
-        except (TypeError, ValueError):
-            pass
-    raise UsageError(f"a state must be three numbers x,q1,q2, got {row!r}")
+        state = tuple(_finite(v) for v in row)
+        if None not in state:
+            x, q1, q2 = state
+            if x <= 0.0 or q1 < 0.0 or q2 < 0.0:
+                raise ParamDomainError(
+                    f"a state needs x > 0 and capitals >= 0, got {row!r}")
+            return state
+    raise UsageError(f"a state must be three finite numbers x,q1,q2, got {row!r}")
 
 
 def _states(config: dict) -> list:
@@ -160,11 +200,23 @@ def cmd_verify(args) -> int:
         blocks = config["boundaries"]
         if isinstance(blocks, dict):
             blocks = [blocks, blocks]
-        pair = tuple(boundary_from_json(b, params) for b in blocks)
+        if not isinstance(blocks, list) or len(blocks) != 2:
+            raise UsageError('"boundaries" must be one boundary object or a list of two')
+        pair = tuple(_boundary(b, params) for b in blocks)
     grid_cfg = config.get("grid", {})
-    spec = GridSpec(nx=int(grid_cfg.get("nx", 40)), nq=int(grid_cfg.get("nq", 20)),
-                    x_lo_frac=float(grid_cfg.get("x_lo_frac", 0.05)),
-                    q_span=float(grid_cfg.get("q_span", 5.0)))
+    if not isinstance(grid_cfg, dict):
+        raise UsageError(f'"grid" must be a JSON object, got {grid_cfg!r}')
+    spec = GridSpec(
+        nx=_number(grid_cfg.get("nx", 40), "grid.nx", " >= 1", lambda v: v >= 1, integer=True),
+        nq=_number(grid_cfg.get("nq", 20), "grid.nq", " >= 1", lambda v: v >= 1, integer=True),
+        x_lo_frac=_number(grid_cfg.get("x_lo_frac", 0.05), "grid.x_lo_frac", " in (0, 1]",
+                          lambda v: 0.0 < v <= 1.0),
+        q_span=_number(grid_cfg.get("q_span", 5.0), "grid.q_span", " >= 0",
+                       lambda v: v >= 0.0))
+    pair = pair or fn.strategy_pair()
+    if not spec.capital_pairs(pair):
+        raise UsageError("the grid has no capital pair with positive total capacity; "
+                         "raise grid.nq or grid.q_span")
     # A failed condition is a finding, not a program error: the report still
     # gets written and the exit code stays zero.
     report = run_verification(fn, pair=pair, spec=spec)
@@ -181,12 +233,13 @@ def _builder_for(strategy: dict, params: ModelParams, q1: float, q2: float):
       weights: [w1, w2]             (split)
       opponent: boundary block      (joint; defaults to the own block)
     """
-    boundary = boundary_from_json(strategy, params)
+    boundary = _boundary(strategy, params)
     construction = strategy.get("construction")
     if construction is None:
         construction = "symmetric" if strategy.get("kind") == "dynamic_c" else "abstain"
     if construction == "abstain":
-        firm = int(strategy.get("abstaining_firm", 1))
+        firm = _number(strategy.get("abstaining_firm", 1), "abstaining_firm", " (1 or 2)",
+                       lambda v: v in (1, 2), integer=True)
         return lambda path: build_abstain_outcome((boundary, boundary), path, q1, q2, firm)
     if construction == "symmetric":
         return lambda path: build_symmetric_outcome((boundary, boundary), path, q1, q2)
@@ -197,7 +250,7 @@ def _builder_for(strategy: dict, params: ModelParams, q1: float, q2: float):
         return lambda path: build_aggregate_split((boundary, boundary), path, q1, q2, weights)
     if construction == "joint":
         opp_block = strategy.get("opponent", strategy)
-        opp = boundary_from_json(opp_block, params)
+        opp = _boundary(opp_block, params)
         return lambda path: build_joint_outcome(boundary, opp, path, q1, q2)
     raise UsageError(f"unknown construction: {construction!r}")
 
@@ -207,8 +260,9 @@ def cmd_simulate(args) -> int:
     strategy = _load_json(args.strategy)
     x0, q1, q2 = _state(args.state.split(","))
     builder = _builder_for(strategy, params, q1, q2)
-    boundary = boundary_from_json(strategy, params)
-    firm = int(strategy.get("firm", 1))
+    boundary = _boundary(strategy, params)
+    firm = _number(strategy.get("firm", 1), "firm", " (1 or 2)", lambda v: v in (1, 2),
+                   integer=True)
     if args.dump_outcomes:
         from .outcomes import dump_outcome_csv
         from .paths import generate_path
@@ -233,11 +287,11 @@ def cmd_sweep(args) -> int:
     states = _states(config)
     kind = sweep["kind"]
     if kind == "dynamic_c":
-        levels = [float(v) for v in sweep.get("c_values", [])]
+        levels = [_number(v, "sweep.c_values entry") for v in sweep.get("c_values", [])]
         fns = [(lvl, DynamicValue(params, lvl)) for lvl in levels]
         level_col = "c"
     elif kind in ("abstain", "sole_investor", "constant_price"):
-        levels = [float(v) for v in sweep.get("p_values", [])]
+        levels = [_number(v, "sweep.p_values entry") for v in sweep.get("p_values", [])]
         make = SoleInvestorValue if kind == "sole_investor" else AbstainValue
         fns = [(lvl, make(params, lvl)) for lvl in levels]
         level_col = "p"
@@ -275,8 +329,8 @@ def cmd_npv(args) -> int:
 
 def cmd_deviation(args) -> int:
     params = _params_block(_load_json(args.params))
-    eq = boundary_from_json(_load_json(args.equilibrium), params)
-    dev = boundary_from_json(_load_json(args.deviant), params)
+    eq = _boundary(_load_json(args.equilibrium), params)
+    dev = _boundary(_load_json(args.deviant), params)
     x0, q1, q2 = _state(args.state.split(","))
     res = deviation_experiment(params, eq, dev, x0, q1, q2, n_paths=args.paths,
                                dt=args.dt, horizon=args.horizon, seed=args.seed,

@@ -95,21 +95,6 @@ class ModelParams:
         }
 
 
-@dataclass(frozen=True)
-class State:
-    """A point (x, q_i, q_mi) of the state space."""
-
-    x: float
-    q_i: float
-    q_mi: float
-
-    def __post_init__(self):
-        if self.x <= 0.0:
-            raise ParamDomainError(f"shock level must be positive, got {self.x}")
-        if self.q_i < 0.0 or self.q_mi < 0.0:
-            raise ParamDomainError("capital stocks must be nonnegative")
-
-
 def derive_params(r: float, mu: float, sigma: float, gamma: float) -> ModelParams:
     """Validate primitives and fill in beta, p_star and mu_gamma.
 

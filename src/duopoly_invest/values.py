@@ -19,19 +19,25 @@ which is evaluated directly against the below-trigger branch (never by
 re-dispatching, so floating-point ties at the trigger cannot recurse).
 
 DynamicValue's B coefficient is an improper integral evaluated by panels of
-Gauss-Kronrod 15 on a geometric grid anchored at the integrand's kink
-q = q_mi, truncated where a closed-form envelope certifies the remaining
-tail below 1e-12 * (1 + |B|).  All B(., q_mi) share the panels beyond the
-first edge above q_i: the first call for a q_mi integrates them once and
-keeps their suffix sums, so each later call integrates one panel and adds
-a stored sum.  A sum that misses the error budget falls back to split
-refinement over the full edge list.
+Gauss-Kronrod 15 on the geometric edges q_mi * 2**k, k = -5..10, anchored at
+the integrand's kink q = q_mi.  The integrand decays only like
+s**-(beta/gamma), s = q + q_mi, so the tail beyond the last edge is mapped
+onto (0, 1] by t = (s/s0)**-(beta/gamma - 1), where the integrand times the
+Jacobian tends to a constant, and integrated by a few GK15 panels split on
+their |K15 - G7| gauges (the classical compactification of QUADPACK's
+infinite-range rules).  A closed-form envelope bounds every tail.  All
+B(., q_mi) share the panels beyond the first edge above q_i: the first call
+for a q_mi integrates them and the tail once and keeps their suffix sums, so
+each later call integrates one panel and adds a stored sum.  A sum that
+misses the error budget, or a q_i past the last edge, falls back to split
+refinement over the full edge list plus the tail from max(q_i, last edge).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,21 +76,30 @@ _G7_WEIGHTS = np.array([
     0.129484966168870, 0.0,
 ])
 
+_GK_STACK = np.stack((_GK_WEIGHTS, _G7_WEIGHTS), axis=1)
+
 _FD_STEP = 1e-5
 
-# B's panel edges are q_mi * 2**k for k >= _K_MIN; the shared-panel table of
-# one q_mi keeps suffix sums for its first _TABLE_EDGES edges, which covers
-# q_i up to q_mi * 2**10.
+# B's panel edges are q_mi * 2**k for _K_MIN <= k <= _K_MAX; the tail beyond
+# q_mi * 2**_K_MAX is one compactified integral.
 _K_MIN = -5
-_TABLE_EDGES = 16
+_K_MAX = 10
+
+
+def _anchor(q_mi):
+    """Anchor of B's panel edges.  Anchoring at the kink q_mi (not at q_i)
+    makes every B(., q_mi) share the same edges, so the panels beyond the
+    first edge above q_i are computed once per q_mi and finite-difference
+    stencils of B stay smooth."""
+    return q_mi if q_mi > 0.0 else 1.0
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
     rel_tol: float = 1e-10       # target |error| <= rel_tol * (1 + |B|)
-    tail_rel_tol: float = 1e-12  # envelope tail budget, relative to 1 + |B|
+    tail_rel_tol: float = 1e-12  # tail error budget, relative to 1 + |tail|
     max_splits: int = 8          # refinement rounds before giving up
-    s_max: float = 1e300         # largest representable truncation point
+    s_max: float = 1e300         # largest s the tail's nodes may reach
 
 
 def _gk15_panels(f, edges):
@@ -97,9 +112,7 @@ def _gk15_panels(f, edges):
     half = 0.5 * (edges[1:] - a)
     center = a + half
     nodes = center[:, None] + half[:, None] * _GK_NODES[None, :]
-    vals = f(nodes.reshape(-1)).reshape(nodes.shape)
-    k15 = (vals * _GK_WEIGHTS).sum(axis=1) * half
-    g7 = (vals * _G7_WEIGHTS).sum(axis=1) * half
+    k15, g7 = (f(nodes.reshape(-1)).reshape(nodes.shape) @ _GK_STACK).T * half
     return k15, np.abs(k15 - g7)
 
 
@@ -493,10 +506,10 @@ class DynamicValue(ValueFunction):
     def _integrand(self, q, q_mi):
         pr = self.params
         s = q + q_mi
-        prem = self.c / np.maximum(q, q_mi) if self.c > 0.0 else 0.0
-        xbar = (pr.p_star + prem) * s ** (1.0 / pr.gamma)
-        mr = s ** (-1.0 / pr.gamma - 1.0) * ((pr.gamma - 1.0) / pr.gamma * q + q_mi)
-        return (1.0 - xbar * mr / (pr.r - pr.mu)) * xbar ** (-pr.beta)
+        price = pr.p_star + (self.c / np.maximum(q, q_mi) if self.c > 0.0 else 0.0)
+        # Xbar * MR = price * ((gamma - 1)/gamma * q + q_mi) / s
+        margin = 1.0 - price * ((pr.gamma - 1.0) / pr.gamma * q + q_mi) / (s * (pr.r - pr.mu))
+        return margin * (price * s ** (1.0 / pr.gamma)) ** (-pr.beta)
 
     def _tail_envelope(self, s):
         """Certified bound on |integral from s-qmi to inf|; decreasing in s."""
@@ -506,28 +519,63 @@ class DynamicValue(ValueFunction):
             * pr.p_star ** (-pr.beta)
         return k_env * s ** (-decay) / decay
 
-    def _edge_range(self, q_mi):
-        """Anchor and last exponent of the panel edges anchor * 2**k.
-
-        Anchoring at the kink q_mi (not at q_i) makes every B(., q_mi) share
-        the same edges, so the panels beyond the first edge above q_i are
-        computed once per q_mi and finite-difference stencils of B stay
-        smooth.  The last edge is where the tail envelope meets its budget.
-        """
-        qs = self.quadrature
+    @cached_property
+    def _decay(self) -> float:
+        """Exponent d = beta/gamma - 1 of the tail, whose integrand decays
+        like s**-(1 + d).  Refuses when the envelope beyond s_max exceeds the
+        tail budget: the tail map's nodes would then have to reach past the
+        floating-point range."""
         pr = self.params
-        decay = pr.beta / pr.gamma - 1.0
-        k_env = (1.0 + pr.beta / (pr.beta - 1.0) * 2.0 * pr.gamma / (2.0 * pr.gamma - 1.0)) \
-            * pr.p_star ** (-pr.beta)
-        log_s_needed = (math.log(k_env) - math.log(decay * qs.tail_rel_tol)) / decay
-        if log_s_needed > math.log(qs.s_max):
+        if self._tail_envelope(self.quadrature.s_max) > self.quadrature.tail_rel_tol:
             raise QuadratureNotConvergedError(
-                "certified truncation point exceeds the floating-point range; "
+                "the tail beyond the floating-point range exceeds its budget; "
                 "parameters are too close to the integrability limit "
                 f"(beta/gamma = {pr.beta / pr.gamma:.6g})"
             )
-        anchor = q_mi if q_mi > 0.0 else 1.0
-        return anchor, math.ceil((log_s_needed - math.log(anchor)) / math.log(2.0)) + 1
+        return pr.beta / pr.gamma - 1.0
+
+    def _tail(self, lo, q_mi):
+        """Integral over [lo, inf) and its error gauge.
+
+        With s = q + q_mi the map t = (s/s0)**-d, s0 = lo + q_mi, takes the
+        range onto (0, 1], and the integrand times the Jacobian s/(d t) tends
+        to a constant as t -> 0, so a few GK15 panels split on their gauges
+        reach tail_rel_tol * (1 + |tail|).  A tail outside the envelope is an
+        error, not a result.
+        """
+        d = self._decay
+        s0 = lo + q_mi
+
+        def mapped(t):
+            s = s0 * t ** (-1.0 / d)
+            return self._integrand(s - q_mi, q_mi) * s / (d * t)
+
+        tol = self.quadrature.tail_rel_tol
+        total, err = self._split_until(mapped, np.array([0.0, 1.0]),
+                                       lambda tot: tol * (1.0 + abs(tot)))
+        if not abs(total) <= self._tail_envelope(s0):
+            raise QuadratureNotConvergedError(
+                f"tail {total:.6g} beyond s = {s0:.6g} exceeds its envelope")
+        return total, err
+
+    def _split_until(self, f, edges, budget):
+        """Integral of f over the panels between edges and its error gauge,
+        splitting panels until the gauge sum is within budget(integral)."""
+        for _ in range(self.quadrature.max_splits + 1):
+            vals, errs = _gk15_panels(f, edges)
+            total, err = float(vals.sum()), float(errs.sum())
+            limit = budget(total)
+            if err <= limit:
+                return total, err
+            if not errs.size:
+                break
+            split = errs > limit / (2.0 * len(errs))
+            if not split.any():
+                split = errs == errs.max()
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            edges = np.sort(np.concatenate((edges, mids[split])))
+        raise QuadratureNotConvergedError(
+            f"panel error {err:.3g} above tolerance after refinement")
 
     @staticmethod
     def _first_edge(q_i, anchor):
@@ -539,39 +587,38 @@ class DynamicValue(ValueFunction):
         return k
 
     def _edges(self, q_i, q_mi):
-        """All panel edges of B(q_i, q_mi): q_i, then the anchored edges above it."""
-        anchor, k_hi = self._edge_range(q_mi)
+        """Panel edges of B(q_i, q_mi): q_i, then the anchored edges above it
+        up to the last one, where the tail starts (only q_i past it)."""
+        anchor = _anchor(q_mi)
         k_lo = self._first_edge(q_i, anchor)
-        edges = anchor * 2.0 ** np.arange(k_lo, k_hi + 1, dtype=float)
-        if edges.size == 0:
-            edges = np.array([2.0 * q_i])
-        return np.concatenate(([q_i], edges))
+        return np.concatenate(([q_i], anchor * 2.0 ** np.arange(k_lo, _K_MAX + 1, dtype=float)))
 
     def _panel_table(self, q_mi):
         """Shared panels of one q_mi, computed on its first B call.
 
-        Keeps the anchor, the tail bound and, for the first _TABLE_EDGES
-        anchored edges, the suffix sums of the Kronrod values (row 0) and
-        error gauges (row 1) of the panels beyond each edge.
+        Keeps the anchor and, for each anchored edge, the suffix sums of the
+        Kronrod values (row 0) and error gauges (row 1) of the panels beyond
+        it plus the tail beyond the last edge.
         """
         table = self._panel_tables.get(q_mi)
         if table is None:
-            anchor, k_hi = self._edge_range(q_mi)
-            edges = anchor * 2.0 ** np.arange(_K_MIN, k_hi + 1, dtype=float)
+            anchor = _anchor(q_mi)
+            edges = anchor * 2.0 ** np.arange(_K_MIN, _K_MAX + 1, dtype=float)
             vals, errs = _gk15_panels(lambda q: self._integrand(q, q_mi), edges)
-            suffix = np.zeros((2, edges.size))
+            suffix = np.empty((2, edges.size))
+            suffix[:, -1] = self._tail(edges[-1], q_mi)
             # Summed from the far end, where the panels are smallest.
-            suffix[:, :-1] = np.cumsum(np.stack((vals, errs))[:, ::-1], axis=1)[:, ::-1]
-            table = (anchor, float(self._tail_envelope(edges[-1] + q_mi)),
-                     suffix[:, :_TABLE_EDGES].copy())
+            suffix[:, :-1] = np.stack((vals, errs))[:, ::-1].cumsum(axis=1)[:, ::-1] \
+                + suffix[:, -1:]
+            table = (anchor, suffix)
             self._panel_tables[q_mi] = table
         return table
 
     def _shared_sum(self, q_i, q_mi):
         """Integral of B by one panel from q_i to the first anchored edge
-        plus the shared suffix beyond it; None when that edge lies outside
-        the table or the sum misses the certified tolerance."""
-        anchor, tail, suffix = self._panel_table(q_mi)
+        plus the shared suffix beyond it; None when that edge lies past the
+        table or the sum misses the certified tolerance."""
+        anchor, suffix = self._panel_table(q_mi)
         k = self._first_edge(q_i, anchor)
         j = k - _K_MIN
         if j >= suffix.shape[1]:
@@ -579,34 +626,19 @@ class DynamicValue(ValueFunction):
         val, err = _gk15_panels(lambda q: self._integrand(q, q_mi),
                                 np.array([q_i, anchor * 2.0 ** k]))
         total = float(val[0]) + suffix.item(0, j)
-        if float(err[0]) + suffix.item(1, j) + tail > self.quadrature.rel_tol * (1.0 + abs(total)):
+        if float(err[0]) + suffix.item(1, j) > self.quadrature.rel_tol * (1.0 + abs(total)):
             return None
         return total
 
     def _refined_sum(self, q_i, q_mi):
-        """Integral of B over all its panels, split until certified."""
-        qs = self.quadrature
+        """Integral of B over all its panels and the tail, split until certified."""
         edges = self._edges(q_i, q_mi)
-        vals, errs = _gk15_panels(lambda q: self._integrand(q, q_mi), edges)
-        total = vals.sum()
-        tail = self._tail_envelope(edges[-1] + q_mi)
-        splits = 0
-        while True:
-            budget = qs.rel_tol * (1.0 + abs(total))
-            if errs.sum() + tail <= budget:
-                return float(total)
-            if splits >= qs.max_splits:
-                raise QuadratureNotConvergedError(
-                    f"panel error {errs.sum():.3g} above tolerance after refinement"
-                )
-            split = errs > budget / (2.0 * len(errs))
-            if not split.any():
-                split = errs == errs.max()
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            edges = np.sort(np.concatenate((edges, mids[split])))
-            vals, errs = _gk15_panels(lambda q: self._integrand(q, q_mi), edges)
-            total = vals.sum()
-            splits += 1
+        tail, tail_err = self._tail(edges[-1], q_mi)
+        rel_tol = self.quadrature.rel_tol
+        total, _ = self._split_until(
+            lambda q: self._integrand(q, q_mi), edges,
+            lambda tot: rel_tol * (1.0 + abs(tot + tail)) - tail_err)
+        return total + tail
 
     def B(self, q_i: float, q_mi: float) -> float:
         """Coefficient of x**beta, with panel refinement and a tail budget."""

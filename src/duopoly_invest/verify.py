@@ -244,16 +244,29 @@ def check_transversality(value_fn, params: ModelParams, builder, x0: float,
 
     Passes when the 2T estimate is below half the T estimate (or both are
     already under the absolute cap) and below the cap itself.
+
+    Each path is simulated and built once, to 2T, and the T estimate reads
+    the same outcome at grid index round(T/dt).  A path of horizon T is a
+    bit-identical prefix of the 2T path of the same (seed, path_index), so
+    this equals building both horizons only if the builder is
+    non-anticipating: its outcome up to t depends only on the path up to t,
+    as for every builder in `outcomes`.
+
+    The estimate is heavy tailed, dominated by single extreme paths, so its
+    verdict depends on the seed: with the criterion-4 settings (80 paths,
+    T = 6, dt = 0.01) it fails on about 2.5% of seeds for the exact
+    DynamicValue of c = 0.5 and c = 1.
     """
-    ests = {}
-    for mult in (1, 2):
-        total = 0.0
-        for j in range(n_paths):
-            path = generate_path(params, x0, dt, mult * horizon, seed, j)
-            out: Outcome = builder(path)
-            total += abs(value_fn.value(float(path.values[-1]),
-                                        float(out.Q1[-1]), float(out.Q2[-1])))
-        ests[mult] = np.exp(-params.r * mult * horizon) * total / n_paths
+    k_mid = int(round(horizon / dt))
+    totals = [0.0, 0.0]   # sums of |V| at T and at 2T
+    for j in range(n_paths):
+        path = generate_path(params, x0, dt, 2 * horizon, seed, j)
+        out: Outcome = builder(path)
+        for m, k in enumerate((k_mid, -1)):
+            totals[m] += abs(value_fn.value(float(path.values[k]),
+                                            float(out.Q1[k]), float(out.Q2[k])))
+    ests = {mult: np.exp(-params.r * mult * horizon) * totals[mult - 1] / n_paths
+            for mult in (1, 2)}
     halved = ests[2] <= 0.5 * ests[1] or ests[1] <= abs_cap
     passed = bool(halved and ests[2] <= abs_cap)
     return ConditionResult("transversality", worst=float(ests[2]),

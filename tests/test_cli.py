@@ -4,8 +4,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from duopoly_invest.cli import EXIT_DOMAIN, EXIT_USAGE, main
+from duopoly_invest.cli import EXIT_DOMAIN, EXIT_NUMERIC, EXIT_USAGE, main
 from duopoly_invest.mc import estimate_payoff
 from duopoly_invest.model import derive_params
 from duopoly_invest.outcomes import build_abstain_outcome
@@ -187,3 +189,98 @@ def test_npv_command(golden_config, capsys):
     assert main(["npv", "--config", str(golden_config), "--p", str(pp.p_star)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["npv_per_unit"] == 0.0
+
+
+_ABSTAIN = {"params": GOLDEN_BLOCK, "value": {"kind": "abstain"}}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("value", {"params": GOLDEN_BLOCK, "value": {"kind": "dynamic_c", "c": "abc"},
+               "states": [[2.0, 1.0, 1.0]]}),
+    ("value", {"params": {**GOLDEN_BLOCK, "r": "x"}, "value": {"kind": "abstain"},
+               "states": [[2.0, 1.0, 1.0]]}),
+    ("verify", {**_ABSTAIN, "grid": {"nx": "z"}}),
+    ("verify", [1, 2, 3]),
+    ("verify", {**_ABSTAIN, "grid": [1]}),
+    ("verify", {**_ABSTAIN, "boundaries": 5}),
+    ("verify", {**_ABSTAIN, "grid": {"nx": 0, "nq": 3}}),
+    ("verify", {**_ABSTAIN, "grid": {"nq": 0}}),
+    ("verify", {**_ABSTAIN, "grid": {"nx": 4, "nq": 3, "x_lo_frac": -1}}),
+    ("verify", {**_ABSTAIN, "grid": {"nx": 4, "nq": 1}}),
+], ids=["value.c-text", "params.r-text", "grid.nx-text", "root-list", "grid-list",
+        "boundaries-number", "grid.nx-zero", "grid.nq-zero", "grid.x_lo_frac-negative",
+        "grid-without-capital-pairs"])
+def test_malformed_config_exit_64(tmp_path, capsys, command, config):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_verify_overflow_exit_3(tmp_path, capsys):
+    """Capitals of 1e-311 overflow the inverse demand: a numeric failure."""
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({**_ABSTAIN, "grid": {"nx": 1, "nq": 2, "q_span": 1e-311}}))
+    assert main(["verify", "--config", str(cfg)]) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numeric error:")
+
+
+def test_value_state_outside_domain_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "value.json"
+    cfg.write_text(json.dumps({"params": GOLDEN_BLOCK,
+                               "value": {"kind": "dynamic_c", "c": 1.0},
+                               "states": [[-2.0, 1.0, 1.0]]}))
+    assert main(["value", "--config", str(cfg)]) == EXIT_DOMAIN
+    assert "x > 0" in capsys.readouterr().err
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.lists(st.integers(-3, 3), max_size=3), st.just({}))
+
+
+@st.composite
+def _mutated(draw, fields: dict):
+    """A JSON object of plausible fields, each of which may be replaced by a
+    value of any other JSON type or left out."""
+    out = {}
+    for key, plausible in fields.items():
+        fate = draw(st.integers(0, 19))
+        if fate < 19:
+            out[key] = draw(_JUNK if fate == 18 else plausible)
+    return out
+
+
+_PARAMS = _mutated({"r": st.floats(0.2, 2.0), "mu": st.floats(-0.3, 0.3),
+                    "sigma": st.floats(0.3, 1.6), "gamma": st.floats(1.05, 2.0)})
+_VALUE = _mutated({"kind": st.sampled_from(["abstain", "sole_investor", "dynamic_c"]),
+                   "c": st.floats(0.0, 2.0), "p": st.floats(0.5, 5.0)})
+_STATE = st.one_of(st.lists(st.floats(0.01, 5.0), min_size=3, max_size=3),
+                   st.lists(st.one_of(st.floats(-1.0, 5.0), _JUNK), max_size=4))
+_GRID = _mutated({"nx": st.integers(1, 4), "nq": st.integers(1, 3),
+                  "x_lo_frac": st.floats(0.01, 1.0), "q_span": st.floats(0.0, 3.0)})
+_BOUNDARY = _mutated({"kind": st.sampled_from(["constant_price", "dynamic_c", "infinite"]),
+                      "p": st.floats(0.5, 5.0), "c": st.floats(0.0, 2.0)})
+_CONFIG = {
+    "derive": _PARAMS,
+    "value": _mutated({"params": _PARAMS, "value": _VALUE,
+                       "states": st.lists(_STATE, max_size=3)}),
+    "verify": _mutated({"params": _PARAMS, "value": _VALUE, "grid": _GRID,
+                        "boundaries": st.one_of(_BOUNDARY, st.lists(_BOUNDARY, min_size=2,
+                                                                     max_size=2))}),
+}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_fuzz_exits_with_documented_codes(tmp_path, capsys, data):
+    """Random configs, field by field of any JSON type, end in a documented
+    exit code and never in a traceback."""
+    command = data.draw(st.sampled_from(sorted(_CONFIG)))
+    config = data.draw(st.one_of(_CONFIG[command], _JUNK))
+    cfg = tmp_path / "fuzz.json"
+    cfg.write_text(json.dumps(config))
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code in (0, 2, 3, 64)
+    assert "Traceback" not in capsys.readouterr().err

@@ -12,7 +12,6 @@ from duopoly_invest.errors import (
     ZeroCapacityError,
 )
 from duopoly_invest.model import (
-    State,
     derive_params,
     params_from_json,
     solve_beta,
@@ -108,14 +107,6 @@ def test_marginal_profit_positive(golden):
         q_i = rng.uniform(0.0, 5.0)
         q_mi = rng.uniform(0.01, 5.0)
         assert golden.marginal_revenue(q_i, q_mi) > 0.0
-
-
-def test_state_validation():
-    State(1.0, 0.0, 1.0)
-    with pytest.raises(ParamDomainError):
-        State(0.0, 1.0, 1.0)
-    with pytest.raises(ParamDomainError):
-        State(1.0, -0.1, 1.0)
 
 
 def test_json_round_trip(golden):

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from duopoly_invest.errors import (
     QuadratureNotConvergedError,
@@ -192,30 +193,34 @@ def test_dynamic_c0_reduces_to_abstain(golden):
 
 
 def test_dynamic_b_against_scipy_oracle(golden):
-    """Independent quadrature route: scipy QAGS on a compactified domain."""
-    fn = DynamicValue(golden, 1.0)
+    """Independent quadrature route: scipy QUADPACK on the original variable,
+    split at the kink q = q_mi, with the infinite-range rule beyond it."""
     pr = golden
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=500)
+    for c in (0.0, 0.5, 1.0):
+        fn = DynamicValue(golden, c)
 
-    def integrand(q, q_mi):
-        s = q + q_mi
-        xbar = (pr.p_star + 1.0 / max(q, q_mi)) * s ** (1 / pr.gamma)
-        mr = s ** (-1 / pr.gamma - 1) * ((pr.gamma - 1) / pr.gamma * q + q_mi)
-        return (1 - xbar * mr / (pr.r - pr.mu)) * xbar ** (-pr.beta)
+        def integrand(q, q_mi):
+            s = q + q_mi
+            prem = c / max(q, q_mi) if c > 0.0 else 0.0
+            xbar = (pr.p_star + prem) * s ** (1 / pr.gamma)
+            mr = s ** (-1 / pr.gamma - 1) * ((pr.gamma - 1) / pr.gamma * q + q_mi)
+            return (1 - xbar * mr / (pr.r - pr.mu)) * xbar ** (-pr.beta)
 
-    for (q_i, q_mi) in [(1.0, 1.0), (0.8, 1.5), (2.5, 0.9), (1.2, 1.2)]:
-        s0 = q_i + q_mi
-
-        def transformed(t):
-            q = q_i + s0 * t / (1.0 - t)
-            return integrand(q, q_mi) * s0 / (1.0 - t) ** 2
-
-        ref = 0.0
-        kink = (q_mi - q_i) / (q_mi - q_i + s0) if q_mi > q_i else None
-        pieces = [0.0] + ([kink] if kink else []) + [1.0]
-        for a, b in zip(pieces, pieces[1:]):
-            val, _ = quad(transformed, a, b, limit=300)
-            ref += val
-        assert fn.B(q_i, q_mi) == pytest.approx(-ref, rel=2e-6)
+        # The last case lies past the shared-panel table.
+        for (q_i, q_mi) in [(1.0, 1.0), (0.8, 1.5), (2.5, 0.9), (1.2, 1.2),
+                            (0.9 * 2.0 ** 14, 0.9)]:
+            ref, lo = 0.0, q_i
+            if q_i < q_mi:
+                ref += quad(integrand, q_i, q_mi, args=(q_mi,), **opts)[0]
+                lo = q_mi
+            # The slowly decaying tail makes QUADPACK report roundoff even
+            # where it converges; the comparison below is the check.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IntegrationWarning)
+                ref += quad(integrand, lo, math.inf, args=(q_mi,), **opts)[0]
+            b = fn.B(q_i, q_mi)
+            assert abs(b + ref) <= 1e-10 * (1.0 + abs(ref)), (c, q_i, q_mi, b, -ref)
 
 
 def test_dynamic_b_linear_bound(golden):
@@ -405,3 +410,30 @@ def test_b_uncertified_shared_sum_falls_back_to_refinement(golden):
     assert strict.B(1.0, 1.0) == -strict._refined_sum(1.0, 1.0)
     assert strict.B(1.0, 1.0) == pytest.approx(DynamicValue(golden, 1.0).B(1.0, 1.0),
                                                rel=1e-10)
+
+
+def test_b_table_fill_integrates_a_few_panels(golden, monkeypatch):
+    """The first B call for a q_mi integrates its 15 geometric panels, the
+    compactified tail and one panel from q_i, about 20 panels in all."""
+    import duopoly_invest.values as values
+
+    panels = []
+    real = values._gk15_panels
+
+    def counting(f, edges):
+        panels.append(len(edges) - 1)
+        return real(f, edges)
+
+    monkeypatch.setattr(values, "_gk15_panels", counting)
+    for c in (0.0, 0.5, 1.0, 2.0):
+        panels.clear()
+        DynamicValue(golden, c).B(1.3, 0.05)
+        assert 17 <= sum(panels) <= 25, (c, panels)
+
+
+def test_b_tail_outside_envelope_raises(golden):
+    """The tail envelope is a hard check: a tail beyond it is an error."""
+    fn = DynamicValue(golden, 1.0)
+    fn._tail_envelope = lambda s: 1e-30
+    with pytest.raises(QuadratureNotConvergedError, match="envelope"):
+        fn.B(1.0, 1.0)

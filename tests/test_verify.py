@@ -5,6 +5,7 @@ import pytest
 from duopoly_invest.boundaries import ConstantPriceBoundary, DynamicBoundary
 from duopoly_invest.model import derive_params
 from duopoly_invest.outcomes import build_abstain_outcome, build_symmetric_outcome
+from duopoly_invest.paths import generate_path
 from duopoly_invest.values import (
     AbstainValue,
     DynamicValue,
@@ -106,6 +107,29 @@ def test_transversality_decay(golden):
     assert res.passed
     est_T, est_2T = res.at
     assert est_2T < est_T
+
+
+def test_transversality_single_build_matches_two_builds(golden):
+    """Reading the T estimate off the 2T outcome gives the estimates of
+    separate T and 2T builds, on the criterion-4 configuration."""
+    for c in (0.5, 1.0):
+        fn = DynamicValue(golden, c)
+        dyn = fn.boundary
+        q1 = dyn.q_floor + 0.2
+        q2 = q1 + 0.2
+        builder = lambda path: build_symmetric_outcome((dyn, dyn), path, q1, q2)
+        x0, horizon, n_paths, dt, seed = 0.9 * dyn.trigger(q2, q2), 6.0, 80, 0.01, 53
+        res = check_transversality(fn, golden, builder, x0=x0, horizon=horizon,
+                                   n_paths=n_paths, dt=dt, seed=seed)
+        for mult, est in zip((1, 2), res.at):
+            total = 0.0
+            for j in range(n_paths):
+                path = generate_path(golden, x0, dt, mult * horizon, seed, j)
+                out = builder(path)
+                total += abs(fn.value(float(path.values[-1]), float(out.Q1[-1]),
+                                      float(out.Q2[-1])))
+            ref = math.exp(-golden.r * mult * horizon) * total / n_paths
+            assert abs(est - ref) <= 1e-12 * abs(ref), (c, mult, est, ref)
 
 
 def test_opponent_increment_derivative(golden):
