@@ -69,6 +69,14 @@ def _bisect_increasing(g, target, lo, hi, max_expand=400):
     return 0.5 * (lo + hi)
 
 
+def _total_capacity(q_i, q_mi):
+    """q_i + q_mi for floats or arrays; ZeroCapacityError where it is not positive."""
+    q = q_i + q_mi
+    if q <= 0.0 if isinstance(q, float) else np.any(q <= 0.0):
+        raise ZeroCapacityError("trigger needs positive aggregate capacity")
+    return q
+
+
 @dataclass(frozen=True)
 class ConstantPriceBoundary:
     """Trigger p * (q_i + q_mi)**(1/gamma): invest when the price exceeds p."""
@@ -85,15 +93,9 @@ class ConstantPriceBoundary:
     def q_floor(self) -> float:
         return 0.0
 
-    def trigger(self, q_i: float, q_mi: float) -> float:
-        q = q_i + q_mi
-        if q <= 0.0:
-            raise ZeroCapacityError("trigger needs positive aggregate capacity")
-        return self.p * q ** (1.0 / self.params.gamma)
-
-    def trigger_array(self, q_i, q_mi):
-        q = np.asarray(q_i, dtype=float) + np.asarray(q_mi, dtype=float)
-        return self.p * q ** (1.0 / self.params.gamma)
+    def trigger(self, q_i, q_mi):
+        """Trigger at one capital pair, or elementwise over arrays."""
+        return self.p * _total_capacity(q_i, q_mi) ** (1.0 / self.params.gamma)
 
     def base_capacity(self, x: float, q_mi: float) -> float:
         """Closed form: max(0, (x/p)**gamma - q_mi)."""
@@ -118,11 +120,9 @@ class InfiniteBoundary:
     def q_floor(self) -> float:
         return 0.0
 
-    def trigger(self, q_i: float, q_mi: float) -> float:
-        return math.inf
-
-    def trigger_array(self, q_i, q_mi):
-        return np.full(np.broadcast(np.asarray(q_i), np.asarray(q_mi)).shape, np.inf)
+    def trigger(self, q_i, q_mi):
+        shape = np.broadcast(q_i, q_mi).shape
+        return np.full(shape, np.inf) if shape else math.inf
 
     def base_capacity(self, x: float, q_mi: float) -> float:
         return 0.0
@@ -187,17 +187,12 @@ class DynamicBoundary:
                 prem = self.c / np.maximum(q_i, q_mi)
         return (self.params.p_star + prem) * q ** (1.0 / self.params.gamma)
 
-    def trigger(self, q_i: float, q_mi: float) -> float:
-        if q_i + q_mi <= 0.0:
-            raise ZeroCapacityError("trigger needs positive aggregate capacity")
+    def trigger(self, q_i, q_mi):
+        """Trigger at one capital pair, or elementwise over arrays."""
+        _total_capacity(q_i, q_mi)
         self._check_floor(q_i, q_mi)
-        return float(self._raw_trigger(q_i, q_mi))
-
-    def trigger_array(self, q_i, q_mi):
-        q_i = np.asarray(q_i, dtype=float)
-        q_mi = np.asarray(q_mi, dtype=float)
-        self._check_floor(q_i, q_mi)
-        return self._raw_trigger(q_i, q_mi)
+        trig = self._raw_trigger(q_i, q_mi)
+        return trig if isinstance(trig, np.ndarray) else float(trig)
 
     def base_capacity(self, x: float, q_mi: float) -> float:
         """Smallest own capital (>= q_floor) keeping the trigger at or above

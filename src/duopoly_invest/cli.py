@@ -44,9 +44,10 @@ from .verify import GridSpec, run_verification
 _DOMAIN_ERRORS = (ParamDomainError, IntegrabilityError, ZeroCapacityError,
                   BelowFloorError, KindMismatchError, InvalidSplitError)
 # A float operation out of range (a power of a capital near zero, say)
-# raises OverflowError: a numeric failure like the others.
+# raises OverflowError, and a quotient by an underflowed product raises
+# ZeroDivisionError: numeric failures like the others.
 _NUMERIC_ERRORS = (QuadratureNotConvergedError, RootBracketError,
-                   TooCloseToBoundaryError, OverflowError)
+                   TooCloseToBoundaryError, OverflowError, ZeroDivisionError)
 
 EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
@@ -91,6 +92,14 @@ def _number(raw, what: str, rule: str = "", valid=lambda v: True, integer: bool 
         kind = "a whole number" if integer else "a finite number"
         raise UsageError(f"{what} must be {kind}{rule}, got {raw!r}")
     return int(value) if integer else value
+
+
+def _path_count(text: str) -> int:
+    """--paths: a whole number of at least one (the mean of no paths is NaN)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _params_block(config: dict) -> ModelParams:
@@ -245,8 +254,9 @@ def _builder_for(strategy: dict, params: ModelParams, q1: float, q2: float):
         return lambda path: build_symmetric_outcome((boundary, boundary), path, q1, q2)
     if construction == "split":
         weights = strategy.get("weights")
-        if weights is None:
-            raise UsageError('split construction needs "weights": [w1, w2]')
+        if not isinstance(weights, list) or len(weights) != 2:
+            raise UsageError(f'split construction needs "weights": [w1, w2], got {weights!r}')
+        weights = [_number(w, "weights entry") for w in weights]
         return lambda path: build_aggregate_split((boundary, boundary), path, q1, q2, weights)
     if construction == "joint":
         opp_block = strategy.get("opponent", strategy)
@@ -286,14 +296,19 @@ def cmd_sweep(args) -> int:
         raise UsageError('config needs a "sweep" block with a "kind"')
     states = _states(config)
     kind = sweep["kind"]
+
+    def levels(key: str) -> list:
+        raw = sweep.get(key, [])
+        if not isinstance(raw, list):
+            raise UsageError(f"sweep.{key} must be a JSON list of numbers, got {raw!r}")
+        return [_number(v, f"sweep.{key} entry") for v in raw]
+
     if kind == "dynamic_c":
-        levels = [_number(v, "sweep.c_values entry") for v in sweep.get("c_values", [])]
-        fns = [(lvl, DynamicValue(params, lvl)) for lvl in levels]
+        fns = [(lvl, DynamicValue(params, lvl)) for lvl in levels("c_values")]
         level_col = "c"
     elif kind in ("abstain", "sole_investor", "constant_price"):
-        levels = [_number(v, "sweep.p_values entry") for v in sweep.get("p_values", [])]
         make = SoleInvestorValue if kind == "sole_investor" else AbstainValue
-        fns = [(lvl, make(params, lvl)) for lvl in levels]
+        fns = [(lvl, make(params, lvl)) for lvl in levels("p_values")]
         level_col = "p"
     else:
         raise UsageError(f"unknown sweep kind: {kind!r}")
@@ -370,7 +385,7 @@ def build_parser() -> _Parser:
     p.add_argument("--params", required=True, help="params JSON file")
     p.add_argument("--strategy", required=True, help="strategy JSON file")
     p.add_argument("--state", required=True, help="x,q1,q2")
-    p.add_argument("--paths", type=int, default=10000)
+    p.add_argument("--paths", type=_path_count, default=10000)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--horizon", type=float, default=20.0)
     p.add_argument("--seed", type=int, default=0)
@@ -397,7 +412,7 @@ def build_parser() -> _Parser:
     p.add_argument("--equilibrium", required=True)
     p.add_argument("--deviant", required=True)
     p.add_argument("--state", required=True)
-    p.add_argument("--paths", type=int, default=10000)
+    p.add_argument("--paths", type=_path_count, default=10000)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--horizon", type=float, default=20.0)
     p.add_argument("--seed", type=int, default=0)

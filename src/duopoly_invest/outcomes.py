@@ -238,7 +238,7 @@ def check_consistency(outcome: Outcome, boundary: Boundary, firm: int,
         containment = -np.inf
         triggers = None
     else:
-        triggers = boundary.trigger_array(q, q_opp)
+        triggers = boundary.trigger(q, q_opp)
         containment = float(np.max(x - triggers))
 
     dq = np.diff(q)

@@ -1,14 +1,27 @@
 """Candidate value functions and their partial derivatives.
 
-Three families, each piecewise around the relevant investment trigger and of
-the form A(q_i, q_mi) * x + B(q_i, q_mi) * x**beta below it:
+Below its own trigger every value function solves the same linear pricing
+equation.  ValueFunction writes that branch once, as the profit stream
+without further investment plus an option term in the normalised price
+y = x * P(q_i + q_mi) / p_ref:
 
-  AbstainValue(p)        payoff from never investing while the opponent
-                         reflects the price at the constant threshold p
-  SoleInvestorValue(p)   payoff from doing all the investment alone at the
-                         constant threshold p
-  DynamicValue(c)        payoff under the symmetric capital-dependent
-                         trigger with premium coefficient c
+    V = p_ref/(r-mu) * q_i * y + C(q_i, q_mi) * y**beta
+
+The strategy family enters only through C.  Each kind supplies p_ref and C,
+and the closed-form kinds also C's gradient for analytic q-partials:
+
+  AbstainValue(p)        never investing while the opponent reflects the
+                         price at the constant threshold p; p_ref = p,
+                         C = -p q_i / ((r-mu) beta)
+  SoleInvestorValue(p)   doing all the investment alone at the constant
+                         threshold p; p_ref = p, C = Btil, linear in q
+  DynamicValue(c)        the symmetric capital-dependent trigger with
+                         premium coefficient c; p_ref = p_star,
+                         C = B(q_i, q_mi) * (p_star * q**(1/gamma))**beta
+
+The branch is written in y, not as A*x + B*x**beta: y stays O(1) below the
+trigger, while x**beta overflows once x passes 1e308**(1/beta), about
+1e190 at the golden parameters.
 
 Above the trigger the first two have explicit continuations; all three use
 the smooth-pasting recursion
@@ -18,26 +31,19 @@ the smooth-pasting recursion
 which is evaluated directly against the below-trigger branch (never by
 re-dispatching, so floating-point ties at the trigger cannot recurse).
 
-DynamicValue's B coefficient is an improper integral evaluated by panels of
+DynamicValue's B is an improper integral evaluated by panels of
 Gauss-Kronrod 15 on the geometric edges q_mi * 2**k, k = -5..10, anchored at
-the integrand's kink q = q_mi.  The integrand decays only like
-s**-(beta/gamma), s = q + q_mi, so the tail beyond the last edge is mapped
-onto (0, 1] by t = (s/s0)**-(beta/gamma - 1), where the integrand times the
-Jacobian tends to a constant, and integrated by a few GK15 panels split on
-their |K15 - G7| gauges (the classical compactification of QUADPACK's
-infinite-range rules).  A closed-form envelope bounds every tail.  All
-B(., q_mi) share the panels beyond the first edge above q_i: the first call
-for a q_mi integrates them and the tail once and keeps their suffix sums, so
-each later call integrates one panel and adds a stored sum.  A sum that
-misses the error budget, or a q_i past the last edge, falls back to split
-refinement over the full edge list plus the tail from max(q_i, last edge).
+the integrand's kink q = q_mi, plus a compactified tail beyond the last edge
+(see DynamicValue._tail).  All B(., q_mi) share the panels beyond the first
+edge above q_i, so each call after the first for a q_mi integrates one
+panel and adds a stored sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -117,7 +123,10 @@ def _gk15_panels(f, edges):
 
 
 class ValueFunction:
-    """Shared evaluation plumbing; concrete kinds fill in the branch math.
+    """Shared evaluation plumbing and the below-trigger branch of every kind
+    (see the module docstring).  A kind supplies p_ref, its own trigger, the
+    option coefficient _c and, for analytic q-partials, its gradient
+    _c_grad = (dC/dq_i, dC/dq_mi).
 
     Every evaluation takes one capital pair and a shock level x that is a
     float or a numpy array of levels.  The below-trigger formulas take a
@@ -126,27 +135,66 @@ class ValueFunction:
     """
 
     params: ModelParams
+    p_ref: float
 
     # -- branch anatomy supplied by subclasses --------------------------------
 
     def _own_trigger(self, q_i, q_mi):
         raise NotImplementedError
 
-    def _below(self, x, q_i, q_mi):
+    def _c(self, q_i, q_mi):
         raise NotImplementedError
+
+    # -- the below-trigger branch ---------------------------------------------
+
+    def _y(self, x, q_i, q_mi):
+        """Normalised price y and its x-derivative P(q)/p_ref."""
+        q = q_i + q_mi
+        if q <= 0.0:
+            raise ZeroCapacityError("value needs positive aggregate capacity")
+        dy = q ** (-1.0 / self.params.gamma) / self.p_ref
+        return x * dy, dy
+
+    def _below(self, x, q_i, q_mi):
+        pr = self.params
+        y, _ = self._y(x, q_i, q_mi)
+        return self.p_ref / (pr.r - pr.mu) * q_i * y + self._c(q_i, q_mi) * y ** pr.beta
 
     def _below_x(self, x, q_i, q_mi):
-        raise NotImplementedError
+        pr = self.params
+        y, dy = self._y(x, q_i, q_mi)
+        return (self.p_ref / (pr.r - pr.mu) * q_i
+                + pr.beta * self._c(q_i, q_mi) * y ** (pr.beta - 1.0)) * dy
 
     def _below_xx(self, x, q_i, q_mi):
-        raise NotImplementedError
+        pr = self.params
+        y, dy = self._y(x, q_i, q_mi)
+        return pr.beta * (pr.beta - 1.0) * self._c(q_i, q_mi) * y ** (pr.beta - 2.0) * dy * dy
 
-    def _phi(self, x, q_mi):
-        raise NotImplementedError
+    def option_term(self, x, q_i, q_mi):
+        """C * y**beta of the below-trigger branch; above the own trigger it
+        keeps its value on the trigger."""
+        y, _ = self._y(np.minimum(x, self._own_trigger(q_i, q_mi)), q_i, q_mi)
+        return self._c(q_i, q_mi) * y ** self.params.beta
+
+    def _q_below(self, x, q_i, q_mi, own: bool):
+        """V_qi (own) or V_qmi of the below-trigger branch from _c_grad.
+
+        Both capitals lower the price P(q), which moves y by
+        dy/dq = -y/(gamma q); own capital also scales the profit stream.
+        """
+        pr = self.params
+        y, _ = self._y(x, q_i, q_mi)
+        stream = self.p_ref / (pr.r - pr.mu)
+        c = self._c(q_i, q_mi)
+        dc = self._c_grad(q_i, q_mi)[0 if own else 1]
+        via_price = (stream * q_i + pr.beta * c * y ** (pr.beta - 1.0)) \
+            * (-y / (pr.gamma * (q_i + q_mi)))
+        return (stream * y if own else 0.0) + dc * y ** pr.beta + via_price
 
     # Continuation at one shock level above the own trigger: the branch at
-    # the paste point phi(x, q_mi).  Kinds with an explicit continuation
-    # override these.
+    # the paste point phi(x, q_mi), which pasting kinds supply as _phi.
+    # Kinds with an explicit continuation override these.
 
     def _above(self, x, q_i, q_mi):
         phi = self._phi(x, q_mi)
@@ -185,10 +233,6 @@ class ValueFunction:
     def value_xx(self, x, q_i, q_mi):
         return self._piecewise(self._below_xx, self._above_xx, x, q_i, q_mi)
 
-    def option_term(self, x, q_i, q_mi):
-        """x**beta component of the below-trigger branch."""
-        raise NotImplementedError
-
     def below_branch_arrays(self, x, q_i, q_mi):
         """(value, V_x, V_xx) of the below-trigger branch, vectorized over x."""
         x = np.asarray(x, dtype=float)
@@ -216,21 +260,15 @@ class ValueFunction:
                 out[key] = self.value_x(x, q_i, q_mi)
             elif key == "xx":
                 out[key] = self.value_xx(x, q_i, q_mi)
-            elif key == "qi":
-                out[key] = self._d_own(x, q_i, q_mi, boundary_mode)
-            elif key == "qmi":
-                out[key] = self._d_opp(x, q_i, q_mi, boundary_mode)
+            elif key in ("qi", "qmi"):
+                out[key] = self._d_q(x, q_i, q_mi, key == "qi", boundary_mode)
             else:
                 raise ValueError(f"unknown partial {key!r}")
         return out
 
-    # Default q-derivatives by finite differences; analytic kinds override.
-
-    def _d_own(self, x, q_i, q_mi, boundary_mode):
-        return self._fd(x, q_i, q_mi, own=True, boundary_mode=boundary_mode)
-
-    def _d_opp(self, x, q_i, q_mi, boundary_mode):
-        return self._fd(x, q_i, q_mi, own=False, boundary_mode=boundary_mode)
+    def _d_q(self, x, q_i, q_mi, own: bool, boundary_mode: str):
+        """V_qi (own) or V_qmi; finite differences unless the kind overrides."""
+        return self._fd(x, q_i, q_mi, own, boundary_mode)
 
     def _fd_floor(self) -> float:
         return 0.0
@@ -278,7 +316,8 @@ class ValueFunction:
 class AbstainValue(ValueFunction):
     """Value of never investing while the opponent holds the price at p.
 
-    Below the opponent trigger (price y = x*P/p <= 1):
+    Below the opponent trigger (price y = x*P/p <= 1), p_ref = p and
+    C = -p*q_i/((r-mu)*beta):
         V = p/(r-mu) * (y - y**beta / beta) * q_i
     above it the opponent reflects the price at p immediately, so the value
     is the constant annuity p/(r-mu) * (beta-1)/beta * q_i.
@@ -286,7 +325,7 @@ class AbstainValue(ValueFunction):
 
     def __init__(self, params: ModelParams, p: float):
         self.params = params
-        self.p = p
+        self.p = self.p_ref = p
         self.own_boundary = InfiniteBoundary(params)
         self.opponent_boundary = ConstantPriceBoundary(params, p)
 
@@ -295,33 +334,18 @@ class AbstainValue(ValueFunction):
     def strategy_pair(self):
         return self.own_boundary, self.opponent_boundary
 
-    def _y(self, x, q_i, q_mi):
-        if q_i + q_mi <= 0.0:
-            raise ZeroCapacityError("value needs positive aggregate capacity")
-        return x * (q_i + q_mi) ** (-1.0 / self.params.gamma) / self.p
-
     # The "own" trigger of the piecewise formula is the opponent's: the
     # abstainer itself never invests.
     def _own_trigger(self, q_i, q_mi):
         return self.opponent_boundary.trigger(q_i, q_mi)
 
-    def _below(self, x, q_i, q_mi):
+    def _c(self, q_i, q_mi):
         pr = self.params
-        y = self._y(x, q_i, q_mi)
-        return self.p / (pr.r - pr.mu) * (y - y ** pr.beta / pr.beta) * q_i
+        return -self.p * q_i / ((pr.r - pr.mu) * pr.beta)
 
-    def _below_x(self, x, q_i, q_mi):
+    def _c_grad(self, q_i, q_mi):
         pr = self.params
-        y = self._y(x, q_i, q_mi)
-        P = (q_i + q_mi) ** (-1.0 / pr.gamma)
-        return self.p / (pr.r - pr.mu) * (1.0 - y ** (pr.beta - 1.0)) * (P / self.p) * q_i
-
-    def _below_xx(self, x, q_i, q_mi):
-        pr = self.params
-        y = self._y(x, q_i, q_mi)
-        P = (q_i + q_mi) ** (-1.0 / pr.gamma)
-        return -self.p / (pr.r - pr.mu) * (pr.beta - 1.0) * y ** (pr.beta - 2.0) \
-            * (P / self.p) ** 2 * q_i
+        return -self.p / ((pr.r - pr.mu) * pr.beta), 0.0
 
     def _above(self, x, q_i, q_mi):
         pr = self.params
@@ -332,47 +356,23 @@ class AbstainValue(ValueFunction):
 
     _above_xx = _above_x   # the annuity does not depend on x
 
-    def option_term(self, x, q_i, q_mi):
-        pr = self.params
-        y = self._y(x, q_i, q_mi)
-        return -self.p / (pr.r - pr.mu) * np.minimum(y, 1.0) ** pr.beta / pr.beta * q_i
-
-    def _own_below(self, x, q_i, q_mi):
-        pr = self.params
-        y = self._y(x, q_i, q_mi)
-        q = q_i + q_mi
-        P = q ** (-1.0 / pr.gamma)
-        Pp = -P / (pr.gamma * q)
-        scale = self.p / (pr.r - pr.mu)
-        return scale * ((y - y ** pr.beta / pr.beta)
-                        + q_i * (1.0 - y ** (pr.beta - 1.0)) * x * Pp / self.p)
-
-    def _opp_below(self, x, q_i, q_mi):
-        pr = self.params
-        y = self._y(x, q_i, q_mi)
-        q = q_i + q_mi
-        P = q ** (-1.0 / pr.gamma)
-        Pp = -P / (pr.gamma * q)
-        return self.p / (pr.r - pr.mu) * q_i * (1.0 - y ** (pr.beta - 1.0)) * x * Pp / self.p
-
-    def _d_own(self, x, q_i, q_mi, boundary_mode):
-        return self._piecewise(self._own_below, lambda *_: self.p / self.params.p_star,
+    def _d_q(self, x, q_i, q_mi, own, boundary_mode):
+        above = self.p / self.params.p_star if own else 0.0   # of the annuity
+        return self._piecewise(partial(self._q_below, own=own), lambda *_: above,
                                x, q_i, q_mi)
-
-    def _d_opp(self, x, q_i, q_mi, boundary_mode):
-        return self._piecewise(self._opp_below, lambda *_: 0.0, x, q_i, q_mi)
 
 
 class SoleInvestorValue(ValueFunction):
     """Value of doing all investment alone at the constant threshold p.
 
-    Below the trigger, V = x*P*q_i/(r-mu) + Btil(q_i, q_mi) * y**beta with
-    Btil chosen so that the own-capital derivative is one on the trigger.
+    Below the trigger p_ref = p and C = Btil(q_i, q_mi), linear in the
+    capitals and chosen so that the own-capital derivative is one on the
+    trigger.
     """
 
     def __init__(self, params: ModelParams, p: float):
         self.params = params
-        self.p = p
+        self.p = self.p_ref = p
         self.own_boundary = ConstantPriceBoundary(params, p)
         self.opponent_boundary = ConstantPriceBoundary(params, p)
         rm = params.r - params.mu
@@ -388,68 +388,24 @@ class SoleInvestorValue(ValueFunction):
     def _btil(self, q_i, q_mi):
         return self.coef * (self.k_own * q_i + self.k_opp * q_mi)
 
+    _c = _btil
+
+    def _c_grad(self, q_i, q_mi):
+        return self.coef * self.k_own, self.coef * self.k_opp
+
     def _own_trigger(self, q_i, q_mi):
         return self.own_boundary.trigger(q_i, q_mi)
 
     def _phi(self, x, q_mi):
         return self.own_boundary.base_capacity(x, q_mi)
 
-    def _below(self, x, q_i, q_mi):
-        pr = self.params
-        P = (q_i + q_mi) ** (-1.0 / pr.gamma)
-        y = x * P / self.p
-        return x * P * q_i / (pr.r - pr.mu) + self._btil(q_i, q_mi) * y ** pr.beta
+    def _d_q(self, x, q_i, q_mi, own, boundary_mode):
+        # Differentiating the continuation branch: V_qi = 1, and in V_qmi the
+        # phi terms cancel because V_qi is one at the paste point.
+        def above(v, q_i, q_mi):
+            return 1.0 if own else self._q_below(v, self._phi(v, q_mi), q_mi, own=False)
 
-    def _below_x(self, x, q_i, q_mi):
-        pr = self.params
-        P = (q_i + q_mi) ** (-1.0 / pr.gamma)
-        y = x * P / self.p
-        return P * q_i / (pr.r - pr.mu) \
-            + self._btil(q_i, q_mi) * pr.beta * y ** (pr.beta - 1.0) * P / self.p
-
-    def _below_xx(self, x, q_i, q_mi):
-        pr = self.params
-        P = (q_i + q_mi) ** (-1.0 / pr.gamma)
-        y = x * P / self.p
-        return self._btil(q_i, q_mi) * pr.beta * (pr.beta - 1.0) \
-            * y ** (pr.beta - 2.0) * (P / self.p) ** 2
-
-    def option_term(self, x, q_i, q_mi):
-        pr = self.params
-        P = (q_i + q_mi) ** (-1.0 / pr.gamma)
-        y = np.minimum(x * P / self.p, 1.0)
-        return self._btil(q_i, q_mi) * y ** pr.beta
-
-    def _own_below(self, x, q_i, q_mi):
-        pr = self.params
-        q = q_i + q_mi
-        P = q ** (-1.0 / pr.gamma)
-        Pp = -P / (pr.gamma * q)
-        y = x * P / self.p
-        return x * (P + q_i * Pp) / (pr.r - pr.mu) \
-            + self.coef * self.k_own * y ** pr.beta \
-            + self._btil(q_i, q_mi) * pr.beta * y ** (pr.beta - 1.0) * x * Pp / self.p
-
-    def _opp_below(self, x, q_i, q_mi):
-        pr = self.params
-        q = q_i + q_mi
-        P = q ** (-1.0 / pr.gamma)
-        Pp = -P / (pr.gamma * q)
-        y = x * P / self.p
-        return x * q_i * Pp / (pr.r - pr.mu) \
-            + self.coef * self.k_opp * y ** pr.beta \
-            + self._btil(q_i, q_mi) * pr.beta * y ** (pr.beta - 1.0) * x * Pp / self.p
-
-    def _d_own(self, x, q_i, q_mi, boundary_mode):
-        return self._piecewise(self._own_below, lambda *_: 1.0, x, q_i, q_mi)
-
-    def _d_opp(self, x, q_i, q_mi, boundary_mode):
-        # Differentiating the continuation branch: the phi terms cancel
-        # because the own-capital derivative is one at the paste point.
-        return self._piecewise(
-            self._opp_below,
-            lambda v, q_i, q_mi: self._opp_below(v, self._phi(v, q_mi), q_mi),
-            x, q_i, q_mi)
+        return self._piecewise(partial(self._q_below, own=own), above, x, q_i, q_mi)
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +415,9 @@ class SoleInvestorValue(ValueFunction):
 
 class DynamicValue(ValueFunction):
     """Value under the symmetric capital-dependent trigger with premium c.
+
+    Below the trigger p_ref = p_star and C = B(q_i, q_mi) * (p_star * q**(1/gamma))**beta,
+    so that the option term is B * x**beta, with
 
     B(q_i, q_mi) = -int_{q_i}^inf (1 - Xbar(q) * MR(q)/(r-mu)) * Xbar(q)**-beta dq
 
@@ -471,6 +430,7 @@ class DynamicValue(ValueFunction):
     def __init__(self, params: ModelParams, c: float,
                  quadrature: QuadratureSettings = QuadratureSettings()):
         self.params = params
+        self.p_ref = params.p_star
         self.c = c
         self.quadrature = quadrature
         self.boundary = DynamicBoundary(params, c)
@@ -667,24 +627,10 @@ class DynamicValue(ValueFunction):
         return pr.beta / (pr.beta - 1.0) * (s ** (-1.0 / pr.gamma) / pr.p_star) ** pr.beta \
             * pr.gamma / (pr.beta - pr.gamma) * s
 
-    # -- branch formulas ------------------------------------------------------
-
-    def _below(self, x, q_i, q_mi):
+    def _c(self, q_i, q_mi):
+        """B's coefficient of x**beta, rescaled to y**beta = (x P(q)/p*)**beta."""
         pr = self.params
-        P = (q_i + q_mi) ** (-1.0 / pr.gamma)
-        return x * P * q_i / (pr.r - pr.mu) + self.B(q_i, q_mi) * x ** pr.beta
-
-    def _below_x(self, x, q_i, q_mi):
-        pr = self.params
-        P = (q_i + q_mi) ** (-1.0 / pr.gamma)
-        return P * q_i / (pr.r - pr.mu) + pr.beta * self.B(q_i, q_mi) * x ** (pr.beta - 1.0)
-
-    def _below_xx(self, x, q_i, q_mi):
-        pr = self.params
-        return pr.beta * (pr.beta - 1.0) * self.B(q_i, q_mi) * x ** (pr.beta - 2.0)
-
-    def option_term(self, x, q_i, q_mi):
-        return self.B(q_i, q_mi) * x ** self.params.beta
+        return self.B(q_i, q_mi) * (pr.p_star * (q_i + q_mi) ** (1.0 / pr.gamma)) ** pr.beta
 
 
 class PerturbedValue:

@@ -17,6 +17,8 @@ e^{-rT} E|V(X_T, Q_T)| -> 0.
 
 Tolerances are split by numerical source: 1e-9 for analytic identities,
 1e-6 for finite-difference derivatives, 1e-7 for quadrature-backed values.
+A metric that is not finite raises OverflowError instead of entering a
+verdict.
 Grids are log-spaced in the shock over [x_lo_frac, 1] * trigger and linear
 in capitals over [q_floor, 10 * q_floor + q_span].
 """
@@ -24,6 +26,7 @@ in capitals over [q_floor, 10 * q_floor + q_span].
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +92,33 @@ class VerificationReport:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
 
 
+class _Worst:
+    """Running maximum of a condition's metric and the state where it occurs.
+
+    A non-finite metric raises OverflowError: NaN compares False with every
+    bound, so a condition that kept it would pass on a failed evaluation.
+    """
+
+    def __init__(self, start: float = -math.inf):
+        self.value, self.at = start, ()
+
+    def add(self, metric, x, q_i, q_mi):
+        """Fold in the metric at one shock level x, or at each of an array."""
+        if isinstance(metric, np.ndarray):
+            finite = np.isfinite(metric)
+            k = int(np.argmax(metric) if finite.all() else np.argmin(finite))
+            metric, x = metric[k], x[k]
+        metric = float(metric)
+        if not math.isfinite(metric):
+            raise OverflowError(f"non-finite verification metric {metric} "
+                                f"at x={float(x):.6g}, q=({q_i:.6g}, {q_mi:.6g})")
+        if metric > self.value:
+            self.value, self.at = metric, (float(x), q_i, q_mi)
+
+    def result(self, name: str, tol: float, note: str = "") -> ConditionResult:
+        return ConditionResult(name, self.value, self.at, tol, self.value <= tol, note)
+
+
 def _tolerances(value_fn) -> dict:
     kind = getattr(value_fn, "kind", "")
     if "dynamic" in kind:
@@ -110,7 +140,7 @@ def check_pde(value_fn, pair, spec: GridSpec = GridSpec(),
     params = value_fn.params
     own, opp = pair
     tol = _tolerances(value_fn)["pde"]
-    worst, at = -np.inf, ()
+    worst = _Worst()
     for q_i, q_mi in spec.capital_pairs(pair):
         if mode == "equality":
             cap = min(own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i))
@@ -122,12 +152,8 @@ def check_pde(value_fn, pair, spec: GridSpec = GridSpec(),
         resid = (-params.r * v + profit + params.mu * xs * vx
                  + 0.5 * params.sigma ** 2 * xs ** 2 * vxx)
         metric = resid / (params.r * np.abs(v) + 1.0)
-        metric = np.abs(metric) if mode == "equality" else metric
-        k = int(np.argmax(metric))
-        if metric[k] > worst:
-            worst, at = float(metric[k]), (float(xs[k]), q_i, q_mi)
-    name = "pde_equality" if mode == "equality" else "pde_inequality"
-    return ConditionResult(name, worst, at, tol, worst <= tol)
+        worst.add(np.abs(metric) if mode == "equality" else metric, xs, q_i, q_mi)
+    return worst.result("pde_equality" if mode == "equality" else "pde_inequality", tol)
 
 
 def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec()) -> list:
@@ -141,17 +167,14 @@ def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec()) -> list:
     if isinstance(own, InfiniteBoundary):
         results.append(_void("own_derivative_on_trigger", "void: own trigger infinite"))
     else:
-        worst, at = -np.inf, ()
+        worst = _Worst()
         for q_i, q_mi in pairs:
             xb = own.trigger(q_i, q_mi)
             for frac in (1.0, 1.25, 2.0):
                 d = value_fn.partials(frac * xb, q_i, q_mi, ("qi",),
                                       boundary_mode="allow")["qi"]
-                gap = abs(d - 1.0)
-                if gap > worst:
-                    worst, at = gap, (frac * xb, q_i, q_mi)
-        results.append(ConditionResult("own_derivative_on_trigger", worst, at, tol,
-                                       worst <= tol))
+                worst.add(abs(d - 1.0), frac * xb, q_i, q_mi)
+        results.append(worst.result("own_derivative_on_trigger", tol))
 
     # Condition 3: V_qmi = 0 where own trigger strictly dominates, between them.
     strict_pairs = [(a, b) for a, b in pairs
@@ -160,28 +183,23 @@ def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec()) -> list:
         results.append(_void("opp_derivative_above_trigger",
                              "void: own trigger never exceeds opponent's"))
     else:
-        worst, at = -np.inf, ()
+        worst = _Worst()
         for q_i, q_mi in strict_pairs:
             xb = opp.trigger(q_mi, q_i)
             hi = own.trigger(q_i, q_mi)
             for frac in (1.0, 1.3, 2.0, 4.0):
                 x = min(frac * xb, hi) if np.isfinite(hi) else frac * xb
                 d = value_fn.partials(x, q_i, q_mi, ("qmi",), boundary_mode="allow")["qmi"]
-                if abs(d) > worst:
-                    worst, at = abs(d), (x, q_i, q_mi)
-        results.append(ConditionResult("opp_derivative_above_trigger", worst, at, tol,
-                                       worst <= tol))
+                worst.add(abs(d), x, q_i, q_mi)
+        results.append(worst.result("opp_derivative_above_trigger", tol))
 
     # Condition 5: V_qi <= 1 below both triggers (boundary included).
-    worst, at = -np.inf, ()
+    worst = _Worst()
     for q_i, q_mi in pairs:
         xs = spec.x_levels(min(own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i)))
         excess = value_fn.partials(xs, q_i, q_mi, ("qi",), boundary_mode="allow")["qi"] - 1.0
-        k = int(np.argmax(excess))
-        if excess[k] > worst:
-            worst, at = float(excess[k]), (float(xs[k]), q_i, q_mi)
-    results.append(ConditionResult("own_derivative_below_trigger", worst, at, tol,
-                                   worst <= tol))
+        worst.add(excess, xs, q_i, q_mi)
+    results.append(worst.result("own_derivative_below_trigger", tol))
 
     # Condition 6: V_qmi <= 0 on {x = own trigger <= opp trigger}.
     eligible = [(a, b) for a, b in pairs
@@ -190,14 +208,12 @@ def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec()) -> list:
     if not eligible:
         results.append(_void("opp_derivative_on_trigger", "void: no boundary states"))
     else:
-        worst, at = -np.inf, ()
+        worst = _Worst()
         for q_i, q_mi in eligible:
             xb = own.trigger(q_i, q_mi)
-            d = value_fn.partials(xb, q_i, q_mi, ("qmi",), boundary_mode="allow")["qmi"]
-            if d > worst:
-                worst, at = d, (xb, q_i, q_mi)
-        results.append(ConditionResult("opp_derivative_on_trigger", worst, at, tol,
-                                       worst <= tol))
+            worst.add(value_fn.partials(xb, q_i, q_mi, ("qmi",), boundary_mode="allow")["qmi"],
+                      xb, q_i, q_mi)
+        results.append(worst.result("opp_derivative_on_trigger", tol))
     return results
 
 
@@ -214,17 +230,16 @@ def check_derivative_propagation(value_fn, pair, spec: GridSpec = GridSpec(),
     own, opp = pair
     tol = _tolerances(value_fn)["deriv"]
     pairs = spec.capital_pairs(pair)[::stride]
-    worst, at = -np.inf, ()
+    worst = _Worst()
     if isinstance(own, InfiniteBoundary):
         for q_i, q_mi in pairs:
             xb = opp.trigger(q_mi, q_i)
             for frac in (1.0, 1.5, 3.0):
                 d = value_fn.partials(frac * xb, q_i, q_mi, ("qmi",),
                                       boundary_mode="allow")["qmi"]
-                if abs(d) > worst:
-                    worst, at = abs(d), (frac * xb, q_i, q_mi)
-        return ConditionResult("derivative_propagation", worst, at, tol, worst <= tol,
-                               note="own trigger infinite: checked V_qmi = 0 above opponent")
+                worst.add(abs(d), frac * xb, q_i, q_mi)
+        return worst.result("derivative_propagation", tol,
+                            note="own trigger infinite: checked V_qmi = 0 above opponent")
     for q_i, q_mi in pairs:
         xb = own.trigger(q_i, q_mi)
         for frac in (1.05, 1.3, 2.0):
@@ -232,9 +247,8 @@ def check_derivative_propagation(value_fn, pair, spec: GridSpec = GridSpec(),
             lhs = value_fn.partials(x, q_i, q_mi, ("qmi",), boundary_mode="allow")["qmi"]
             phi = own.base_capacity(x, q_mi)
             rhs = value_fn.partials(x, phi, q_mi, ("qmi",), boundary_mode="allow")["qmi"]
-            if abs(lhs - rhs) > worst:
-                worst, at = abs(lhs - rhs), (x, q_i, q_mi)
-    return ConditionResult("derivative_propagation", worst, at, tol, worst <= tol)
+            worst.add(abs(lhs - rhs), x, q_i, q_mi)
+    return worst.result("derivative_propagation", tol)
 
 
 def check_transversality(value_fn, params: ModelParams, builder, x0: float,
@@ -291,7 +305,7 @@ def check_opponent_increment_derivative(value_fn, params: ModelParams, builder,
         return _void("opponent_increment_derivative",
                      "void: own trigger infinite, opponent increments unrestricted")
     tol = _tolerances(value_fn)["deriv"]
-    worst, at = 0.0, ()
+    worst = _Worst(0.0)
     for j in range(n_paths):
         path = generate_path(params, x0, dt, horizon, seed, j)
         out: Outcome = builder(path)
@@ -307,10 +321,8 @@ def check_opponent_increment_derivative(value_fn, params: ModelParams, builder,
             if x < own_trig * (1.0 - 1e-9):
                 continue  # opponent invests strictly inside firm 1's region
             d = value_fn.partials(x, q1, q2, ("qmi",), boundary_mode="allow")["qmi"]
-            if abs(d) > worst:
-                worst, at = abs(d), (x, q1, q2)
-    return ConditionResult("opponent_increment_derivative", worst, at, tol,
-                           worst <= tol)
+            worst.add(abs(d), x, q1, q2)
+    return worst.result("opponent_increment_derivative", tol)
 
 
 def run_verification(value_fn, pair=None, spec: GridSpec = GridSpec(),

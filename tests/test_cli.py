@@ -207,9 +207,13 @@ _ABSTAIN = {"params": GOLDEN_BLOCK, "value": {"kind": "abstain"}}
     ("verify", {**_ABSTAIN, "grid": {"nq": 0}}),
     ("verify", {**_ABSTAIN, "grid": {"nx": 4, "nq": 3, "x_lo_frac": -1}}),
     ("verify", {**_ABSTAIN, "grid": {"nx": 4, "nq": 1}}),
+    ("sweep", {"params": GOLDEN_BLOCK, "sweep": {"kind": "dynamic_c", "c_values": 5},
+               "states": [[2.0, 1.0, 1.0]]}),
+    ("sweep", {"params": GOLDEN_BLOCK, "sweep": {"kind": "abstain", "p_values": "2.6"},
+               "states": [[2.0, 1.0, 1.0]]}),
 ], ids=["value.c-text", "params.r-text", "grid.nx-text", "root-list", "grid-list",
         "boundaries-number", "grid.nx-zero", "grid.nq-zero", "grid.x_lo_frac-negative",
-        "grid-without-capital-pairs"])
+        "grid-without-capital-pairs", "sweep.c_values-number", "sweep.p_values-text"])
 def test_malformed_config_exit_64(tmp_path, capsys, command, config):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
@@ -223,6 +227,53 @@ def test_verify_overflow_exit_3(tmp_path, capsys):
     cfg.write_text(json.dumps({**_ABSTAIN, "grid": {"nx": 1, "nq": 2, "q_span": 1e-311}}))
     assert main(["verify", "--config", str(cfg)]) == EXIT_NUMERIC
     assert capsys.readouterr().err.startswith("numeric error:")
+
+
+@pytest.mark.parametrize("kind, q_span", [("abstain", 1e250), ("sole_investor", 1e250)])
+def test_verify_nonfinite_metric_exit_3(tmp_path, capsys, kind, q_span):
+    """At capitals near 1e250 the pricing residual overflows (x**2 * V_xx is
+    inf * 0): a numeric failure, not a passing report."""
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"params": GOLDEN_BLOCK, "value": {"kind": kind},
+                               "grid": {"nx": 3, "nq": 3, "q_span": q_span}}))
+    assert main(["verify", "--config", str(cfg)]) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numeric error: non-finite")
+
+
+def test_verify_huge_capitals_report_finite_metrics(tmp_path):
+    """At capitals near 1e200 every metric of the sole investor's report is
+    finite: the branch and its q-partials are written in the normalised
+    price, which stays O(1)."""
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"params": GOLDEN_BLOCK, "value": {"kind": "sole_investor"},
+                               "grid": {"nx": 3, "nq": 3, "q_span": 1e200}}))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["all_pass"] is True
+    assert all(math.isfinite(c["worst"]) for c in report["conditions"].values())
+
+
+@pytest.mark.parametrize("command, strategy, paths", [
+    ("simulate", {"kind": "constant_price", "p": 2.6, "construction": "split",
+                  "weights": "ab"}, "3"),
+    ("simulate", {"kind": "constant_price", "p": 2.6, "construction": "split",
+                  "weights": [0.5]}, "3"),
+    ("simulate", {"kind": "constant_price", "p": 2.6}, "-2"),
+    ("simulate", {"kind": "constant_price", "p": 2.6}, "0"),
+    ("deviation", {"kind": "constant_price", "p": 2.6}, "0"),
+], ids=["weights-text", "weights-one", "simulate-paths-negative", "simulate-paths-zero",
+        "deviation-paths-zero"])
+def test_malformed_run_input_exit_64(tmp_path, capsys, command, strategy, paths):
+    params_file = tmp_path / "params.json"
+    params_file.write_text(json.dumps(GOLDEN_BLOCK))
+    strat = tmp_path / "strategy.json"
+    strat.write_text(json.dumps(strategy))
+    files = ["--strategy", str(strat)] if command == "simulate" \
+        else ["--equilibrium", str(strat), "--deviant", str(strat)]
+    assert main([command, "--params", str(params_file), *files, "--state", "2.0,1.0,1.0",
+                 "--paths", paths, "--dt", "0.1", "--horizon", "0.5"]) == EXIT_USAGE
+    assert "usage error:" in capsys.readouterr().err
 
 
 def test_value_state_outside_domain_exit_2(tmp_path, capsys):
@@ -261,6 +312,17 @@ _GRID = _mutated({"nx": st.integers(1, 4), "nq": st.integers(1, 3),
                   "x_lo_frac": st.floats(0.01, 1.0), "q_span": st.floats(0.0, 3.0)})
 _BOUNDARY = _mutated({"kind": st.sampled_from(["constant_price", "dynamic_c", "infinite"]),
                       "p": st.floats(0.5, 5.0), "c": st.floats(0.0, 2.0)})
+_STRATEGY = _mutated({
+    "kind": st.sampled_from(["constant_price", "dynamic_c", "infinite"]),
+    "p": st.floats(0.5, 5.0), "c": st.floats(0.0, 2.0),
+    "construction": st.sampled_from(["abstain", "symmetric", "split", "joint"]),
+    "abstaining_firm": st.integers(1, 2), "firm": st.integers(1, 2),
+    "weights": st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+    "opponent": _BOUNDARY})
+_LEVELS = st.one_of(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=2), _JUNK)
+_SWEEP = _mutated({"kind": st.sampled_from(["dynamic_c", "abstain", "sole_investor",
+                                            "constant_price"]),
+                   "c_values": _LEVELS, "p_values": _LEVELS})
 _CONFIG = {
     "derive": _PARAMS,
     "value": _mutated({"params": _PARAMS, "value": _VALUE,
@@ -268,19 +330,34 @@ _CONFIG = {
     "verify": _mutated({"params": _PARAMS, "value": _VALUE, "grid": _GRID,
                         "boundaries": st.one_of(_BOUNDARY, st.lists(_BOUNDARY, min_size=2,
                                                                      max_size=2))}),
+    "sweep": _mutated({"params": _PARAMS, "sweep": _SWEEP,
+                       "states": st.lists(_STATE, max_size=2)}),
 }
+# Commands that read several files and take the state and path count as flags.
+_RUN_FILES = {"simulate": {"--params": _PARAMS, "--strategy": _STRATEGY},
+              "deviation": {"--params": _PARAMS, "--equilibrium": _BOUNDARY,
+                            "--deviant": _BOUNDARY}}
+_STATE_FLAG = st.one_of(st.sampled_from(["2.0,1.0,1.0", "0.5,0.2,0.4", "4,0,0", "-1,1,1"]),
+                        st.text(max_size=6))
 
 
-@settings(max_examples=200, deadline=None,
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_config_fuzz_exits_with_documented_codes(tmp_path, capsys, data):
-    """Random configs, field by field of any JSON type, end in a documented
-    exit code and never in a traceback."""
-    command = data.draw(st.sampled_from(sorted(_CONFIG)))
-    config = data.draw(st.one_of(_CONFIG[command], _JUNK))
-    cfg = tmp_path / "fuzz.json"
-    cfg.write_text(json.dumps(config))
-    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    """Random configs, field by field of any JSON type, and random run flags
+    end in a documented exit code and never in a traceback."""
+    command = data.draw(st.sampled_from(sorted(_CONFIG) + sorted(_RUN_FILES)))
+    argv = [command, "--out", str(tmp_path / "out")]
+    files = _RUN_FILES.get(command, {"--config": _CONFIG.get(command)})
+    for flag, content in files.items():
+        path = tmp_path / f"{flag.strip('-')}.json"
+        path.write_text(json.dumps(data.draw(st.one_of(content, _JUNK))))
+        argv += [flag, str(path)]
+    if command in _RUN_FILES:
+        argv += ["--state", data.draw(_STATE_FLAG),
+                 "--paths", str(data.draw(st.integers(-2, 3))),
+                 "--dt", "0.05", "--horizon", "0.2"]
+    code = main(argv)
     assert code in (0, 2, 3, 64)
     assert "Traceback" not in capsys.readouterr().err

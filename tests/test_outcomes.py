@@ -306,7 +306,7 @@ def test_joint_loop_general_pair(golden):
     out = build_joint_outcome(b1, b2, path, 1.0, 1.0)
     assert np.all(np.diff(out.Q1) >= 0.0)
     assert np.all(np.diff(out.Q2) >= 0.0)
-    trig2 = b2.trigger_array(out.Q2, out.Q1)
+    trig2 = b2.trigger(out.Q2, out.Q1)
     assert np.max(path.values - trig2) <= 1e-9
 
 

@@ -177,6 +177,36 @@ def test_pde_identity_analytic_kinds(golden, state_grid):
             assert abs(resid) / (golden.r * abs(v) + 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+def test_closed_form_values_homogeneous_of_degree_one(golden, scale):
+    """V(x s**(1/gamma), s q_i, s q_mi) = s V(x, q_i, q_mi), on the trigger
+    too, at capitals where x**beta would overflow or underflow: the branch
+    is written in the normalised price y, which the scaling leaves alone."""
+    for fn in (AbstainValue(golden, golden.p_star),
+               SoleInvestorValue(golden, 1.2 * golden.p_star)):
+        for q_i, q_mi in ((1.0, 1.0), (0.3, 2.2), (1.7, 0.4)):
+            xb = fn._own_trigger(q_i, q_mi)
+            for frac in (0.05, 0.5, 1.0, 1.5, 3.0):
+                v = fn.value(frac * xb, q_i, q_mi)
+                scaled = fn.value(frac * xb * scale ** (1.0 / golden.gamma),
+                                  scale * q_i, scale * q_mi)
+                assert abs(scaled - scale * v) <= 1e-14 * abs(scale * v), \
+                    (fn.kind, q_i, q_mi, frac)
+
+
+def test_c_grad_matches_central_difference(golden):
+    """The analytic gradient of the option coefficient C, which the
+    closed-form q-partials use, against a central difference of C."""
+    h = 1e-4
+    for fn in (AbstainValue(golden, 1.1 * golden.p_star),
+               SoleInvestorValue(golden, 1.2 * golden.p_star)):
+        for q_i, q_mi in ((1.0, 1.0), (0.3, 2.2), (1.7, 0.4)):
+            fd = ((fn._c(q_i + h, q_mi) - fn._c(q_i - h, q_mi)) / (2.0 * h),
+                  (fn._c(q_i, q_mi + h) - fn._c(q_i, q_mi - h)) / (2.0 * h))
+            for got, want in zip(fn._c_grad(q_i, q_mi), fd):
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-10), fn.kind
+
+
 # ---------------------------------------------------------------------------
 # dynamic (capital-dependent) value
 # ---------------------------------------------------------------------------
@@ -379,6 +409,23 @@ def test_perturbed_value_channel_only(golden):
     x = 0.6 * base.boundary.trigger(q_i, q_mi)
     assert bad.value(x, q_i, q_mi) != base.value(x, q_i, q_mi)
     assert bad.value_x(x, q_i, q_mi) == base.value_x(x, q_i, q_mi)
+
+
+def test_perturbed_dynamic_option_term_held_above_trigger(golden):
+    """Above the trigger the option term keeps its value on the trigger,
+    B * Xbar**beta, as for the closed-form kinds, so the negative control
+    shifts the value there by a constant."""
+    base = DynamicValue(golden, 0.5)
+    bad = PerturbedValue(base, 1.01)
+    q_i, q_mi = base.q_floor + 0.7, base.q_floor + 0.2
+    xb = base.boundary.trigger(q_i, q_mi)
+    on = base.option_term(xb, q_i, q_mi)
+    assert on == pytest.approx(base.B(q_i, q_mi) * xb ** golden.beta, rel=1e-13)
+    levels = np.array([1.01, 1.6, 4.0]) * xb
+    assert np.allclose(base.option_term(levels, q_i, q_mi), on, rtol=_ULPS, atol=0.0)
+    for x in levels:
+        shift = bad.value(float(x), q_i, q_mi) - base.value(float(x), q_i, q_mi)
+        assert shift == pytest.approx(0.01 * on, abs=1e-13)
 
 
 def test_quadrature_settings_respected(golden):
