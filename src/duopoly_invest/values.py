@@ -31,17 +31,17 @@ the smooth-pasting recursion
 which is evaluated directly against the below-trigger branch (never by
 re-dispatching, so floating-point ties at the trigger cannot recurse).
 
-DynamicValue's B is an improper integral evaluated by panels of
-Gauss-Kronrod 15 on the geometric edges q_mi * 2**k, k = -5..10, anchored at
-the integrand's kink q = q_mi, plus a compactified tail beyond the last edge
-(see DynamicValue._tail).  All B(., q_mi) share the panels beyond the first
-edge above q_i, so each call after the first for a q_mi integrates one
-panel and adds a stored sum.
+DynamicValue's B is an improper integral over [q_i, inf).  It is evaluated as
+one integral over t in (0, 1], where s = q + q_mi = (q_i + q_mi) * t**(-1/d),
+d = beta/gamma - 1: a fixed layout of six Gauss-Kronrod 15 panels, finer
+toward t = 1, plus one more from the image of the integrand's kink q = q_mi
+when q_i < q_mi, split only where their error gauges miss the tolerance (see
+DynamicValue._integral).
 """
 
 from __future__ import annotations
 
-import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -86,26 +86,21 @@ _GK_STACK = np.stack((_GK_WEIGHTS, _G7_WEIGHTS), axis=1)
 
 _FD_STEP = 1e-5
 
-# B's panel edges are q_mi * 2**k for _K_MIN <= k <= _K_MAX; the tail beyond
-# q_mi * 2**_K_MAX is one compactified integral.
-_K_MIN = -5
-_K_MAX = 10
-
-
-def _anchor(q_mi):
-    """Anchor of B's panel edges.  Anchoring at the kink q_mi (not at q_i)
-    makes every B(., q_mi) share the same edges, so the panels beyond the
-    first edge above q_i are computed once per q_mi and finite-difference
-    stencils of B stay smooth."""
-    return q_mi if q_mi > 0.0 else 1.0
+# B's panel edges in its mapped variable t (see DynamicValue._integral),
+# scaled onto [0, t_k] when the kink t_k lies inside (0, 1).
+_B_LAYOUT = np.array([0.0, 0.5, 0.75, 0.875, 0.9375, 0.96875, 1.0])
+# The integral beyond s = _S_MAX, which the map's nodes may not pass, must
+# stay below _TAIL_REL_TOL.
+_S_MAX = 1e300
+_TAIL_REL_TOL = 1e-12
+# B values kept per DynamicValue: about four default verification reports.
+_B_CACHE_SIZE = 40_000
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
     rel_tol: float = 1e-10       # target |error| <= rel_tol * (1 + |B|)
-    tail_rel_tol: float = 1e-12  # tail error budget, relative to 1 + |tail|
     max_splits: int = 8          # refinement rounds before giving up
-    s_max: float = 1e300         # largest s the tail's nodes may reach
 
 
 def _gk15_panels(f, edges):
@@ -434,8 +429,9 @@ class DynamicValue(ValueFunction):
         self.c = c
         self.quadrature = quadrature
         self.boundary = DynamicBoundary(params, c)
-        self._b_cache: dict = {}
-        self._panel_tables: dict = {}   # q_mi -> _panel_table entry
+        # (q_i, q_mi) -> B.  An OrderedDict drops its oldest entry in O(1);
+        # a dict's first key is found past every deleted one.
+        self._b_cache: OrderedDict = OrderedDict()
 
     kind = "dynamic_c"
 
@@ -463,14 +459,6 @@ class DynamicValue(ValueFunction):
 
     # -- the B integral -------------------------------------------------------
 
-    def _integrand(self, q, q_mi):
-        pr = self.params
-        s = q + q_mi
-        price = pr.p_star + (self.c / np.maximum(q, q_mi) if self.c > 0.0 else 0.0)
-        # Xbar * MR = price * ((gamma - 1)/gamma * q + q_mi) / s
-        margin = 1.0 - price * ((pr.gamma - 1.0) / pr.gamma * q + q_mi) / (s * (pr.r - pr.mu))
-        return margin * (price * s ** (1.0 / pr.gamma)) ** (-pr.beta)
-
     def _tail_envelope(self, s):
         """Certified bound on |integral from s-qmi to inf|; decreasing in s."""
         pr = self.params
@@ -482,11 +470,11 @@ class DynamicValue(ValueFunction):
     @cached_property
     def _decay(self) -> float:
         """Exponent d = beta/gamma - 1 of the tail, whose integrand decays
-        like s**-(1 + d).  Refuses when the envelope beyond s_max exceeds the
-        tail budget: the tail map's nodes would then have to reach past the
+        like s**-(1 + d).  Refuses when the envelope beyond _S_MAX exceeds
+        _TAIL_REL_TOL: the map's nodes would then have to reach past the
         floating-point range."""
         pr = self.params
-        if self._tail_envelope(self.quadrature.s_max) > self.quadrature.tail_rel_tol:
+        if self._tail_envelope(_S_MAX) > _TAIL_REL_TOL:
             raise QuadratureNotConvergedError(
                 "the tail beyond the floating-point range exceeds its budget; "
                 "parameters are too close to the integrability limit "
@@ -494,41 +482,15 @@ class DynamicValue(ValueFunction):
             )
         return pr.beta / pr.gamma - 1.0
 
-    def _tail(self, lo, q_mi):
-        """Integral over [lo, inf) and its error gauge.
-
-        With s = q + q_mi the map t = (s/s0)**-d, s0 = lo + q_mi, takes the
-        range onto (0, 1], and the integrand times the Jacobian s/(d t) tends
-        to a constant as t -> 0, so a few GK15 panels split on their gauges
-        reach tail_rel_tol * (1 + |tail|).  A tail outside the envelope is an
-        error, not a result.
-        """
-        d = self._decay
-        s0 = lo + q_mi
-
-        def mapped(t):
-            s = s0 * t ** (-1.0 / d)
-            return self._integrand(s - q_mi, q_mi) * s / (d * t)
-
-        tol = self.quadrature.tail_rel_tol
-        total, err = self._split_until(mapped, np.array([0.0, 1.0]),
-                                       lambda tot: tol * (1.0 + abs(tot)))
-        if not abs(total) <= self._tail_envelope(s0):
-            raise QuadratureNotConvergedError(
-                f"tail {total:.6g} beyond s = {s0:.6g} exceeds its envelope")
-        return total, err
-
-    def _split_until(self, f, edges, budget):
-        """Integral of f over the panels between edges and its error gauge,
-        splitting panels until the gauge sum is within budget(integral)."""
+    def _split_until(self, f, edges):
+        """Integral of f over the panels between edges, splitting panels
+        until the error gauge sum is within rel_tol * (1 + |integral|)."""
         for _ in range(self.quadrature.max_splits + 1):
             vals, errs = _gk15_panels(f, edges)
             total, err = float(vals.sum()), float(errs.sum())
-            limit = budget(total)
+            limit = self.quadrature.rel_tol * (1.0 + abs(total))
             if err <= limit:
-                return total, err
-            if not errs.size:
-                break
+                return total
             split = errs > limit / (2.0 * len(errs))
             if not split.any():
                 split = errs == errs.max()
@@ -537,86 +499,65 @@ class DynamicValue(ValueFunction):
         raise QuadratureNotConvergedError(
             f"panel error {err:.3g} above tolerance after refinement")
 
-    @staticmethod
-    def _first_edge(q_i, anchor):
-        """Exponent k of the first edge anchor * 2**k above q_i (k >= _K_MIN)."""
-        k = math.floor(math.log2(max(q_i, anchor * 2.0 ** (_K_MIN - 1)) / anchor)) + 1
-        if q_i > 0.0:
-            while anchor * 2.0 ** k <= q_i * (1.0 + 1e-12):
-                k += 1
-        return k
+    def _integral(self, q_i, q_mi):
+        """Integral of B's integrand over [q_i, inf), in one variable t.
 
-    def _edges(self, q_i, q_mi):
-        """Panel edges of B(q_i, q_mi): q_i, then the anchored edges above it
-        up to the last one, where the tail starts (only q_i past it)."""
-        anchor = _anchor(q_mi)
-        k_lo = self._first_edge(q_i, anchor)
-        return np.concatenate(([q_i], anchor * 2.0 ** np.arange(k_lo, _K_MAX + 1, dtype=float)))
-
-    def _panel_table(self, q_mi):
-        """Shared panels of one q_mi, computed on its first B call.
-
-        Keeps the anchor and, for each anchored edge, the suffix sums of the
-        Kronrod values (row 0) and error gauges (row 1) of the panels beyond
-        it plus the tail beyond the last edge.
+        With s = q + q_mi the map s = s0 * t**(-1/d), s0 = q_i + q_mi, takes
+        the range onto (0, 1], as QUADPACK's QAGI does for infinite ranges but
+        with the power matched to the decay.  dq = -s/(d t) dt, and the
+        integrand falls like s**(-beta/gamma), so the mapped integrand is
+        margin * price**-beta * s**(-d) / (d t), where s**(-d) / t is the
+        constant s0**(-d): nothing in it underflows before the Jacobian
+        applies.  It varies through t**(1/d), flat near t = 0 and steep near
+        1, so the panels get finer toward t = 1; the kink q = q_mi, at
+        t_k = (s0 / (2 q_mi))**d, is a panel edge.  An integral outside the
+        envelope is an error, not a result.
         """
-        table = self._panel_tables.get(q_mi)
-        if table is None:
-            anchor = _anchor(q_mi)
-            edges = anchor * 2.0 ** np.arange(_K_MIN, _K_MAX + 1, dtype=float)
-            vals, errs = _gk15_panels(lambda q: self._integrand(q, q_mi), edges)
-            suffix = np.empty((2, edges.size))
-            suffix[:, -1] = self._tail(edges[-1], q_mi)
-            # Summed from the far end, where the panels are smallest.
-            suffix[:, :-1] = np.stack((vals, errs))[:, ::-1].cumsum(axis=1)[:, ::-1] \
-                + suffix[:, -1:]
-            table = (anchor, suffix)
-            self._panel_tables[q_mi] = table
-        return table
+        pr = self.params
+        d = self._decay
+        s0 = q_i + q_mi
+        scale = s0 ** (-d) / d
+        # Xbar * MR / (r-mu) = price * ((gamma-1)/gamma * q + q_mi) / (s (r-mu))
+        #                    = price * (mr_lim + mr_kink / s)
+        mr_lim = (pr.gamma - 1.0) / (pr.gamma * (pr.r - pr.mu))
+        mr_kink = q_mi / (pr.gamma * (pr.r - pr.mu))
 
-    def _shared_sum(self, q_i, q_mi):
-        """Integral of B by one panel from q_i to the first anchored edge
-        plus the shared suffix beyond it; None when that edge lies past the
-        table or the sum misses the certified tolerance."""
-        anchor, suffix = self._panel_table(q_mi)
-        k = self._first_edge(q_i, anchor)
-        j = k - _K_MIN
-        if j >= suffix.shape[1]:
-            return None
-        val, err = _gk15_panels(lambda q: self._integrand(q, q_mi),
-                                np.array([q_i, anchor * 2.0 ** k]))
-        total = float(val[0]) + suffix.item(0, j)
-        if float(err[0]) + suffix.item(1, j) > self.quadrature.rel_tol * (1.0 + abs(total)):
-            return None
+        def mapped(t):
+            s = s0 * t ** (-1.0 / d)
+            if s[0] == np.inf:   # nodes come in increasing t, so s[0] is the largest
+                raise QuadratureNotConvergedError(
+                    f"B's nodes beyond s = {s0:.6g} passed the floating-point range")
+            price = pr.p_star + self.c / np.maximum(s - q_mi, q_mi) if self.c > 0.0 else pr.p_star
+            margin = 1.0 - price * (mr_lim + mr_kink / s)
+            return margin * (price ** (-pr.beta) * scale)
+
+        if q_i < q_mi:
+            t_k = (s0 / (2.0 * q_mi)) ** d
+            edges = np.concatenate((_B_LAYOUT * t_k, [1.0]))
+        else:
+            edges = _B_LAYOUT
+        total = self._split_until(mapped, edges)
+        if not abs(total) <= self._tail_envelope(s0):
+            raise QuadratureNotConvergedError(
+                f"integral {total:.6g} beyond s = {s0:.6g} exceeds its envelope")
         return total
 
-    def _refined_sum(self, q_i, q_mi):
-        """Integral of B over all its panels and the tail, split until certified."""
-        edges = self._edges(q_i, q_mi)
-        tail, tail_err = self._tail(edges[-1], q_mi)
-        rel_tol = self.quadrature.rel_tol
-        total, _ = self._split_until(
-            lambda q: self._integrand(q, q_mi), edges,
-            lambda tot: rel_tol * (1.0 + abs(tot + tail)) - tail_err)
-        return total + tail
-
     def B(self, q_i: float, q_mi: float) -> float:
-        """Coefficient of x**beta, with panel refinement and a tail budget."""
+        """Coefficient of x**beta, certified to rel_tol * (1 + |B|)."""
         key = (float(q_i), float(q_mi))
         hit = self._b_cache.get(key)
         if hit is not None:
             return hit
         if q_i + q_mi <= 0.0:
             raise ZeroCapacityError("B needs positive aggregate capacity")
-        total = self._shared_sum(*key)
-        if total is None:
-            total = self._refined_sum(*key)
-        b = -total
+        b = -self._integral(*key)
         bound = self.b_linear_bound(q_i, q_mi)
         if abs(b) > bound * (1.0 + 1e-6) + 1e-250:
             raise QuadratureNotConvergedError(
                 f"|B|={abs(b):.6g} violates its certified bound {bound:.6g}"
             )
+        if len(self._b_cache) >= _B_CACHE_SIZE:
+            self._b_cache.popitem(last=False)
         self._b_cache[key] = b
         return b
 

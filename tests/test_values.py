@@ -237,8 +237,9 @@ def test_dynamic_b_against_scipy_oracle(golden):
             mr = s ** (-1 / pr.gamma - 1) * ((pr.gamma - 1) / pr.gamma * q + q_mi)
             return (1 - xbar * mr / (pr.r - pr.mu)) * xbar ** (-pr.beta)
 
-        # The last case lies past the shared-panel table.
+        # q_i below, at and above the kink q = q_mi, up to far above it.
         for (q_i, q_mi) in [(1.0, 1.0), (0.8, 1.5), (2.5, 0.9), (1.2, 1.2),
+                            (1.3 * 2.0 ** -8, 1.3), (1.3 * 8.0, 1.3), (1.3 * 1.37, 1.3),
                             (0.9 * 2.0 ** 14, 0.9)]:
             ref, lo = 0.0, q_i
             if q_i < q_mi:
@@ -269,7 +270,7 @@ def test_dynamic_smooth_fit_own(golden):
     for (q_i, q_mi) in [(1.0, 0.9), (0.9, 1.3), (fn.q_floor, fn.q_floor), (2.2, 2.2)]:
         xb = fn.boundary.trigger(q_i, q_mi)
         d = fn.partials(xb, q_i, q_mi, ("qi",), boundary_mode="allow")["qi"]
-        assert d == pytest.approx(1.0, abs=1e-6)
+        assert d == pytest.approx(1.0, abs=1e-8)
 
 
 def test_dynamic_opponent_derivative_zero_when_bigger(golden):
@@ -277,7 +278,7 @@ def test_dynamic_opponent_derivative_zero_when_bigger(golden):
     for (q_i, q_mi) in [(1.0, 0.9), (2.0, 1.0), (1.5, 1.5)]:
         xb = fn.boundary.trigger(q_i, q_mi)
         d = fn.partials(xb, q_i, q_mi, ("qmi",), boundary_mode="allow")["qmi"]
-        assert d == pytest.approx(0.0, abs=1e-6)
+        assert d == pytest.approx(0.0, abs=1e-8)
 
 
 def test_branch_continuity_all_kinds(golden):
@@ -429,39 +430,14 @@ def test_perturbed_dynamic_option_term_held_above_trigger(golden):
 
 
 def test_quadrature_settings_respected(golden):
-    loose = DynamicValue(golden, 1.0, QuadratureSettings(rel_tol=1e-6, tail_rel_tol=1e-8))
+    loose = DynamicValue(golden, 1.0, QuadratureSettings(rel_tol=1e-6))
     tight = DynamicValue(golden, 1.0)
-    # The second and third calls read the panels that the first stored for q_mi = 1.
     for q_i in (1.0, 2.5, 0.8):
         assert loose.B(q_i, 1.0) == pytest.approx(tight.B(q_i, 1.0), rel=1e-6)
 
 
-def test_b_shared_panels_match_full_evaluation(golden):
-    """B through the per-q_mi panel table equals the sum over all its panels."""
-    for c, q_mi in ((0.0, 1.3), (1.0, 1.3), (0.5, 2.0)):
-        fn = DynamicValue(golden, c)
-        cases = {"below q_mi/64": q_mi * 2.0 ** -8, "on an edge": q_mi * 2.0 ** 3,
-                 "between edges": q_mi * 1.37, "outside the table": q_mi * 2.0 ** 14}
-        for where, q_i in cases.items():
-            full = -fn._refined_sum(q_i, q_mi)
-            assert abs(fn.B(q_i, q_mi) - full) <= 1e-14 * (1.0 + abs(full)), (c, where)
-            shared = fn._shared_sum(q_i, q_mi)
-            assert (shared is None) == (where == "outside the table"), (c, where)
-        assert list(fn._panel_tables) == [q_mi]
-
-
-def test_b_uncertified_shared_sum_falls_back_to_refinement(golden):
-    """A tolerance the unsplit panels miss goes through split refinement."""
-    strict = DynamicValue(golden, 1.0, QuadratureSettings(rel_tol=1e-12))
-    assert strict._shared_sum(1.0, 1.0) is None
-    assert strict.B(1.0, 1.0) == -strict._refined_sum(1.0, 1.0)
-    assert strict.B(1.0, 1.0) == pytest.approx(DynamicValue(golden, 1.0).B(1.0, 1.0),
-                                               rel=1e-10)
-
-
-def test_b_table_fill_integrates_a_few_panels(golden, monkeypatch):
-    """The first B call for a q_mi integrates its 15 geometric panels, the
-    compactified tail and one panel from q_i, about 20 panels in all."""
+def _count_panels(monkeypatch):
+    """Record the number of panels of every _gk15_panels call."""
     import duopoly_invest.values as values
 
     panels = []
@@ -472,10 +448,59 @@ def test_b_table_fill_integrates_a_few_panels(golden, monkeypatch):
         return real(f, edges)
 
     monkeypatch.setattr(values, "_gk15_panels", counting)
+    return panels
+
+
+def test_b_miss_integrates_one_call_of_a_few_panels(golden, monkeypatch):
+    """A default B miss is one vectorized call over the fixed layout: six
+    panels, plus one below the kink when q_i < q_mi."""
+    panels = _count_panels(monkeypatch)
     for c in (0.0, 0.5, 1.0, 2.0):
+        fn = DynamicValue(golden, c)
+        q_mi = fn.q_floor + 1.3
+        for q_i in (fn.q_floor + 0.05, q_mi, q_mi * 2.0 ** 16):
+            panels.clear()
+            fn.B(q_i, q_mi)
+            assert len(panels) == 1 and panels[0] <= 8, (c, q_i, panels)
+
+
+def test_b_strict_tolerance_splits_panels(golden, monkeypatch):
+    """A tolerance the fixed layout misses goes through split refinement and
+    agrees with the default B."""
+    panels = _count_panels(monkeypatch)
+    for q_i, q_mi in ((1.0, 1.0), (0.8, 1.5)):
         panels.clear()
-        DynamicValue(golden, c).B(1.3, 0.05)
-        assert 17 <= sum(panels) <= 25, (c, panels)
+        strict = DynamicValue(golden, 1.0, QuadratureSettings(rel_tol=1e-13)).B(q_i, q_mi)
+        assert len(panels) > 1 and panels[-1] > panels[0], (q_i, q_mi, panels)
+        default = DynamicValue(golden, 1.0).B(q_i, q_mi)
+        assert abs(strict - default) <= 1e-10 * (1.0 + abs(default))
+
+
+def test_b_cache_is_bounded(golden, monkeypatch):
+    """The B cache evicts its oldest entries at the cap and keeps B a pure
+    function of its arguments."""
+    import duopoly_invest.values as values
+
+    monkeypatch.setattr(values, "_B_CACHE_SIZE", 5)
+    fn, fresh = DynamicValue(golden, 0.5), DynamicValue(golden, 0.5)
+    args = [(fn.q_floor + 0.1 * k, 1.0 + 0.05 * k) for k in range(12)]
+    for rounds in range(2):
+        for a in args:
+            assert fn.B(*a) == fresh.B(*a)
+            assert len(fn._b_cache) <= 5
+    assert list(fn._b_cache) == args[-5:]
+
+
+def test_dynamic_c0_matches_abstain_at_huge_capital(golden):
+    """B stays accurate while the map's nodes stay in the floating-point
+    range, and refuses once they leave it."""
+    fn = DynamicValue(golden, 0.0)
+    va = AbstainValue(golden, golden.p_star)
+    for q in (1e100, 1e200, 1e250, 1e270):
+        x = 0.5 * fn.boundary.trigger(q, q)
+        assert fn.value(x, q, q) / q == pytest.approx(va.value(x, q, q) / q, abs=3e-14), q
+    with pytest.raises(QuadratureNotConvergedError, match="floating-point range"):
+        fn.B(1e290, 1e290)
 
 
 def test_b_tail_outside_envelope_raises(golden):
