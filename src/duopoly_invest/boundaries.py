@@ -35,12 +35,14 @@ _ROOT_TOL = 1e-12
 # Safeguarded Newton falls back to bisection, so this cap is never reached
 # on a valid bracket.
 _NEWTON_MAX_ITER = 200
+# Geometric expansions of a bisection bracket before giving up.
+_MAX_EXPAND = 400
 # Relative slack when validating the capital floor, so that capital grids
 # built from floating-point arithmetic at exactly q_floor stay admissible.
 _FLOOR_SLACK = 1e-9
 
 
-def _bisect_increasing(g, target, lo, hi, max_expand=400):
+def _bisect_increasing(g, target, lo, hi):
     """Vectorized bisection for g(q) = target with g strictly increasing.
 
     lo/hi/target are broadcastable arrays; hi is expanded geometrically while
@@ -50,7 +52,7 @@ def _bisect_increasing(g, target, lo, hi, max_expand=400):
     target = np.asarray(target, dtype=float)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), target.shape).copy()
     hi = np.broadcast_to(np.asarray(hi, dtype=float), target.shape).copy()
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         bad = g(hi) < target
         if not bad.any():
             break
@@ -96,6 +98,12 @@ class ConstantPriceBoundary:
     def trigger(self, q_i, q_mi):
         """Trigger at one capital pair, or elementwise over arrays."""
         return self.p * _total_capacity(q_i, q_mi) ** (1.0 / self.params.gamma)
+
+    def trigger_grad(self, q_i: float, q_mi: float) -> tuple:
+        """(dT/dq_i, dT/dq_mi) at one capital pair: both capitals enter
+        through q_i + q_mi only."""
+        d = self.trigger(q_i, q_mi) / (self.params.gamma * (q_i + q_mi))
+        return d, d
 
     def base_capacity(self, x: float, q_mi: float) -> float:
         """Closed form: max(0, (x/p)**gamma - q_mi)."""
@@ -194,6 +202,19 @@ class DynamicBoundary:
         trig = self._raw_trigger(q_i, q_mi)
         return trig if isinstance(trig, np.ndarray) else float(trig)
 
+    def trigger_grad(self, q_i: float, q_mi: float) -> tuple:
+        """(dT/dq_i, dT/dq_mi) of the raw trigger at one capital pair.  The
+        premium c/max(q_i, q_mi) moves with the bigger capital, q_i on the
+        kink q_i = q_mi, where its one-sided derivative is the one for
+        growing q_i."""
+        a = 1.0 / self.params.gamma
+        s = q_i + q_mi
+        s_a = s ** a
+        big = q_i if q_i >= q_mi else q_mi
+        via_s = a * (self.params.p_star + self.c / big) * s_a / s
+        via_prem = self.c / big * s_a / big
+        return (via_s - via_prem, via_s) if q_i >= q_mi else (via_s, via_s - via_prem)
+
     def base_capacity(self, x: float, q_mi: float) -> float:
         """Smallest own capital (>= q_floor) keeping the trigger at or above
         one shock level x; the scalar counterpart of base_capacity_array.
@@ -230,7 +251,7 @@ class DynamicBoundary:
                 lo = q
             else:
                 hi = q
-            step = f / (a * price * s_a / (q + q_mi) - c * s_a / (q * q))
+            step = f / (a * price * s_a / (q + q_mi) - c / q * s_a / q)
             if abs(step) <= _ROOT_TOL * max(1.0, q):
                 return min(max(q - step, lo), hi)
             q -= step

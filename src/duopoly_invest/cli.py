@@ -189,13 +189,8 @@ def cmd_value(args) -> int:
     fn = _value_fn(config, params)
     rows = []
     for x, q1, q2 in _states(config):
-        entry = {"x": x, "q_i": q1, "q_mi": q2, "value": fn.value(x, q1, q2)}
-        try:
-            parts = fn.partials(x, q1, q2, ("x", "qi", "qmi"), boundary_mode="allow")
-            entry["partials"] = {k: parts[k] for k in ("x", "qi", "qmi")}
-        except TooCloseToBoundaryError:
-            entry["partials"] = None
-        rows.append(entry)
+        rows.append({"x": x, "q_i": q1, "q_mi": q2, "value": fn.value(x, q1, q2),
+                     "partials": fn.partials(x, q1, q2, ("x", "qi", "qmi"))})
     _write_out(json.dumps(rows, sort_keys=True, indent=2), args.out)
     return 0
 
@@ -215,9 +210,13 @@ def cmd_verify(args) -> int:
     grid_cfg = config.get("grid", {})
     if not isinstance(grid_cfg, dict):
         raise UsageError(f'"grid" must be a JSON object, got {grid_cfg!r}')
+    # The bounds keep a report's memory small: nx levels per capital pair,
+    # and nq**2 capital pairs.
     spec = GridSpec(
-        nx=_number(grid_cfg.get("nx", 40), "grid.nx", " >= 1", lambda v: v >= 1, integer=True),
-        nq=_number(grid_cfg.get("nq", 20), "grid.nq", " >= 1", lambda v: v >= 1, integer=True),
+        nx=_number(grid_cfg.get("nx", 40), "grid.nx", " in [1, 1000]",
+                   lambda v: 1 <= v <= 1000, integer=True),
+        nq=_number(grid_cfg.get("nq", 20), "grid.nq", " in [1, 100]",
+                   lambda v: 1 <= v <= 100, integer=True),
         x_lo_frac=_number(grid_cfg.get("x_lo_frac", 0.05), "grid.x_lo_frac", " in (0, 1]",
                           lambda v: 0.0 < v <= 1.0),
         q_span=_number(grid_cfg.get("q_span", 5.0), "grid.q_span", " >= 0",

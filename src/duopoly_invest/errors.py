@@ -38,7 +38,7 @@ class QuadratureNotConvergedError(DuopolyError):
 
 
 class TooCloseToBoundaryError(DuopolyError):
-    """A finite-difference stencil would straddle a branch boundary."""
+    """A derivative was requested on a branch that does not provide it."""
 
 
 class UsageError(DuopolyError):

@@ -32,6 +32,9 @@ from .errors import BelowFloorError, InvalidSplitError, KindMismatchError
 from .model import ModelParams
 from .paths import ShockPath, running_sup
 
+# Half-width of check_consistency's support band, in shock standard
+# deviations per step.
+_BAND_SIGMAS = 3.0
 
 @dataclass(frozen=True)
 class Outcome:
@@ -217,13 +220,12 @@ class ConsistencyReport:
         return self.max_deviation < 1e-8 and self.support_violations == 0
 
 
-def check_consistency(outcome: Outcome, boundary: Boundary, firm: int,
-                      band_sigmas: float = 3.0) -> ConsistencyReport:
+def check_consistency(outcome: Outcome, boundary: Boundary, firm: int) -> ConsistencyReport:
     """Re-derive firm's capital from the stored opponent path and compare.
 
     Also checks the support condition: whenever the stored capital increases
     by more than a jump tolerance, the shock must sit within
-    band = band_sigmas * sigma * X * sqrt(dt) of the firm's trigger.
+    band = _BAND_SIGMAS * sigma * X * sqrt(dt) of the firm's trigger.
     """
     params = boundary.params
     q = outcome.capital(firm)
@@ -243,7 +245,7 @@ def check_consistency(outcome: Outcome, boundary: Boundary, firm: int,
 
     dq = np.diff(q)
     jump_tol = 1e-12 * (1.0 + q[1:])
-    band = band_sigmas * params.sigma * np.sqrt(outcome.path.dt)
+    band = _BAND_SIGMAS * params.sigma * np.sqrt(outcome.path.dt)
     violations = 0
     if triggers is not None:
         idx = np.nonzero(dq > jump_tol)[0] + 1

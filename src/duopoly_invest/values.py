@@ -7,8 +7,8 @@ y = x * P(q_i + q_mi) / p_ref:
 
     V = p_ref/(r-mu) * q_i * y + C(q_i, q_mi) * y**beta
 
-The strategy family enters only through C.  Each kind supplies p_ref and C,
-and the closed-form kinds also C's gradient for analytic q-partials:
+The strategy family enters only through C.  Each kind supplies p_ref, C
+and C's gradient, from which every q-partial is analytic:
 
   AbstainValue(p)        never investing while the opponent reflects the
                          price at the constant threshold p; p_ref = p,
@@ -36,7 +36,8 @@ one integral over t in (0, 1], where s = q + q_mi = (q_i + q_mi) * t**(-1/d),
 d = beta/gamma - 1: a fixed layout of six Gauss-Kronrod 15 panels, finer
 toward t = 1, plus one more from the image of the integrand's kink q = q_mi
 when q_i < q_mi, split only where their error gauges miss the tolerance (see
-DynamicValue._integral).
+DynamicValue._integral).  B's q_mi-derivative is integrated in the same call;
+its q_i-derivative is the integrand at q_i.
 """
 
 from __future__ import annotations
@@ -84,8 +85,6 @@ _G7_WEIGHTS = np.array([
 
 _GK_STACK = np.stack((_GK_WEIGHTS, _G7_WEIGHTS), axis=1)
 
-_FD_STEP = 1e-5
-
 # B's panel edges in its mapped variable t (see DynamicValue._integral),
 # scaled onto [0, t_k] when the kink t_k lies inside (0, 1).
 _B_LAYOUT = np.array([0.0, 0.5, 0.75, 0.875, 0.9375, 0.96875, 1.0])
@@ -104,23 +103,26 @@ class QuadratureSettings:
 
 
 def _gk15_panels(f, edges):
-    """Integrate f over consecutive [edges[j], edges[j+1]] panels.
+    """Integrate the stacked integrands f over consecutive [edges[j],
+    edges[j+1]] panels.
 
-    One vectorized call evaluates f at all 15-point node sets; returns the
-    per-panel Kronrod integrals and |K15 - G7| error gauges.
+    One vectorized call evaluates f at all 15-point node sets, returning one
+    row per integrand; returns the Kronrod integrals and |K15 - G7| error
+    gauges, each of shape (integrands, panels).
     """
     a = edges[:-1]
     half = 0.5 * (edges[1:] - a)
     center = a + half
     nodes = center[:, None] + half[:, None] * _GK_NODES[None, :]
-    k15, g7 = (f(nodes.reshape(-1)).reshape(nodes.shape) @ _GK_STACK).T * half
+    sums = f(nodes.reshape(-1)).reshape(-1, *nodes.shape) @ _GK_STACK
+    k15, g7 = sums[..., 0] * half, sums[..., 1] * half
     return k15, np.abs(k15 - g7)
 
 
 class ValueFunction:
     """Shared evaluation plumbing and the below-trigger branch of every kind
-    (see the module docstring).  A kind supplies p_ref, its own trigger, the
-    option coefficient _c and, for analytic q-partials, its gradient
+    (see the module docstring).  A kind supplies p_ref, its strategy pair
+    (own boundary first), the option coefficient _c and its gradient
     _c_grad = (dC/dq_i, dC/dq_mi).
 
     Every evaluation takes one capital pair and a shock level x that is a
@@ -132,10 +134,13 @@ class ValueFunction:
     params: ModelParams
     p_ref: float
 
-    # -- branch anatomy supplied by subclasses --------------------------------
+    # -- branch anatomy -------------------------------------------------------
 
     def _own_trigger(self, q_i, q_mi):
-        raise NotImplementedError
+        return self.strategy_pair()[0].trigger(q_i, q_mi)
+
+    def _phi(self, x, q_mi):
+        return self.strategy_pair()[0].base_capacity(x, q_mi)
 
     def _c(self, q_i, q_mi):
         raise NotImplementedError
@@ -188,8 +193,8 @@ class ValueFunction:
         return (stream * y if own else 0.0) + dc * y ** pr.beta + via_price
 
     # Continuation at one shock level above the own trigger: the branch at
-    # the paste point phi(x, q_mi), which pasting kinds supply as _phi.
-    # Kinds with an explicit continuation override these.
+    # the paste point phi(x, q_mi).  Kinds with an explicit continuation
+    # override these.
 
     def _above(self, x, q_i, q_mi):
         phi = self._phi(x, q_mi)
@@ -234,18 +239,11 @@ class ValueFunction:
         return (self._below(x, q_i, q_mi), self._below_x(x, q_i, q_mi),
                 self._below_xx(x, q_i, q_mi))
 
-    def partials(self, x, q_i, q_mi, which=("x", "xx", "qi", "qmi"),
-                 boundary_mode: str = "error") -> dict:
-        """Requested partial derivatives at one capital pair.
+    def partials(self, x, q_i, q_mi, which=("x", "xx", "qi", "qmi")) -> dict:
+        """Requested analytic partial derivatives at one capital pair.
 
         x is one shock level or a numpy array of them; each entry of the
-        result has the shape of x.  Analytic where the kind has closed forms;
-        finite differences with one Richardson level otherwise, one value
-        call per stencil point for all levels.  With boundary_mode="error" a
-        stencil that would straddle the trigger at any level raises
-        TooCloseToBoundaryError; "allow" trusts the built-in value-matching
-        across the trigger (the function is C1 there by construction) and
-        differentiates through it.
+        result has the shape of x.
         """
         if isinstance(which, str):
             which = (which,)
@@ -256,51 +254,29 @@ class ValueFunction:
             elif key == "xx":
                 out[key] = self.value_xx(x, q_i, q_mi)
             elif key in ("qi", "qmi"):
-                out[key] = self._d_q(x, q_i, q_mi, key == "qi", boundary_mode)
+                out[key] = self._d_q(x, q_i, q_mi, key == "qi")
             else:
                 raise ValueError(f"unknown partial {key!r}")
         return out
 
-    def _d_q(self, x, q_i, q_mi, own: bool, boundary_mode: str):
-        """V_qi (own) or V_qmi; finite differences unless the kind overrides."""
-        return self._fd(x, q_i, q_mi, own, boundary_mode)
+    def _d_q(self, x, q_i, q_mi, own: bool):
+        """V_qi (own) or V_qmi: the branch's, from _c_grad, below the own
+        trigger.  Above it, the chain rule of the pasting identity at the
+        paste point phi: V_qi = 1 and V_qmi = V_qmi + (V_qi - 1) * phi_qmi of
+        the branch at (x, phi, q_mi), with phi_qmi = -T_qmi / T_qi from the
+        own trigger's gradient.  Smooth fit (V_qi = 1 on the trigger) drops
+        the second term; it is kept, so that the propagation check tests
+        smooth fit instead of assuming it.
+        """
+        def above(v, q_i, q_mi):
+            if own:
+                return 1.0
+            phi = self._phi(v, q_mi)
+            t_qi, t_qmi = self.strategy_pair()[0].trigger_grad(phi, q_mi)
+            return self._q_below(v, phi, q_mi, own=False) \
+                - (self._q_below(v, phi, q_mi, own=True) - 1.0) * t_qmi / t_qi
 
-    def _fd_floor(self) -> float:
-        return 0.0
-
-    def _fd(self, x, q_i, q_mi, own: bool, boundary_mode: str):
-        coord = q_i if own else q_mi
-        h = _FD_STEP * max(1.0, abs(coord))
-
-        def v(q):
-            return self.value(x, q, q_mi) if own else self.value(x, q_i, q)
-
-        floor = self._fd_floor()
-        if coord - h < floor:
-            # One-sided second-order stencil stays inside the domain.
-            def fwd(step):
-                return (-3.0 * v(coord) + 4.0 * v(coord + step) - v(coord + 2.0 * step)) \
-                    / (2.0 * step)
-            return (4.0 * fwd(h / 2.0) - fwd(h)) / 3.0
-
-        if boundary_mode == "error":
-            probes = (coord - h, coord + h)
-            trig = [self._own_trigger(q, q_mi) if own else self._own_trigger(q_i, q)
-                    for q in probes]
-            if np.any((x > min(trig)) != (x > max(trig))):
-                raise TooCloseToBoundaryError(
-                    "finite-difference stencil straddles the trigger; "
-                    "pass boundary_mode='allow' to differentiate through it"
-                )
-
-        def central(step):
-            return (v(coord + step) - v(coord - step)) / (2.0 * step)
-
-        # 2*D(h/2) - D(h) cancels the leading error term of either parity:
-        # the O(h) term from a curvature kink at the trigger, and (partially)
-        # the O(h^2) term at interior states, where central() is already well
-        # inside tolerance.
-        return 2.0 * central(h / 2.0) - central(h)
+        return self._piecewise(partial(self._q_below, own=own), above, x, q_i, q_mi)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +327,7 @@ class AbstainValue(ValueFunction):
 
     _above_xx = _above_x   # the annuity does not depend on x
 
-    def _d_q(self, x, q_i, q_mi, own, boundary_mode):
+    def _d_q(self, x, q_i, q_mi, own):
         above = self.p / self.params.p_star if own else 0.0   # of the annuity
         return self._piecewise(partial(self._q_below, own=own), lambda *_: above,
                                x, q_i, q_mi)
@@ -388,20 +364,6 @@ class SoleInvestorValue(ValueFunction):
     def _c_grad(self, q_i, q_mi):
         return self.coef * self.k_own, self.coef * self.k_opp
 
-    def _own_trigger(self, q_i, q_mi):
-        return self.own_boundary.trigger(q_i, q_mi)
-
-    def _phi(self, x, q_mi):
-        return self.own_boundary.base_capacity(x, q_mi)
-
-    def _d_q(self, x, q_i, q_mi, own, boundary_mode):
-        # Differentiating the continuation branch: V_qi = 1, and in V_qmi the
-        # phi terms cancel because V_qi is one at the paste point.
-        def above(v, q_i, q_mi):
-            return 1.0 if own else self._q_below(v, self._phi(v, q_mi), q_mi, own=False)
-
-        return self._piecewise(partial(self._q_below, own=own), above, x, q_i, q_mi)
-
 
 # ---------------------------------------------------------------------------
 # Capital-dependent trigger kind: B by certified quadrature
@@ -418,8 +380,7 @@ class DynamicValue(ValueFunction):
 
     where Xbar is the trigger at (q, q_mi) and MR the marginal revenue.  The
     integrand is B's own q_i-derivative, so the construction pins the
-    own-capital derivative to one on the trigger.  q-derivatives of the value
-    are finite differences (the x-partials stay analytic given B).
+    own-capital derivative to one on the trigger.
     """
 
     def __init__(self, params: ModelParams, c: float,
@@ -429,8 +390,8 @@ class DynamicValue(ValueFunction):
         self.c = c
         self.quadrature = quadrature
         self.boundary = DynamicBoundary(params, c)
-        # (q_i, q_mi) -> B.  An OrderedDict drops its oldest entry in O(1);
-        # a dict's first key is found past every deleted one.
+        # (q_i, q_mi) -> (B, B_qmi).  An OrderedDict drops its oldest entry
+        # in O(1); a dict's first key is found past every deleted one.
         self._b_cache: OrderedDict = OrderedDict()
 
     kind = "dynamic_c"
@@ -441,21 +402,6 @@ class DynamicValue(ValueFunction):
     @property
     def q_floor(self) -> float:
         return self.boundary.q_floor
-
-    def _fd_floor(self) -> float:
-        return self.q_floor
-
-    def _own_trigger(self, q_i, q_mi):
-        # Raw formula: finite-difference stencils sit within one step of the
-        # floor and must not trip the public domain check.
-        return float(self.boundary._raw_trigger(q_i, q_mi))
-
-    def _phi(self, x, q_mi):
-        return self.boundary.base_capacity(x, q_mi)
-
-    def value(self, x, q_i, q_mi):
-        self.boundary._check_floor(q_i, q_mi)
-        return super().value(x, q_i, q_mi)
 
     # -- the B integral -------------------------------------------------------
 
@@ -483,24 +429,28 @@ class DynamicValue(ValueFunction):
         return pr.beta / pr.gamma - 1.0
 
     def _split_until(self, f, edges):
-        """Integral of f over the panels between edges, splitting panels
-        until the error gauge sum is within rel_tol * (1 + |integral|)."""
+        """Integrals of the stacked integrands f over the panels between
+        edges, splitting panels until each integrand's error gauge sum is
+        within rel_tol * (1 + |its integral|)."""
         for _ in range(self.quadrature.max_splits + 1):
             vals, errs = _gk15_panels(f, edges)
-            total, err = float(vals.sum()), float(errs.sum())
-            limit = self.quadrature.rel_tol * (1.0 + abs(total))
-            if err <= limit:
-                return total
-            split = errs > limit / (2.0 * len(errs))
+            totals = vals.sum(axis=1)
+            # Each gauge as a share of its integrand's error budget.
+            share = errs / (self.quadrature.rel_tol * (1.0 + np.abs(totals)))[:, None]
+            if np.all(share.sum(axis=1) <= 1.0):
+                return totals
+            worst = share.max(axis=0)
+            split = worst > 0.5 / len(worst)
             if not split.any():
-                split = errs == errs.max()
+                split = worst == worst.max()
             mids = 0.5 * (edges[:-1] + edges[1:])
             edges = np.sort(np.concatenate((edges, mids[split])))
         raise QuadratureNotConvergedError(
-            f"panel error {err:.3g} above tolerance after refinement")
+            f"panel errors {share.sum(axis=1).max():.3g} times the tolerance after refinement")
 
     def _integral(self, q_i, q_mi):
-        """Integral of B's integrand over [q_i, inf), in one variable t.
+        """Integrals over [q_i, inf) of B's integrand and of its
+        q_mi-derivative, in one variable t.
 
         With s = q + q_mi the map s = s0 * t**(-1/d), s0 = q_i + q_mi, takes
         the range onto (0, 1], as QUADPACK's QAGI does for infinite ranges but
@@ -510,8 +460,10 @@ class DynamicValue(ValueFunction):
         constant s0**(-d): nothing in it underflows before the Jacobian
         applies.  It varies through t**(1/d), flat near t = 0 and steep near
         1, so the panels get finer toward t = 1; the kink q = q_mi, at
-        t_k = (s0 / (2 q_mi))**d, is a panel edge.  An integral outside the
-        envelope is an error, not a result.
+        t_k = (s0 / (2 q_mi))**d, is a panel edge.  The q_mi-derivative is
+        taken at fixed t, where ds/dq_mi = s/s0; the kink is continuous and
+        on a panel edge, so it adds no boundary term.  An integral outside
+        the envelope is an error, not a result.
         """
         pr = self.params
         d = self._decay
@@ -521,36 +473,55 @@ class DynamicValue(ValueFunction):
         #                    = price * (mr_lim + mr_kink / s)
         mr_lim = (pr.gamma - 1.0) / (pr.gamma * (pr.r - pr.mu))
         mr_kink = q_mi / (pr.gamma * (pr.r - pr.mu))
+        kappa = 1.0 / (pr.gamma * (pr.r - pr.mu))   # d mr_kink / d q_mi
 
         def mapped(t):
-            s = s0 * t ** (-1.0 / d)
+            with np.errstate(over="ignore"):   # an overflow is refused below
+                growth = t ** (-1.0 / d)
+                s = s0 * growth
             if s[0] == np.inf:   # nodes come in increasing t, so s[0] is the largest
                 raise QuadratureNotConvergedError(
                     f"B's nodes beyond s = {s0:.6g} passed the floating-point range")
-            price = pr.p_star + self.c / np.maximum(s - q_mi, q_mi) if self.c > 0.0 else pr.p_star
-            margin = 1.0 - price * (mr_lim + mr_kink / s)
-            return margin * (price ** (-pr.beta) * scale)
+            # d_* are q_mi-derivatives at fixed t: s moves by s/s0 = growth,
+            # s - q_mi by growth - 1 and q_mi/s by (q_i/s0)/s.
+            price, d_price = pr.p_star, 0.0
+            if self.c > 0.0:
+                q = s - q_mi
+                beyond = q > q_mi
+                m = np.where(beyond, q, q_mi)
+                prem = self.c / m
+                price = pr.p_star + prem
+                d_price = -prem * np.where(beyond, growth - 1.0, 1.0) / m
+            mr = mr_lim + mr_kink / s
+            margin = 1.0 - price * mr
+            weight = price ** (-pr.beta) * scale
+            d_margin = -d_price * mr - price * kappa * (q_i / s0) / s
+            value = margin * weight
+            d_value = (d_margin - pr.beta * margin * d_price / price) * weight - d / s0 * value
+            return np.stack((value, d_value))
 
         if q_i < q_mi:
             t_k = (s0 / (2.0 * q_mi)) ** d
             edges = np.concatenate((_B_LAYOUT * t_k, [1.0]))
         else:
             edges = _B_LAYOUT
-        total = self._split_until(mapped, edges)
+        total, d_total = self._split_until(mapped, edges)
         if not abs(total) <= self._tail_envelope(s0):
             raise QuadratureNotConvergedError(
                 f"integral {total:.6g} beyond s = {s0:.6g} exceeds its envelope")
-        return total
+        return float(total), float(d_total)
 
     def B(self, q_i: float, q_mi: float) -> float:
-        """Coefficient of x**beta, certified to rel_tol * (1 + |B|)."""
+        """Coefficient of x**beta, certified to rel_tol * (1 + |B|).  Its
+        q_mi-derivative, certified alike, is cached with it."""
         key = (float(q_i), float(q_mi))
         hit = self._b_cache.get(key)
         if hit is not None:
-            return hit
+            return hit[0]
         if q_i + q_mi <= 0.0:
             raise ZeroCapacityError("B needs positive aggregate capacity")
-        b = -self._integral(*key)
+        total, d_total = self._integral(*key)
+        b = -total
         bound = self.b_linear_bound(q_i, q_mi)
         if abs(b) > bound * (1.0 + 1e-6) + 1e-250:
             raise QuadratureNotConvergedError(
@@ -558,7 +529,7 @@ class DynamicValue(ValueFunction):
             )
         if len(self._b_cache) >= _B_CACHE_SIZE:
             self._b_cache.popitem(last=False)
-        self._b_cache[key] = b
+        self._b_cache[key] = (b, -d_total)
         return b
 
     def b_linear_bound(self, q_i: float, q_mi: float) -> float:
@@ -572,6 +543,20 @@ class DynamicValue(ValueFunction):
         """B's coefficient of x**beta, rescaled to y**beta = (x P(q)/p*)**beta."""
         pr = self.params
         return self.B(q_i, q_mi) * (pr.p_star * (q_i + q_mi) ** (1.0 / pr.gamma)) ** pr.beta
+
+    def _c_grad(self, q_i, q_mi):
+        """C's gradient from B's: B_qi is B's integrand at its lower limit
+        q_i, and B_qmi is integrated with B (see _integral)."""
+        pr = self.params
+        self.B(q_i, q_mi)   # makes sure the pair is cached
+        b, b_qmi = self._b_cache[float(q_i), float(q_mi)]
+        xbar = self.boundary._raw_trigger(q_i, q_mi)
+        b_qi = (1.0 - xbar * pr.marginal_revenue(q_i, q_mi) / (pr.r - pr.mu)) \
+            * xbar ** (-pr.beta)
+        s = q_i + q_mi
+        via_s = b * pr.beta / (pr.gamma * s)   # (p_star * s**(1/gamma))**beta's share
+        scale = (pr.p_star * s ** (1.0 / pr.gamma)) ** pr.beta
+        return (b_qi + via_s) * scale, (b_qmi + via_s) * scale
 
 
 class PerturbedValue:
@@ -600,9 +585,8 @@ class PerturbedValue:
     def value_xx(self, x, q_i, q_mi):
         return self.base.value_xx(x, q_i, q_mi)
 
-    def partials(self, x, q_i, q_mi, which=("x", "xx", "qi", "qmi"),
-                 boundary_mode: str = "error"):
-        return self.base.partials(x, q_i, q_mi, which, boundary_mode)
+    def partials(self, x, q_i, q_mi, which=("x", "xx", "qi", "qmi")):
+        return self.base.partials(x, q_i, q_mi, which)
 
     def below_branch_arrays(self, x, q_i, q_mi):
         v, vx, vxx = self.base.below_branch_arrays(x, q_i, q_mi)

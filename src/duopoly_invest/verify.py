@@ -15,8 +15,8 @@ plus the propagation identity V_qmi(x, q_i, q_mi) = V_qmi(x, phi(x, q_mi), q_mi)
 above the own trigger and a Monte Carlo transversality probe of
 e^{-rT} E|V(X_T, Q_T)| -> 0.
 
-Tolerances are split by numerical source: 1e-9 for analytic identities,
-1e-6 for finite-difference derivatives, 1e-7 for quadrature-backed values.
+Tolerances follow the numerical source: 1e-9 for the closed-form kinds and
+1e-7 for DynamicValue, whose values and q-partials are quadrature-backed.
 A metric that is not finite raises OverflowError instead of entering a
 verdict.
 Grids are log-spaced in the shock over [x_lo_frac, 1] * trigger and linear
@@ -37,8 +37,9 @@ from .outcomes import Outcome
 from .paths import generate_path
 
 TOL_ANALYTIC = 1e-9
-TOL_FD = 1e-6
 TOL_QUAD = 1e-7
+# Opponent increments checked per simulated path, evenly subsampled.
+_MAX_INCREMENTS = 60
 
 
 @dataclass(frozen=True)
@@ -119,11 +120,8 @@ class _Worst:
         return ConditionResult(name, self.value, self.at, tol, self.value <= tol, note)
 
 
-def _tolerances(value_fn) -> dict:
-    kind = getattr(value_fn, "kind", "")
-    if "dynamic" in kind:
-        return {"pde": TOL_QUAD, "deriv": TOL_FD}
-    return {"pde": TOL_ANALYTIC, "deriv": TOL_ANALYTIC}
+def _tolerance(value_fn) -> float:
+    return TOL_QUAD if "dynamic" in getattr(value_fn, "kind", "") else TOL_ANALYTIC
 
 
 def _void(name: str, note: str) -> ConditionResult:
@@ -139,7 +137,7 @@ def check_pde(value_fn, pair, spec: GridSpec = GridSpec(),
     """
     params = value_fn.params
     own, opp = pair
-    tol = _tolerances(value_fn)["pde"]
+    tol = _tolerance(value_fn)
     worst = _Worst()
     for q_i, q_mi in spec.capital_pairs(pair):
         if mode == "equality":
@@ -159,7 +157,7 @@ def check_pde(value_fn, pair, spec: GridSpec = GridSpec(),
 def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec()) -> list:
     """Conditions 2, 3, 5 and 6 on and around the triggers."""
     own, opp = pair
-    tol = _tolerances(value_fn)["deriv"]
+    tol = _tolerance(value_fn)
     results = []
     pairs = spec.capital_pairs(pair)
 
@@ -171,8 +169,7 @@ def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec()) -> list:
         for q_i, q_mi in pairs:
             xb = own.trigger(q_i, q_mi)
             for frac in (1.0, 1.25, 2.0):
-                d = value_fn.partials(frac * xb, q_i, q_mi, ("qi",),
-                                      boundary_mode="allow")["qi"]
+                d = value_fn.partials(frac * xb, q_i, q_mi, ("qi",))["qi"]
                 worst.add(abs(d - 1.0), frac * xb, q_i, q_mi)
         results.append(worst.result("own_derivative_on_trigger", tol))
 
@@ -189,7 +186,7 @@ def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec()) -> list:
             hi = own.trigger(q_i, q_mi)
             for frac in (1.0, 1.3, 2.0, 4.0):
                 x = min(frac * xb, hi) if np.isfinite(hi) else frac * xb
-                d = value_fn.partials(x, q_i, q_mi, ("qmi",), boundary_mode="allow")["qmi"]
+                d = value_fn.partials(x, q_i, q_mi, ("qmi",))["qmi"]
                 worst.add(abs(d), x, q_i, q_mi)
         results.append(worst.result("opp_derivative_above_trigger", tol))
 
@@ -197,7 +194,7 @@ def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec()) -> list:
     worst = _Worst()
     for q_i, q_mi in pairs:
         xs = spec.x_levels(min(own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i)))
-        excess = value_fn.partials(xs, q_i, q_mi, ("qi",), boundary_mode="allow")["qi"] - 1.0
+        excess = value_fn.partials(xs, q_i, q_mi, ("qi",))["qi"] - 1.0
         worst.add(excess, xs, q_i, q_mi)
     results.append(worst.result("own_derivative_below_trigger", tol))
 
@@ -211,32 +208,28 @@ def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec()) -> list:
         worst = _Worst()
         for q_i, q_mi in eligible:
             xb = own.trigger(q_i, q_mi)
-            worst.add(value_fn.partials(xb, q_i, q_mi, ("qmi",), boundary_mode="allow")["qmi"],
+            worst.add(value_fn.partials(xb, q_i, q_mi, ("qmi",))["qmi"],
                       xb, q_i, q_mi)
         results.append(worst.result("opp_derivative_on_trigger", tol))
     return results
 
 
-def check_derivative_propagation(value_fn, pair, spec: GridSpec = GridSpec(),
-                                 stride: int = 2) -> ConditionResult:
+def check_derivative_propagation(value_fn, pair, spec: GridSpec = GridSpec()) -> ConditionResult:
     """Above the own trigger the opponent-derivative must propagate down to
     the paste point: V_qmi(x, q_i, q_mi) = V_qmi(x, phi(x, q_mi), q_mi).
 
     With an infinite own trigger the region is empty and the check falls back
-    to condition 3's content (V_qmi = 0 above the opponent trigger).  The
-    capital grid is strided: the identity is smooth in the capitals, and
-    finite-difference evaluation of the dynamic kind is the cost driver.
+    to condition 3's content (V_qmi = 0 above the opponent trigger).
     """
     own, opp = pair
-    tol = _tolerances(value_fn)["deriv"]
-    pairs = spec.capital_pairs(pair)[::stride]
+    tol = _tolerance(value_fn)
+    pairs = spec.capital_pairs(pair)
     worst = _Worst()
     if isinstance(own, InfiniteBoundary):
         for q_i, q_mi in pairs:
             xb = opp.trigger(q_mi, q_i)
             for frac in (1.0, 1.5, 3.0):
-                d = value_fn.partials(frac * xb, q_i, q_mi, ("qmi",),
-                                      boundary_mode="allow")["qmi"]
+                d = value_fn.partials(frac * xb, q_i, q_mi, ("qmi",))["qmi"]
                 worst.add(abs(d), frac * xb, q_i, q_mi)
         return worst.result("derivative_propagation", tol,
                             note="own trigger infinite: checked V_qmi = 0 above opponent")
@@ -244,9 +237,9 @@ def check_derivative_propagation(value_fn, pair, spec: GridSpec = GridSpec(),
         xb = own.trigger(q_i, q_mi)
         for frac in (1.05, 1.3, 2.0):
             x = frac * xb
-            lhs = value_fn.partials(x, q_i, q_mi, ("qmi",), boundary_mode="allow")["qmi"]
+            lhs = value_fn.partials(x, q_i, q_mi, ("qmi",))["qmi"]
             phi = own.base_capacity(x, q_mi)
-            rhs = value_fn.partials(x, phi, q_mi, ("qmi",), boundary_mode="allow")["qmi"]
+            rhs = value_fn.partials(x, phi, q_mi, ("qmi",))["qmi"]
             worst.add(abs(lhs - rhs), x, q_i, q_mi)
     return worst.result("derivative_propagation", tol)
 
@@ -292,8 +285,7 @@ def check_transversality(value_fn, params: ModelParams, builder, x0: float,
 def check_opponent_increment_derivative(value_fn, params: ModelParams, builder,
                                         x0: float, horizon: float,
                                         n_paths: int = 20, dt: float = 0.01,
-                                        seed: int = 11,
-                                        max_points: int = 60) -> ConditionResult:
+                                        seed: int = 11) -> ConditionResult:
     """Along simulated outcomes, V_qmi must vanish wherever the opponent
     actually invests on the joint boundary (initial jump included).
 
@@ -304,7 +296,7 @@ def check_opponent_increment_derivative(value_fn, params: ModelParams, builder,
     if isinstance(own, InfiniteBoundary):
         return _void("opponent_increment_derivative",
                      "void: own trigger infinite, opponent increments unrestricted")
-    tol = _tolerances(value_fn)["deriv"]
+    tol = _tolerance(value_fn)
     worst = _Worst(0.0)
     for j in range(n_paths):
         path = generate_path(params, x0, dt, horizon, seed, j)
@@ -313,14 +305,14 @@ def check_opponent_increment_derivative(value_fn, params: ModelParams, builder,
         idx = np.nonzero(dq2 > 1e-12 * (1.0 + out.Q2[1:]))[0] + 1
         if out.Q2[0] > out.initial(2) + 1e-12:
             idx = np.concatenate(([0], idx))
-        if len(idx) > max_points:
-            idx = idx[np.linspace(0, len(idx) - 1, max_points).astype(int)]
+        if len(idx) > _MAX_INCREMENTS:
+            idx = idx[np.linspace(0, len(idx) - 1, _MAX_INCREMENTS).astype(int)]
         for k in idx:
             x, q1, q2 = float(path.values[k]), float(out.Q1[k]), float(out.Q2[k])
             own_trig = own.trigger(q1, q2)
             if x < own_trig * (1.0 - 1e-9):
                 continue  # opponent invests strictly inside firm 1's region
-            d = value_fn.partials(x, q1, q2, ("qmi",), boundary_mode="allow")["qmi"]
+            d = value_fn.partials(x, q1, q2, ("qmi",))["qmi"]
             worst.add(abs(d), x, q1, q2)
     return worst.result("opponent_increment_derivative", tol)
 

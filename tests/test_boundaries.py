@@ -78,6 +78,34 @@ def test_newton_base_capacity_matches_bisection(golden):
             assert got[4] < q_mi < got[8]
 
 
+def test_base_capacity_at_tiny_premium(golden):
+    """At a premium near 1e-303 the floor is near 1e-303 too, and the Newton
+    step's premium term must not underflow: the root brackets the shock
+    within the solver's tolerance 1e-12 * max(1, q)."""
+    b = DynamicBoundary(golden, 1.6138520769888095e-303)
+    qf = b.q_floor
+    for q_mi in (qf, 2.0 * qf, 1.0):
+        for frac in (1.05, 1.3, 2.0):
+            x = frac * b.trigger(qf, q_mi)
+            q = b.base_capacity(x, q_mi)
+            tol = 1e-12 * max(1.0, q)
+            assert qf <= q
+            assert b._raw_trigger(max(qf, q - tol), q_mi) <= x <= b._raw_trigger(q + tol, q_mi)
+
+
+def test_trigger_grad_matches_central_difference(golden):
+    """The trigger gradient on both sides of the kink q_i = q_mi, and for the
+    constant-price trigger, against central differences."""
+    h = 1e-6
+    for b in (ConstantPriceBoundary(golden, 1.2 * golden.p_star),
+              DynamicBoundary(golden, 0.0), DynamicBoundary(golden, 1.0)):
+        for q_i, q_mi in ((1.0, 1.5), (1.5, 1.0), (2.2, 0.9), (0.9, 2.2)):
+            fd = ((b.trigger(q_i + h, q_mi) - b.trigger(q_i - h, q_mi)) / (2.0 * h),
+                  (b.trigger(q_i, q_mi + h) - b.trigger(q_i, q_mi - h)) / (2.0 * h))
+            for got, want in zip(b.trigger_grad(q_i, q_mi), fd):
+                assert got == pytest.approx(want, rel=1e-8), (b.kind, q_i, q_mi)
+
+
 def test_trigger_diverges_with_capital(golden):
     for b in (ConstantPriceBoundary(golden, 1.0), DynamicBoundary(golden, 1.0)):
         assert b.trigger(1e9, 1.0) > 1e5

@@ -205,6 +205,8 @@ _ABSTAIN = {"params": GOLDEN_BLOCK, "value": {"kind": "abstain"}}
     ("verify", {**_ABSTAIN, "boundaries": 5}),
     ("verify", {**_ABSTAIN, "grid": {"nx": 0, "nq": 3}}),
     ("verify", {**_ABSTAIN, "grid": {"nq": 0}}),
+    ("verify", {**_ABSTAIN, "grid": {"nx": 1001, "nq": 3}}),
+    ("verify", {**_ABSTAIN, "grid": {"nx": 4, "nq": 101}}),
     ("verify", {**_ABSTAIN, "grid": {"nx": 4, "nq": 3, "x_lo_frac": -1}}),
     ("verify", {**_ABSTAIN, "grid": {"nx": 4, "nq": 1}}),
     ("sweep", {"params": GOLDEN_BLOCK, "sweep": {"kind": "dynamic_c", "c_values": 5},
@@ -212,7 +214,8 @@ _ABSTAIN = {"params": GOLDEN_BLOCK, "value": {"kind": "abstain"}}
     ("sweep", {"params": GOLDEN_BLOCK, "sweep": {"kind": "abstain", "p_values": "2.6"},
                "states": [[2.0, 1.0, 1.0]]}),
 ], ids=["value.c-text", "params.r-text", "grid.nx-text", "root-list", "grid-list",
-        "boundaries-number", "grid.nx-zero", "grid.nq-zero", "grid.x_lo_frac-negative",
+        "boundaries-number", "grid.nx-zero", "grid.nq-zero", "grid.nx-too-big", "grid.nq-too-big",
+        "grid.x_lo_frac-negative",
         "grid-without-capital-pairs", "sweep.c_values-number", "sweep.p_values-text"])
 def test_malformed_config_exit_64(tmp_path, capsys, command, config):
     cfg = tmp_path / "config.json"

@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from duopoly_invest.errors import (
-    QuadratureNotConvergedError,
-    TooCloseToBoundaryError,
-    ZeroCapacityError,
-)
+from duopoly_invest.errors import QuadratureNotConvergedError, ZeroCapacityError
 from duopoly_invest.model import derive_params
 from duopoly_invest.values import (
     AbstainValue,
@@ -134,19 +130,33 @@ def test_investor_smooth_fit(golden):
     assert fn.partials(1.7 * xb, q_i, q_mi, ("qi",))["qi"] == 1.0
 
 
-def test_fd_matches_analytic_partials(golden):
-    """Cross-check the closed-form q-derivatives with the generic stencil."""
-    from duopoly_invest.values import ValueFunction
+def _central_difference(f, q):
+    """Central difference of f at q, with one Richardson level, 2 D(h/2) -
+    D(h), which also cancels the O(h) term of a curvature kink at q."""
+    h = 1e-4 * q
 
-    fn = SoleInvestorValue(golden, 1.1 * golden.p_star)
+    def d(step):
+        return (f(q + step) - f(q - step)) / (2.0 * step)
+
+    return 2.0 * d(h / 2.0) - d(h)
+
+
+def test_fd_matches_analytic_partials(golden):
+    """The analytic q-partials against central differences of the value:
+    below, at and above the own trigger, where the dynamic kind pastes."""
     rng = np.random.default_rng(31)
-    for _ in range(40):
-        q_i, q_mi = rng.uniform(0.3, 3.0, size=2)
-        x = rng.uniform(0.1, 0.9) * fn.own_boundary.trigger(q_i, q_mi)
-        fd_own = ValueFunction._fd(fn, x, q_i, q_mi, own=True, boundary_mode="error")
-        fd_opp = ValueFunction._fd(fn, x, q_i, q_mi, own=False, boundary_mode="error")
-        assert fd_own == pytest.approx(fn.partials(x, q_i, q_mi, ("qi",))["qi"], abs=1e-6)
-        assert fd_opp == pytest.approx(fn.partials(x, q_i, q_mi, ("qmi",))["qmi"], abs=1e-6)
+    for fn in (SoleInvestorValue(golden, 1.1 * golden.p_star),
+               *(DynamicValue(golden, c) for c in (0.0, 0.5, 1.0))):
+        own = fn.strategy_pair()[0]
+        for _ in range(10):
+            q_i, q_mi = own.q_floor + rng.uniform(0.3, 3.0, size=2)
+            for frac in (rng.uniform(0.1, 0.9), 1.0, rng.uniform(1.1, 2.0)):
+                x = frac * own.trigger(q_i, q_mi)
+                d = fn.partials(x, q_i, q_mi, ("qi", "qmi"))
+                fd_own = _central_difference(lambda q: fn.value(x, q, q_mi), q_i)
+                fd_opp = _central_difference(lambda q: fn.value(x, q_i, q), q_mi)
+                assert fd_own == pytest.approx(d["qi"], abs=5e-9), (fn.kind, frac)
+                assert fd_opp == pytest.approx(d["qmi"], abs=5e-9), (fn.kind, frac)
 
 
 def test_power_rule_second_derivative(golden):
@@ -224,7 +234,9 @@ def test_dynamic_c0_reduces_to_abstain(golden):
 
 def test_dynamic_b_against_scipy_oracle(golden):
     """Independent quadrature route: scipy QUADPACK on the original variable,
-    split at the kink q = q_mi, with the infinite-range rule beyond it."""
+    split at the kink q = q_mi, with the infinite-range rule beyond it.  B's
+    q_mi-derivative, integrated alongside B, against a central difference of
+    the oracle."""
     pr = golden
     opts = dict(epsabs=0.0, epsrel=1e-13, limit=500)
     for c in (0.0, 0.5, 1.0):
@@ -237,21 +249,30 @@ def test_dynamic_b_against_scipy_oracle(golden):
             mr = s ** (-1 / pr.gamma - 1) * ((pr.gamma - 1) / pr.gamma * q + q_mi)
             return (1 - xbar * mr / (pr.r - pr.mu)) * xbar ** (-pr.beta)
 
-        # q_i below, at and above the kink q = q_mi, up to far above it.
-        for (q_i, q_mi) in [(1.0, 1.0), (0.8, 1.5), (2.5, 0.9), (1.2, 1.2),
-                            (1.3 * 2.0 ** -8, 1.3), (1.3 * 8.0, 1.3), (1.3 * 1.37, 1.3),
-                            (0.9 * 2.0 ** 14, 0.9)]:
+        def oracle(q_i, q_mi):
             ref, lo = 0.0, q_i
             if q_i < q_mi:
                 ref += quad(integrand, q_i, q_mi, args=(q_mi,), **opts)[0]
                 lo = q_mi
             # The slowly decaying tail makes QUADPACK report roundoff even
-            # where it converges; the comparison below is the check.
+            # where it converges; the comparisons below are the check.
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", IntegrationWarning)
                 ref += quad(integrand, lo, math.inf, args=(q_mi,), **opts)[0]
+            return -ref
+
+        # q_i below, at and above the kink q = q_mi, up to far above it.
+        for (q_i, q_mi) in [(1.0, 1.0), (0.8, 1.5), (2.5, 0.9), (1.2, 1.2),
+                            (1.3 * 2.0 ** -8, 1.3), (1.3 * 8.0, 1.3), (1.3 * 1.37, 1.3),
+                            (0.9 * 2.0 ** 14, 0.9)]:
+            ref = oracle(q_i, q_mi)
             b = fn.B(q_i, q_mi)
-            assert abs(b + ref) <= 1e-10 * (1.0 + abs(ref)), (c, q_i, q_mi, b, -ref)
+            assert abs(b - ref) <= 1e-10 * (1.0 + abs(ref)), (c, q_i, q_mi, b, ref)
+            ref_qmi = _central_difference(lambda q: oracle(q_i, q), q_mi)
+            b_qmi = fn._b_cache[q_i, q_mi][1]
+            # The difference divides the oracle's rounding by its step.
+            assert abs(b_qmi - ref_qmi) <= 5e-9 * (1.0 + abs(ref_qmi)), \
+                (c, q_i, q_mi, b_qmi, ref_qmi)
 
 
 def test_dynamic_b_linear_bound(golden):
@@ -269,16 +290,16 @@ def test_dynamic_smooth_fit_own(golden):
     fn = DynamicValue(golden, 1.0)
     for (q_i, q_mi) in [(1.0, 0.9), (0.9, 1.3), (fn.q_floor, fn.q_floor), (2.2, 2.2)]:
         xb = fn.boundary.trigger(q_i, q_mi)
-        d = fn.partials(xb, q_i, q_mi, ("qi",), boundary_mode="allow")["qi"]
-        assert d == pytest.approx(1.0, abs=1e-8)
+        d = fn.partials(xb, q_i, q_mi, ("qi",))["qi"]
+        assert d == pytest.approx(1.0, abs=1e-14)
 
 
 def test_dynamic_opponent_derivative_zero_when_bigger(golden):
     fn = DynamicValue(golden, 1.0)
     for (q_i, q_mi) in [(1.0, 0.9), (2.0, 1.0), (1.5, 1.5)]:
         xb = fn.boundary.trigger(q_i, q_mi)
-        d = fn.partials(xb, q_i, q_mi, ("qmi",), boundary_mode="allow")["qmi"]
-        assert d == pytest.approx(0.0, abs=1e-8)
+        d = fn.partials(xb, q_i, q_mi, ("qmi",))["qmi"]
+        assert d == pytest.approx(0.0, abs=1e-13)
 
 
 def test_branch_continuity_all_kinds(golden):
@@ -323,19 +344,7 @@ def test_dynamic_zero_capacity(golden):
         fn.value(1.0, 0.0, 0.0)
 
 
-def test_partials_straddle_guard(golden):
-    fn = DynamicValue(golden, 1.0)
-    q_i, q_mi = 1.0, 1.1
-    xb = fn.boundary.trigger(q_i, q_mi)
-    with pytest.raises(TooCloseToBoundaryError):
-        fn.partials(xb, q_i, q_mi, ("qi",), boundary_mode="error")
-    # and the explicit opt-in works
-    fn.partials(xb, q_i, q_mi, ("qi",), boundary_mode="allow")
-
-
-# numpy's vectorized power may differ from the scalar one in the last bit,
-# and a finite-difference stencil divides such a difference by its step
-# (stencil weights sum to at most 12/h).
+# numpy's vectorized power may differ from the scalar one in the last bit.
 _ULPS = 4 * np.finfo(float).eps
 
 
@@ -346,7 +355,7 @@ def _array_cases(golden):
     for fn in kinds:
         own, opp = fn.strategy_pair()
         floor = max(b.q_floor for b in (own, opp))
-        # The first pair sits on the floor (one-sided stencil in q_i).
+        # The first pair sits on the floor.
         for q_i, q_mi in ((floor, floor + 0.4), (floor + 0.7, floor + 0.2)):
             cap = min(own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i))
             yield fn, q_i, q_mi, cap * np.exp(np.linspace(np.log(0.05), 0.0, 12))
@@ -354,40 +363,22 @@ def _array_cases(golden):
 
 def test_array_partials_match_scalar(golden):
     """Values and partials over an array of shock levels equal the scalar
-    ones level by level: below the trigger, at the top grid level, whose
-    stencil straddles the trigger, and above the trigger."""
+    ones level by level: below the trigger, at the top grid level, on the
+    trigger, and above the trigger."""
     for fn, q_i, q_mi, xs in _array_cases(golden):
         levels = np.append(xs, 1.6 * xs[-1])
         vals = fn.value(levels, q_i, q_mi)
         keys = ("x", "qi", "qmi")
-        arr = fn.partials(levels, q_i, q_mi, keys, boundary_mode="allow")
+        arr = fn.partials(levels, q_i, q_mi, keys)
         arr["xx"] = fn.partials(xs, q_i, q_mi, ("xx",))["xx"]
         for k, x in enumerate(levels):
             v = fn.value(float(x), q_i, q_mi)
             assert abs(vals[k] - v) <= _ULPS * (1.0 + abs(v)), (fn.kind, k)
-            one = fn.partials(float(x), q_i, q_mi, keys, boundary_mode="allow")
+            one = fn.partials(float(x), q_i, q_mi, keys)
             if k < len(xs):
                 one["xx"] = fn.partials(float(x), q_i, q_mi, ("xx",))["xx"]
             for key, d in one.items():
-                tol = _ULPS * (1.0 + abs(d))
-                if key in ("qi", "qmi"):
-                    tol += 12.0 * _ULPS * (1.0 + abs(v)) / (1e-5 * max(1.0, q_i, q_mi))
-                assert abs(arr[key][k] - d) <= tol, (fn.kind, key, k)
-
-
-def test_array_partials_straddle_guard(golden):
-    """boundary_mode="error" raises when any level's stencil straddles the
-    trigger, and not when none does."""
-    for c in (0.5, 1.0):
-        fn = DynamicValue(golden, c)
-        q_i, q_mi = fn.q_floor + 0.7, fn.q_floor + 0.2
-        xs = fn.boundary.trigger(q_i, q_mi) * np.exp(np.linspace(np.log(0.05), 0.0, 12))
-        with pytest.raises(TooCloseToBoundaryError):
-            fn.partials(xs, q_i, q_mi, ("qi",), boundary_mode="error")
-        with pytest.raises(TooCloseToBoundaryError):
-            fn.partials(xs, q_i, q_mi, ("qmi",), boundary_mode="error")
-        d = fn.partials(xs[:-1], q_i, q_mi, ("qi", "qmi"), boundary_mode="error")
-        assert d["qi"].shape == d["qmi"].shape == (len(xs) - 1,)
+                assert abs(arr[key][k] - d) <= _ULPS * (1.0 + abs(d)), (fn.kind, key, k)
 
 
 def test_perturbed_below_branch_matches_loop(golden):
@@ -493,14 +484,16 @@ def test_b_cache_is_bounded(golden, monkeypatch):
 
 def test_dynamic_c0_matches_abstain_at_huge_capital(golden):
     """B stays accurate while the map's nodes stay in the floating-point
-    range, and refuses once they leave it."""
+    range, and refuses once they leave it, without a numpy warning first."""
     fn = DynamicValue(golden, 0.0)
     va = AbstainValue(golden, golden.p_star)
     for q in (1e100, 1e200, 1e250, 1e270):
         x = 0.5 * fn.boundary.trigger(q, q)
         assert fn.value(x, q, q) / q == pytest.approx(va.value(x, q, q) / q, abs=3e-14), q
-    with pytest.raises(QuadratureNotConvergedError, match="floating-point range"):
-        fn.B(1e290, 1e290)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureNotConvergedError, match="floating-point range"):
+            fn.B(1e290, 1e290)
 
 
 def test_b_tail_outside_envelope_raises(golden):

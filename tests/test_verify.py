@@ -83,9 +83,9 @@ def test_condition5_edge_margin(golden):
     fn = DynamicValue(golden, 1.0)
     qf = fn.q_floor
     xb = fn.boundary.trigger(qf, qf)
-    d_at = fn.partials(xb, qf, qf, ("qi",), boundary_mode="allow")["qi"]
-    assert d_at == pytest.approx(1.0, abs=1e-6)
-    d_in = fn.partials(0.995 * xb, qf, qf, ("qi",), boundary_mode="allow")["qi"]
+    d_at = fn.partials(xb, qf, qf, ("qi",))["qi"]
+    assert d_at == pytest.approx(1.0, abs=1e-14)
+    d_in = fn.partials(0.995 * xb, qf, qf, ("qi",))["qi"]
     assert d_in <= 1.0 + 1e-9
     assert d_in > 1.0 - 5e-4
 
