@@ -30,7 +30,8 @@ from .errors import (
 )
 from .model import ModelParams
 
-# Absolute root tolerance: 1e-12 * max(1, q).
+# Root tolerance: relative, 1e-12 * q, for the Newton solver; absolute,
+# 1e-12 * max(1, q), for the reference bisection.
 _ROOT_TOL = 1e-12
 # Safeguarded Newton falls back to bisection, so this cap is never reached
 # on a valid bracket.
@@ -202,57 +203,68 @@ class DynamicBoundary:
         trig = self._raw_trigger(q_i, q_mi)
         return trig if isinstance(trig, np.ndarray) else float(trig)
 
+    def _terms(self, big, s):
+        """The trigger (p_star + c/big) * s**(1/gamma) and the two terms of
+        its derivative, through s and through the premium c/big; shared by
+        trigger_grad and the Newton solver.  The premium term is
+        c/big * s_a/big, not c*s_a/big**2, so that it does not underflow for
+        a premium near 1e-303."""
+        s_a = s ** (1.0 / self.params.gamma)
+        prem = self.c / big
+        trig = (self.params.p_star + prem) * s_a
+        return trig, trig / (self.params.gamma * s), prem * s_a / big
+
     def trigger_grad(self, q_i: float, q_mi: float) -> tuple:
         """(dT/dq_i, dT/dq_mi) of the raw trigger at one capital pair.  The
         premium c/max(q_i, q_mi) moves with the bigger capital, q_i on the
         kink q_i = q_mi, where its one-sided derivative is the one for
         growing q_i."""
-        a = 1.0 / self.params.gamma
-        s = q_i + q_mi
-        s_a = s ** a
-        big = q_i if q_i >= q_mi else q_mi
-        via_s = a * (self.params.p_star + self.c / big) * s_a / s
-        via_prem = self.c / big * s_a / big
+        _, via_s, via_prem = self._terms(q_i if q_i >= q_mi else q_mi, q_i + q_mi)
         return (via_s - via_prem, via_s) if q_i >= q_mi else (via_s, via_s - via_prem)
 
     def base_capacity(self, x: float, q_mi: float) -> float:
         """Smallest own capital (>= q_floor) keeping the trigger at or above
-        one shock level x; the scalar counterpart of base_capacity_array.
-
-        Closed form for c = 0.  Otherwise the trigger has a kink at q = q_mi:
-        below it the premium is frozen at c/q_mi and the trigger inverts in
-        closed form; above it a safeguarded Newton iteration on
-        (p_star + c/q)(q + q_mi)**(1/gamma), with its analytic derivative,
-        stays inside [max(q_floor, q_mi), max(q_floor, (x/p_star)**gamma -
-        q_mi) + 1], bisects whenever a step would leave that bracket, and
-        stops once a step is below 1e-12 * max(1, q).
-        """
+        one shock level x; closed form for c = 0, otherwise _inverse."""
         x, q_mi = float(x), float(q_mi)
-        p_star, gamma, c = self.params.p_star, self.params.gamma, self.c
-        if c == 0.0:
-            return max(0.0, (x / p_star) ** gamma - q_mi)
+        if self.c == 0.0:
+            return max(0.0, (x / self.params.p_star) ** self.params.gamma - q_mi)
         self._check_floor(q_mi)
+        return self._inverse(x, q_mi, 1)
+
+    def _inverse(self, x: float, q_mi: float, k: int) -> float:
+        """Smallest q >= q_floor with (p_star + c/max(q, q_mi)) *
+        (k*q + q_mi)**(1/gamma) >= x, for c > 0: k = 1 inverts the trigger
+        in own capital, k = 2 with q_mi = 0 on the diagonal q_i = q_mi.
+
+        The trigger has a kink at q = q_mi: below it the premium is frozen at
+        c/q_mi and the trigger inverts in closed form; above it a safeguarded
+        Newton iteration, with the analytic derivative, stays inside
+        [max(q_floor, q_mi), max(q_floor, ((x/p_star)**gamma - q_mi)/k) + 1],
+        bisects whenever a step would leave that bracket, and stops once a
+        step or the bracket is below 1e-12 * q.
+        """
+        p_star, gamma, c = self.params.p_star, self.params.gamma, self.c
         floor = self.q_floor
         a = 1.0 / gamma
-        if x <= (p_star + c / (floor if floor > q_mi else q_mi)) * (floor + q_mi) ** a:
-            return floor
-        if floor < q_mi and x <= (p_star + c / q_mi) * (2.0 * q_mi) ** a:
-            return max(floor, (x / (p_star + c / q_mi)) ** gamma - q_mi)
         lo = floor if floor > q_mi else q_mi
-        hi = max(floor, (x / p_star) ** gamma - q_mi) + 1.0
-        # The premium frozen at its value at lo overstates the trigger, so
-        # this start lies in [lo, root].
-        q = max(lo, (x / (p_star + c / lo)) ** gamma - q_mi)
+        price_lo = p_star + c / lo
+        if x <= price_lo * (k * floor + q_mi) ** a:
+            return floor
+        # The premium frozen at its value at lo is exact below the kink and
+        # overstates the trigger above it, so there q lies in [lo, root].
+        q = ((x / price_lo) ** gamma - q_mi) / k
+        if x <= price_lo * (k * lo + q_mi) ** a:
+            return max(floor, q)
+        hi = max(floor, ((x / p_star) ** gamma - q_mi) / k) + 1.0
         for _ in range(_NEWTON_MAX_ITER):
-            s_a = (q + q_mi) ** a
-            price = p_star + c / q
-            f = price * s_a - x
+            trig, via_s, via_prem = self._terms(q, k * q + q_mi)
+            f = trig - x
             if f < 0.0:
                 lo = q
             else:
                 hi = q
-            step = f / (a * price * s_a / (q + q_mi) - c / q * s_a / q)
-            if abs(step) <= _ROOT_TOL * max(1.0, q):
+            step = f / (k * via_s - via_prem)
+            if min(abs(step), hi - lo) <= _ROOT_TOL * q:
                 return min(max(q - step, lo), hi)
             q -= step
             if not lo < q < hi:
@@ -260,43 +272,66 @@ class DynamicBoundary:
         raise RootBracketError("Newton iteration for the trigger inverse did not converge")
 
     def base_capacity_array(self, x, q_mi):
-        """Smallest own capital (>= q_floor) keeping the trigger at or above x.
-
-        Closed form for c = 0; otherwise bisection on the strictly increasing
-        trigger.  (p_star + c/q)(q + q_mi)^(1/gamma) >= x holds at
-        q = max(q_floor, (x/p_star)**gamma - q_mi), which brackets the root.
-        """
-        p_star = self.params.p_star
+        """Smallest own capital (>= q_floor) keeping the trigger at or above
+        x, elementwise over arrays of x and q_mi: the closed form for c = 0,
+        otherwise _inverse at each point.  The builders pass the running-max
+        records of a path, a few dozen points, where a loop of the scalar
+        solver is faster than the same iteration vectorized."""
+        p_star, gamma = self.params.p_star, self.params.gamma
         x = np.asarray(x, dtype=float)
         if self.c == 0.0:
-            return np.maximum(0.0, (x / p_star) ** self.params.gamma - q_mi)
+            return np.maximum(0.0, (x / p_star) ** gamma - q_mi)
         self._check_floor(q_mi)
-        q_mi = np.asarray(q_mi, dtype=float)
-        floor = self.q_floor
-        at_floor = x <= self._raw_trigger(floor, q_mi)
-        hi = np.maximum(floor, (x / p_star) ** self.params.gamma - q_mi) + 1.0
-        root = _bisect_increasing(lambda q: self._raw_trigger(q, q_mi), x,
-                                  np.full_like(x, floor), hi)
-        out = np.where(at_floor, floor, np.maximum(root, floor))
-        return out if out.shape else float(out)
+        x, q_mi = np.broadcast_arrays(x, np.asarray(q_mi, dtype=float))
+        out = np.array([self._inverse(v, w, 1)
+                        for v, w in zip(x.ravel().tolist(), q_mi.ravel().tolist())])
+        return out.reshape(x.shape) if x.shape else float(out[0])
 
     def symmetric_base_capacity(self, x) -> float | np.ndarray:
-        """Smallest symmetric capital q (>= q_floor) with trigger(q, q) >= x."""
-        p_star = self.params.p_star
+        """Smallest symmetric capital q (>= q_floor) with trigger(q, q) >= x,
+        elementwise: the closed form for c = 0, otherwise _inverse at each
+        point with k = 2."""
         x = np.asarray(x, dtype=float)
         if self.c == 0.0:
-            out = 0.5 * (x / p_star) ** self.params.gamma
-            return out if out.shape else float(out)
-        floor = self.q_floor
-        at_floor = x <= self._raw_trigger(floor, floor)
-        hi = np.maximum(floor, 0.5 * (x / p_star) ** self.params.gamma) + 1.0
-        root = _bisect_increasing(lambda q: self._raw_trigger(q, q), x,
-                                  np.full_like(x, floor), hi)
-        out = np.where(at_floor, floor, np.maximum(root, floor))
+            out = 0.5 * (x / self.params.p_star) ** self.params.gamma
+        else:
+            out = np.array([self._inverse(v, 0.0, 2) for v in x.ravel().tolist()])
+            out = out.reshape(x.shape)
         return out if out.shape else float(out)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "c": self.c}
+
+
+def _reference_base_capacity(boundary: Boundary, x, q_mi=None):
+    """Bisection re-derivation of boundary.base_capacity_array(x, q_mi), or
+    of the symmetric base capacity when q_mi is None, for a dynamic boundary
+    with a premium; other boundaries go to their closed forms.
+
+    It shares no code with the Newton solver, so check_consistency, which
+    re-derives capital with it, can catch their errors.  Its tolerance is
+    absolute, 1e-12 * max(1, q), which moves |rhs - Q| / (1 + Q) by at most
+    1e-12, far inside check_consistency's 1e-8 bound.
+    """
+    if not (isinstance(boundary, DynamicBoundary) and boundary.c > 0.0):
+        if q_mi is None:
+            return boundary.symmetric_base_capacity(x)
+        return boundary.base_capacity_array(x, q_mi)
+    p_star, gamma = boundary.params.p_star, boundary.params.gamma
+    x = np.asarray(x, dtype=float)
+    floor = boundary.q_floor
+    if q_mi is None:
+        g = lambda q: boundary._raw_trigger(q, q)
+        hi = np.maximum(floor, 0.5 * (x / p_star) ** gamma) + 1.0
+    else:
+        boundary._check_floor(q_mi)
+        q_mi = np.asarray(q_mi, dtype=float)
+        g = lambda q: boundary._raw_trigger(q, q_mi)
+        hi = np.maximum(floor, (x / p_star) ** gamma - q_mi) + 1.0
+    at_floor = x <= g(floor)
+    root = _bisect_increasing(g, x, np.full_like(x, floor), hi)
+    out = np.where(at_floor, floor, np.maximum(root, floor))
+    return out if out.shape else float(out)
 
 
 Boundary = ConstantPriceBoundary | DynamicBoundary | InfiniteBoundary

@@ -71,6 +71,12 @@ def _collect(fn, n_paths: int, threads: int) -> np.ndarray:
     return out
 
 
+def _se(vals: np.ndarray) -> float:
+    """Standard error of the mean of i.i.d. samples; inf for one sample."""
+    n = len(vals)
+    return float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else np.inf
+
+
 def estimate_payoff(params: ModelParams, builder, firm: int, x0: float,
                     n_paths: int, dt: float, horizon: float, seed: int,
                     tail_boundary: Boundary | None = None,
@@ -88,7 +94,7 @@ def estimate_payoff(params: ModelParams, builder, firm: int, x0: float,
 
     vals = _collect(one, n_paths, threads)
     mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else np.inf
+    se = _se(vals)
     if tail_boundary is not None:
         coeff = value_linear_bound_coeff(params, tail_boundary)
         tail = float(np.exp(-params.r * horizon) * coeff * (1.0 + np.mean(q_ends)))
@@ -100,13 +106,18 @@ def estimate_payoff(params: ModelParams, builder, firm: int, x0: float,
 
 @dataclass(frozen=True)
 class DeviationResult:
-    """Payoff comparison for firm 1 deviating from an equilibrium boundary."""
+    """Payoff comparison for firm 1 deviating from an equilibrium boundary:
+    each arm's mean payoff and standard error, and the mean and standard
+    error of the per-path difference, which common random numbers make
+    smaller than either arm's."""
 
     payoff_deviant: float
     payoff_equilibrium: float
     diff_mean: float
     diff_se: float
     n: int
+    se_deviant: float
+    se_equilibrium: float
 
     @property
     def significant_loss(self) -> bool:
@@ -116,7 +127,8 @@ class DeviationResult:
     def to_json(self) -> dict:
         return {"payoff_deviant": self.payoff_deviant,
                 "payoff_equilibrium": self.payoff_equilibrium,
-                "diff_mean": self.diff_mean, "diff_se": self.diff_se, "n": self.n}
+                "diff_mean": self.diff_mean, "diff_se": self.diff_se, "n": self.n,
+                "se_deviant": self.se_deviant, "se_equilibrium": self.se_equilibrium}
 
 
 def deviation_experiment(params: ModelParams, equilibrium_boundary: Boundary,
@@ -131,7 +143,6 @@ def deviation_experiment(params: ModelParams, equilibrium_boundary: Boundary,
     (deviant first) on the same shock path, so with the deviant equal to the
     equilibrium boundary the difference is identically zero.
     """
-    diffs = np.empty(n_paths)
     devs = np.empty(n_paths)
 
     def one(j: int) -> float:
@@ -140,17 +151,17 @@ def deviation_experiment(params: ModelParams, equilibrium_boundary: Boundary,
                                       path, q1_0, q2_0)
         out_eq = build_joint_outcome(equilibrium_boundary, equilibrium_boundary,
                                      path, q1_0, q2_0)
-        pd = payoff(params, out_dev, 1)
-        devs[j] = pd
-        return pd - payoff(params, out_eq, 1)
+        devs[j] = payoff(params, out_dev, 1)
+        return payoff(params, out_eq, 1)
 
-    diffs = _collect(one, n_paths, threads)
+    eqs = _collect(one, n_paths, threads)
+    diffs = devs - eqs
     diff_mean = float(np.mean(diffs))
-    diff_se = float(np.std(diffs, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else np.inf
     pi_dev = float(np.mean(devs))
     return DeviationResult(payoff_deviant=pi_dev,
                            payoff_equilibrium=pi_dev - diff_mean,
-                           diff_mean=diff_mean, diff_se=diff_se, n=n_paths)
+                           diff_mean=diff_mean, diff_se=_se(diffs), n=n_paths,
+                           se_deviant=_se(devs), se_equilibrium=_se(eqs))
 
 
 def npv_at_boundary(params: ModelParams, p: float) -> float:

@@ -26,6 +26,7 @@ from .boundaries import (
     ConstantPriceBoundary,
     DynamicBoundary,
     InfiniteBoundary,
+    _reference_base_capacity,
     require_same_constant_price,
 )
 from .errors import BelowFloorError, InvalidSplitError, KindMismatchError
@@ -223,15 +224,18 @@ class ConsistencyReport:
 def check_consistency(outcome: Outcome, boundary: Boundary, firm: int) -> ConsistencyReport:
     """Re-derive firm's capital from the stored opponent path and compare.
 
-    Also checks the support condition: whenever the stored capital increases
-    by more than a jump tolerance, the shock must sit within
-    band = _BAND_SIGMAS * sigma * X * sqrt(dt) of the firm's trigger.
+    Capital is re-derived at every grid point by the reference bisection,
+    not by the Newton solver that the builders use, so that an error of
+    theirs shows as a deviation.  Also checks the support condition:
+    whenever the stored capital increases by more than a jump tolerance, the
+    shock must sit within band = _BAND_SIGMAS * sigma * X * sqrt(dt) of the
+    firm's trigger.
     """
     params = boundary.params
     q = outcome.capital(firm)
     q_opp = outcome.capital(3 - firm)
     x = outcome.path.values
-    phi = boundary.base_capacity_array(x, q_opp)
+    phi = _reference_base_capacity(boundary, x, q_opp)
     rhs = np.maximum(outcome.initial(firm), running_sup(phi))
     dev = np.abs(rhs - q) / (1.0 + q)
     worst = int(np.argmax(dev))

@@ -25,6 +25,7 @@ in capitals over [q_floor, 10 * q_floor + q_span].
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,13 +34,16 @@ import numpy as np
 
 from .boundaries import InfiniteBoundary
 from .model import ModelParams
-from .outcomes import Outcome
 from .paths import generate_path
 
 TOL_ANALYTIC = 1e-9
 TOL_QUAD = 1e-7
 # Opponent increments checked per simulated path, evenly subsampled.
 _MAX_INCREMENTS = 60
+# Paths of the opponent-increment check in a full report.
+_INCREMENT_PATHS = 20
+# Default simulation seed of the outcome-based side conditions.
+SEED = 7
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,7 @@ def check_derivative_propagation(value_fn, pair, spec: GridSpec = GridSpec()) ->
 
 def check_transversality(value_fn, params: ModelParams, builder, x0: float,
                          horizon: float, n_paths: int = 400, dt: float = 0.01,
-                         seed: int = 7, abs_cap: float = 1e-3) -> ConditionResult:
+                         seed: int = SEED, abs_cap: float = 1e-3) -> ConditionResult:
     """Estimate e^{-rT} E|V| at T and 2T along simulated outcomes.
 
     Passes when the 2T estimate is below half the T estimate (or both are
@@ -264,57 +268,91 @@ def check_transversality(value_fn, params: ModelParams, builder, x0: float,
     T = 6, dt = 0.01) it fails on about 2.5% of seeds for the exact
     DynamicValue of c = 0.5 and c = 1.
     """
-    k_mid = int(round(horizon / dt))
-    totals = [0.0, 0.0]   # sums of |V| at T and at 2T
-    for j in range(n_paths):
-        path = generate_path(params, x0, dt, 2 * horizon, seed, j)
-        out: Outcome = builder(path)
-        for m, k in enumerate((k_mid, -1)):
-            totals[m] += abs(value_fn.value(float(path.values[k]),
-                                            float(out.Q1[k]), float(out.Q2[k])))
-    ests = {mult: np.exp(-params.r * mult * horizon) * totals[mult - 1] / n_paths
-            for mult in (1, 2)}
-    halved = ests[2] <= 0.5 * ests[1] or ests[1] <= abs_cap
-    passed = bool(halved and ests[2] <= abs_cap)
-    return ConditionResult("transversality", worst=float(ests[2]),
-                           at=(float(ests[1]), float(ests[2])), tol=abs_cap,
-                           passed=passed,
-                           note=f"e^-rT E|V|: T={ests[1]:.3e}, 2T={ests[2]:.3e}")
+    outcomes = _outcomes(params, builder, x0, 2 * horizon, n_paths, dt, seed)
+    return _transversality(value_fn, params.r, outcomes, horizon, dt, abs_cap)
 
 
 def check_opponent_increment_derivative(value_fn, params: ModelParams, builder,
                                         x0: float, horizon: float,
-                                        n_paths: int = 20, dt: float = 0.01,
-                                        seed: int = 11) -> ConditionResult:
+                                        n_paths: int = _INCREMENT_PATHS, dt: float = 0.01,
+                                        seed: int = SEED) -> ConditionResult:
     """Along simulated outcomes, V_qmi must vanish wherever the opponent
     actually invests on the joint boundary (initial jump included).
 
     Checked on the built outcomes only, not over all conceivable outcomes;
     increment indices are subsampled per path to bound the cost.
     """
-    own, opp = value_fn.strategy_pair()
+    outcomes = _outcomes(params, builder, x0, horizon, n_paths, dt, seed)
+    return _increment_derivative(value_fn, outcomes, int(round(horizon / dt)) + 1)
+
+
+def _outcomes(params: ModelParams, builder, x0: float, horizon: float, n_paths: int,
+              dt: float, seed: int):
+    """Outcomes of paths 0..n_paths-1 of `seed`, each simulated and built to
+    `horizon`, one at a time."""
+    for j in range(n_paths):
+        yield builder(generate_path(params, x0, dt, horizon, seed, j))
+
+
+def _transversality(value_fn, r: float, outcomes, horizon: float, dt: float,
+                    abs_cap: float) -> ConditionResult:
+    """The transversality verdict over outcomes built to 2T, reading each at
+    grid index round(T/dt) and at its end."""
+    k_mid = int(round(horizon / dt))
+    totals = [0.0, 0.0]   # sums of |V| at T and at 2T
+    n = 0
+    for out in outcomes:
+        n += 1
+        for m, k in enumerate((k_mid, -1)):
+            totals[m] += abs(value_fn.value(float(out.path.values[k]),
+                                            float(out.Q1[k]), float(out.Q2[k])))
+    ests = {mult: np.exp(-r * mult * horizon) * totals[mult - 1] / n for mult in (1, 2)}
+    halved = ests[2] <= 0.5 * ests[1] or ests[1] <= abs_cap
+    return ConditionResult("transversality", worst=float(ests[2]),
+                           at=(float(ests[1]), float(ests[2])), tol=abs_cap,
+                           passed=bool(halved and ests[2] <= abs_cap),
+                           note=f"e^-rT E|V|: T={ests[1]:.3e}, 2T={ests[2]:.3e}")
+
+
+def _increment_derivative(value_fn, outcomes, end: int) -> ConditionResult:
+    """The opponent-increment verdict: |V_qmi| at the opponent's increments
+    among the first `end` grid indices of each outcome, where they lie on
+    firm 1's trigger."""
+    own = value_fn.strategy_pair()[0]
     if isinstance(own, InfiniteBoundary):
         return _void("opponent_increment_derivative",
                      "void: own trigger infinite, opponent increments unrestricted")
-    tol = _tolerance(value_fn)
     worst = _Worst(0.0)
-    for j in range(n_paths):
-        path = generate_path(params, x0, dt, horizon, seed, j)
-        out: Outcome = builder(path)
-        dq2 = np.diff(out.Q2)
-        idx = np.nonzero(dq2 > 1e-12 * (1.0 + out.Q2[1:]))[0] + 1
-        if out.Q2[0] > out.initial(2) + 1e-12:
+    for out in outcomes:
+        head = out.Q2[:end]
+        idx = np.nonzero(np.diff(head) > 1e-12 * (1.0 + head[1:]))[0] + 1
+        if head[0] > out.initial(2) + 1e-12:
             idx = np.concatenate(([0], idx))
         if len(idx) > _MAX_INCREMENTS:
             idx = idx[np.linspace(0, len(idx) - 1, _MAX_INCREMENTS).astype(int)]
         for k in idx:
-            x, q1, q2 = float(path.values[k]), float(out.Q1[k]), float(out.Q2[k])
-            own_trig = own.trigger(q1, q2)
-            if x < own_trig * (1.0 - 1e-9):
+            x, q1, q2 = float(out.path.values[k]), float(out.Q1[k]), float(out.Q2[k])
+            if x < own.trigger(q1, q2) * (1.0 - 1e-9):
                 continue  # opponent invests strictly inside firm 1's region
-            d = value_fn.partials(x, q1, q2, ("qmi",))["qmi"]
-            worst.add(abs(d), x, q1, q2)
-    return worst.result("opponent_increment_derivative", tol)
+            worst.add(abs(value_fn.partials(x, q1, q2, ("qmi",))["qmi"]), x, q1, q2)
+    return worst.result("opponent_increment_derivative", _tolerance(value_fn))
+
+
+def _side_conditions(value_fn, builder, x0: float, horizon: float, n_paths: int = 400,
+                     dt: float = 0.01, seed: int = SEED, abs_cap: float = 1e-3) -> tuple:
+    """check_transversality and check_opponent_increment_derivative on one
+    set of outcomes: each path is simulated and built once, to 2T, and the
+    increment check reads the first _INCREMENT_PATHS of them up to grid
+    index round(T/dt).  By the prefix property of check_transversality this
+    equals building those paths to T."""
+    outcomes = _outcomes(value_fn.params, builder, x0, 2 * horizon,
+                         max(n_paths, _INCREMENT_PATHS), dt, seed)
+    head = list(itertools.islice(outcomes, _INCREMENT_PATHS))
+    inc = _increment_derivative(value_fn, head, int(round(horizon / dt)) + 1)
+    tv = _transversality(value_fn, value_fn.params.r,
+                         itertools.islice(itertools.chain(head, outcomes), n_paths),
+                         horizon, dt, abs_cap)
+    return tv, inc
 
 
 def run_verification(value_fn, pair=None, spec: GridSpec = GridSpec(),
@@ -323,8 +361,10 @@ def run_verification(value_fn, pair=None, spec: GridSpec = GridSpec(),
     simulation configuration is supplied, the outcome-based side conditions
     (transversality and the opponent-increment derivative).
 
-    simulation keys: builder, x0, horizon, plus optional n_paths, dt, seed,
-    abs_cap (passed to the transversality probe).
+    simulation keys: builder, x0, horizon, plus optional n_paths, dt, seed
+    and abs_cap of the transversality probe.  Each of its n_paths paths is
+    simulated and built once, to 2T; the increment check reads the first 20
+    of those outcomes up to grid index round(T/dt).
     """
     if pair is None:
         pair = value_fn.strategy_pair()
@@ -338,10 +378,6 @@ def run_verification(value_fn, pair=None, spec: GridSpec = GridSpec(),
         report.add(res)
     report.add(check_derivative_propagation(value_fn, pair, spec))
     if simulation is not None:
-        sim = dict(simulation)
-        cap = sim.pop("abs_cap", 1e-3)
-        inc = {k: sim[k] for k in ("builder", "x0", "horizon") if k in sim}
-        inc.update({k: sim[k] for k in ("dt", "seed") if k in sim})
-        report.add(check_transversality(value_fn, value_fn.params, abs_cap=cap, **sim))
-        report.add(check_opponent_increment_derivative(value_fn, value_fn.params, **inc))
+        for res in _side_conditions(value_fn, **simulation):
+            report.add(res)
     return report

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The Monte Carlo runs are
 shared across criteria 5, 6 and 10 (same paths, same seed), so the whole
-module stays within its runtime budgets on a desk machine.
+module stays within its runtime budgets on a desk machine.  Every test here
+is marked `slow`, so `pytest -m "not slow"` leaves the module out.
 """
 
 import math
@@ -24,6 +25,8 @@ from duopoly_invest.outcomes import (
 from duopoly_invest.paths import running_sup
 from duopoly_invest.values import AbstainValue, DynamicValue, PerturbedValue, SoleInvestorValue
 from duopoly_invest.verify import GridSpec, check_pde, check_smooth_fit, run_verification
+
+pytestmark = pytest.mark.slow
 
 GOLDEN = dict(r=1.0, mu=0.0, sigma=math.sqrt(2.0), gamma=1.5)
 

@@ -9,6 +9,7 @@ from duopoly_invest.boundaries import (
     ConstantPriceBoundary,
     DynamicBoundary,
     InfiniteBoundary,
+    _reference_base_capacity,
     boundary_from_json,
 )
 from duopoly_invest.errors import (
@@ -57,40 +58,94 @@ def test_check_floor_scalars_and_arrays(golden):
     b._check_floor(b.q_floor, np.float64(b.q_floor), np.full(3, b.q_floor))
 
 
+def _levels(b, q_mi):
+    """Shock levels below and at the floor trigger, just above it, around
+    the kink q = q_mi (1e-15 and 1e-9 relative), across the Newton range and
+    at 1e3 times the floor and kink triggers."""
+    t_floor, t_kink = b.trigger(b.q_floor, q_mi), b.trigger(q_mi, q_mi)
+    return np.concatenate((
+        [0.5 * t_floor, t_floor, t_floor * (1.0 + 1e-9), t_floor * (1.0 + 1e-6)],
+        t_kink * (1.0 + np.array([-1e-9, -1e-15, 0.0, 1e-15, 1e-9])),
+        t_floor * np.exp(np.linspace(0.01, 4.0, 25)),
+        [1e3 * t_floor, 1e3 * t_kink]))
+
+
 def test_newton_base_capacity_matches_bisection(golden):
-    """The scalar Newton inverse agrees with the array bisection at the
-    floor, just above the floor trigger, across the kink q = q_mi and far
-    above the trigger."""
-    for c in (0.5, 1.0):
+    """The scalar inverse and the array inverse, which loops it, agree with
+    the reference bisection, and with each other, within 1e-12 * max(1, q):
+    at the floor, just above the floor trigger, across the kink q = q_mi and
+    far above the trigger.  At q_mi = q_floor the kink is the floor, where the
+    trigger's slope in q vanishes, so a rounding of x moves the root by
+    about 1e-16 / sqrt(x / trigger - 1) relative: there both inverses must
+    reproduce x instead."""
+    for c in (0.5, 1.0, 2.0):
         b = DynamicBoundary(golden, c)
         qf = b.q_floor
-        for q_mi in (qf + 0.3, qf + 1.0, 3.0):
-            t_floor, t_kink = b.trigger(qf, q_mi), b.trigger(q_mi, q_mi)
-            xs = np.concatenate((
-                [0.5 * t_floor, t_floor, t_floor * (1.0 + 1e-9), t_floor * (1.0 + 1e-6)],
-                t_kink * (1.0 + np.array([-1e-9, -1e-15, 0.0, 1e-15, 1e-9])),
-                t_floor * np.exp(np.linspace(0.01, 4.0, 25)),
-                [1e3 * t_floor, 1e3 * t_kink]))
-            ref = b.base_capacity_array(xs, q_mi)
-            got = np.array([b.base_capacity(float(x), q_mi) for x in xs])
-            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, got)), (c, q_mi)
-            assert got[0] == got[1] == qf
+        for q_mi in (qf, qf + 0.3, qf + 1.0, 3.0):
+            xs = _levels(b, q_mi)
+            ref = _reference_base_capacity(b, xs, q_mi)
+            got = b.base_capacity_array(xs, q_mi)
+            one = np.array([b.base_capacity(float(x), q_mi) for x in xs])
+            assert got[0] == got[1] == one[0] == one[1] == qf
+            if q_mi == qf:
+                for q in (got, one):
+                    up = xs > b.trigger(qf, q_mi)
+                    assert np.all(np.abs(b.trigger(q[up], q_mi) / xs[up] - 1.0) <= 1e-15)
+                continue
+            for q in (got, one):
+                assert np.all(np.abs(q - ref) <= 1e-12 * np.maximum(1.0, ref)), (c, q_mi)
+            assert np.all(np.abs(got - one) <= 1e-12 * np.maximum(1.0, one)), (c, q_mi)
             assert got[4] < q_mi < got[8]
 
 
+def test_base_capacity_array_shapes(golden):
+    """Scalars give floats, and arrays of x and q_mi broadcast."""
+    b = DynamicBoundary(golden, 1.0)
+    qf = b.q_floor
+    x = 2.0 * b.trigger(qf, 1.0)
+    assert isinstance(b.base_capacity_array(x, 1.0), float)
+    assert b.base_capacity_array(x, 1.0) == pytest.approx(b.base_capacity(x, 1.0), rel=1e-12)
+    grid = b.base_capacity_array(np.array([[x], [2.0 * x]]), np.array([qf, 1.0, 2.0]))
+    assert grid.shape == (2, 3)
+    for (i, j), q in np.ndenumerate(grid):
+        assert q == pytest.approx(b.base_capacity((1 + i) * x, [qf, 1.0, 2.0][j]), rel=1e-12)
+
+
+def test_symmetric_newton_matches_bisection(golden):
+    """psi against the reference bisection within 1e-12 * max(1, q), and
+    against its closed form at c = 0."""
+    for c in (0.5, 1.0, 2.0):
+        b = DynamicBoundary(golden, c)
+        t_floor = b.trigger(b.q_floor, b.q_floor)
+        xs = t_floor * np.concatenate((
+            [0.5, 1.0, 1.0 + 1e-15, 1.0 + 1e-9, 1e3],
+            np.exp(np.linspace(0.01, 5.0, 60))))
+        ref = _reference_base_capacity(b, xs)
+        got = b.symmetric_base_capacity(xs)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, ref)), c
+        assert got[0] == got[1] == b.q_floor
+    b0 = DynamicBoundary(golden, 0.0)
+    xs = golden.p_star * np.exp(np.linspace(-3.0, 5.0, 40))
+    assert np.array_equal(b0.symmetric_base_capacity(xs),
+                          0.5 * (xs / golden.p_star) ** golden.gamma)
+
+
 def test_base_capacity_at_tiny_premium(golden):
-    """At a premium near 1e-303 the floor is near 1e-303 too, and the Newton
-    step's premium term must not underflow: the root brackets the shock
-    within the solver's tolerance 1e-12 * max(1, q)."""
+    """At a premium near 1e-303 the floor and the roots are near 1e-303
+    too: the Newton step's premium term must not underflow, and the solver
+    stops on a relative step, so each root reproduces its shock level to
+    1e-11 relative (scalar and array phi, and psi)."""
     b = DynamicBoundary(golden, 1.6138520769888095e-303)
     qf = b.q_floor
-    for q_mi in (qf, 2.0 * qf, 1.0):
-        for frac in (1.05, 1.3, 2.0):
+    for frac in (1.05, 1.3, 2.0):
+        for q_mi in (qf, 2.0 * qf, 1.0):
             x = frac * b.trigger(qf, q_mi)
-            q = b.base_capacity(x, q_mi)
-            tol = 1e-12 * max(1.0, q)
-            assert qf <= q
-            assert b._raw_trigger(max(qf, q - tol), q_mi) <= x <= b._raw_trigger(q + tol, q_mi)
+            for q in (b.base_capacity(x, q_mi), b.base_capacity_array(np.array([x]), q_mi)[0]):
+                assert qf <= q
+                assert abs(b._raw_trigger(q, q_mi) / x - 1.0) <= 1e-11, (frac, q_mi)
+        x = frac * b.trigger(qf, qf)
+        q = b.symmetric_base_capacity(x)
+        assert abs(b._raw_trigger(q, q) / x - 1.0) <= 1e-11, frac
 
 
 def test_trigger_grad_matches_central_difference(golden):

@@ -82,6 +82,19 @@ def test_deviation_zero_for_equal_boundary(golden, cp):
     assert res.diff_se == 0.0
 
 
+def test_deviation_reports_each_arm_se(golden, cp):
+    """With the deviant equal to the equilibrium boundary the two arms are
+    the same payoffs: equal arm standard errors, a zero SE of the
+    difference, and both in the JSON."""
+    res = deviation_experiment(golden, cp, ConstantPriceBoundary(golden, golden.p_star),
+                               x0=2.0, q1_0=1.0, q2_0=1.0, n_paths=300,
+                               dt=1e-2, horizon=5.0, seed=17)
+    assert res.se_deviant == res.se_equilibrium > 0.0
+    assert res.diff_se == 0.0
+    blob = res.to_json()
+    assert blob["se_deviant"] == blob["se_equilibrium"] == res.se_deviant
+
+
 def test_deviation_below_p_star_loses(golden, cp):
     res = deviation_experiment(golden, cp, ConstantPriceBoundary(golden, 0.9 * golden.p_star),
                                x0=2.0, q1_0=1.0, q2_0=1.0, n_paths=4000,

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duopoly_invest import boundaries
 from duopoly_invest.boundaries import (
     ConstantPriceBoundary,
     DynamicBoundary,
     InfiniteBoundary,
+    _reference_base_capacity,
 )
 from duopoly_invest.errors import (
     BelowFloorError,
@@ -193,6 +195,46 @@ def test_symmetric_records_match_full_path(golden, c):
         assert rep["tau_index"] == (reached[0] if len(reached) else len(psi))
         assert rep["larger_constant_before"]
         assert rep["max_gap_after"] == 0.0
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0])
+def test_record_builders_match_reference_bisection(golden, c):
+    """The Newton roots at the running-max records stay within
+    1e-12 * (1 + Q) of the full-path construction by the reference
+    bisection, for the symmetric and the one-mover joint outcomes, and
+    check_consistency, which re-derives capital by bisection, sees a
+    deviation below 1e-9."""
+    dyn = DynamicBoundary(golden, c)
+    inf = InfiniteBoundary(golden)
+    for path, q1, q2 in _symmetric_cases(golden, dyn, 60):
+        x = path.values
+        psi = _reference_base_capacity(dyn, x)
+        out = build_symmetric_outcome((dyn, dyn), path, q1, q2)
+        for q, q_own, q_opp in ((out.Q1, q1, q2), (out.Q2, q2, q1)):
+            ref = np.maximum(q_own, running_sup(np.minimum(
+                _reference_base_capacity(dyn, x, q_opp), psi)))
+            assert np.all(np.abs(q - ref) <= 1e-12 * (1.0 + ref))
+        for firm in (1, 2):
+            assert check_consistency(out, dyn, firm).max_deviation < 1e-9
+        for b1, firm, q_mover, q_frozen in ((dyn, 1, q1, q2), (inf, 2, q2, q1)):
+            out = build_joint_outcome(b1, dyn, path, q1, q2)
+            ref = np.maximum(q_mover, running_sup(_reference_base_capacity(dyn, x, q_frozen)))
+            q = out.capital(firm)
+            assert np.all(np.abs(q - ref) <= 1e-12 * (1.0 + ref))
+            assert check_consistency(out, dyn, firm).max_deviation < 1e-9
+
+
+def test_catch_up_roots_take_at_most_12_newton_sweeps(golden, monkeypatch):
+    """Cost guard: on catch-up paths (c = 1, x0 = 5, q = (q_floor,
+    1.3 q_floor), dt = 1e-3, T = 3) no root needs more than 12 Newton
+    sweeps; with the iteration cap at 12 a slower root would raise."""
+    monkeypatch.setattr(boundaries, "_NEWTON_MAX_ITER", 12)
+    dyn = DynamicBoundary(golden, 1.0)
+    qf = dyn.q_floor
+    for j in range(40):
+        path = generate_path(golden, 5.0, 1e-3, 3.0, 4242, j)
+        out = build_symmetric_outcome((dyn, dyn), path, qf, 1.3 * qf)
+        catch_up_report(dyn, out)
 
 
 def test_symmetric_c0_aggregate_matches_abstain(golden, cp):

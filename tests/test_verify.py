@@ -132,6 +132,36 @@ def test_transversality_single_build_matches_two_builds(golden):
             assert abs(est - ref) <= 1e-12 * abs(ref), (c, mult, est, ref)
 
 
+def test_report_builds_each_path_once(golden, monkeypatch):
+    """A report simulates and builds each side-condition path once: on the
+    criterion-4 configuration the increment check, reading the first 20
+    outcomes of the 2T transversality paths up to T, gives the `worst` and
+    `at` of separate builds to T, and the transversality result equals
+    check_transversality's."""
+    import duopoly_invest.verify as verify
+
+    for c in (0.5, 1.0):
+        fn = DynamicValue(golden, c)
+        dyn = fn.boundary
+        q1 = dyn.q_floor + 0.2
+        q2 = q1 + 0.2
+        builder = lambda path: build_symmetric_outcome((dyn, dyn), path, q1, q2)
+        sim = dict(builder=builder, x0=0.9 * dyn.trigger(q2, q2), horizon=6.0,
+                   n_paths=80, dt=0.01, seed=53)
+        calls = []
+        counted = lambda *args: calls.append(args) or generate_path(*args)
+        monkeypatch.setattr(verify, "generate_path", counted)
+        rep = run_verification(fn, spec=GridSpec(nx=3, nq=2), simulation=sim)
+        monkeypatch.undo()
+        assert len(calls) == 80
+        inc = rep.conditions["opponent_increment_derivative"]
+        sep = check_opponent_increment_derivative(fn, golden, **{**sim, "n_paths": 20})
+        assert (inc.worst, inc.at) == (sep.worst, sep.at), c
+        assert inc.at  # some increments were checked
+        tv = check_transversality(fn, golden, **sim)
+        assert rep.conditions["transversality"].to_json() == tv.to_json()
+
+
 def test_opponent_increment_derivative(golden):
     dyn = DynamicBoundary(golden, 1.0)
     fn = DynamicValue(golden, 1.0)
