@@ -72,11 +72,22 @@ def _bisect_increasing(g, target, lo, hi):
     return 0.5 * (lo + hi)
 
 
+def _price_base_capacity(x, q_mi, p: float, gamma: float):
+    """max(0, (x/p)**gamma - q_mi), the base capacity under the constant
+    price threshold p: a float at one point, elementwise over arrays."""
+    phi = (x / p) ** gamma - q_mi
+    return np.maximum(0.0, phi) if isinstance(phi, np.ndarray) else max(0.0, float(phi))
+
+
 def _total_capacity(q_i, q_mi):
-    """q_i + q_mi for floats or arrays; ZeroCapacityError where it is not positive."""
+    """q_i + q_mi for floats or arrays; ZeroCapacityError where it is not
+    positive, OverflowError where it overflows."""
     q = q_i + q_mi
-    if q <= 0.0 if isinstance(q, float) else np.any(q <= 0.0):
+    scalar = isinstance(q, float)
+    if q <= 0.0 if scalar else np.any(q <= 0.0):
         raise ZeroCapacityError("trigger needs positive aggregate capacity")
+    if q == math.inf if scalar else np.any(q == math.inf):
+        raise OverflowError("aggregate capacity q_i + q_mi overflows")
     return q
 
 
@@ -106,13 +117,8 @@ class ConstantPriceBoundary:
         d = self.trigger(q_i, q_mi) / (self.params.gamma * (q_i + q_mi))
         return d, d
 
-    def base_capacity(self, x: float, q_mi: float) -> float:
-        """Closed form: max(0, (x/p)**gamma - q_mi)."""
-        return max(0.0, (x / self.p) ** self.params.gamma - q_mi)
-
-    def base_capacity_array(self, x, q_mi):
-        x = np.asarray(x, dtype=float)
-        return np.maximum(0.0, (x / self.p) ** self.params.gamma - q_mi)
+    def base_capacity(self, x, q_mi):
+        return _price_base_capacity(x, q_mi, self.p, self.params.gamma)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "p": self.p}
@@ -133,11 +139,9 @@ class InfiniteBoundary:
         shape = np.broadcast(q_i, q_mi).shape
         return np.full(shape, np.inf) if shape else math.inf
 
-    def base_capacity(self, x: float, q_mi: float) -> float:
-        return 0.0
-
-    def base_capacity_array(self, x, q_mi):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def base_capacity(self, x, q_mi):
+        shape = np.broadcast(x, q_mi).shape
+        return np.zeros(shape) if shape else 0.0
 
     def to_json(self) -> dict:
         return {"kind": self.kind}
@@ -222,14 +226,21 @@ class DynamicBoundary:
         _, via_s, via_prem = self._terms(q_i if q_i >= q_mi else q_mi, q_i + q_mi)
         return (via_s - via_prem, via_s) if q_i >= q_mi else (via_s, via_s - via_prem)
 
-    def base_capacity(self, x: float, q_mi: float) -> float:
+    def base_capacity(self, x, q_mi):
         """Smallest own capital (>= q_floor) keeping the trigger at or above
-        one shock level x; closed form for c = 0, otherwise _inverse."""
-        x, q_mi = float(x), float(q_mi)
+        x, a float at one point or elementwise over arrays: the closed form
+        for c = 0, otherwise _inverse at each point.  The builders pass the
+        running-max records of a path, a few dozen points, where a loop of
+        the scalar solver is faster than the same iteration vectorized."""
         if self.c == 0.0:
-            return max(0.0, (x / self.params.p_star) ** self.params.gamma - q_mi)
+            return _price_base_capacity(x, q_mi, self.params.p_star, self.params.gamma)
         self._check_floor(q_mi)
-        return self._inverse(x, q_mi, 1)
+        if not (isinstance(x, np.ndarray) or isinstance(q_mi, np.ndarray)):
+            return self._inverse(float(x), float(q_mi), 1)
+        x, q_mi = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(q_mi, dtype=float))
+        out = np.array([self._inverse(v, w, 1)
+                        for v, w in zip(x.ravel().tolist(), q_mi.ravel().tolist())])
+        return out.reshape(x.shape)
 
     def _inverse(self, x: float, q_mi: float, k: int) -> float:
         """Smallest q >= q_floor with (p_star + c/max(q, q_mi)) *
@@ -271,22 +282,6 @@ class DynamicBoundary:
                 q = 0.5 * (lo + hi)
         raise RootBracketError("Newton iteration for the trigger inverse did not converge")
 
-    def base_capacity_array(self, x, q_mi):
-        """Smallest own capital (>= q_floor) keeping the trigger at or above
-        x, elementwise over arrays of x and q_mi: the closed form for c = 0,
-        otherwise _inverse at each point.  The builders pass the running-max
-        records of a path, a few dozen points, where a loop of the scalar
-        solver is faster than the same iteration vectorized."""
-        p_star, gamma = self.params.p_star, self.params.gamma
-        x = np.asarray(x, dtype=float)
-        if self.c == 0.0:
-            return np.maximum(0.0, (x / p_star) ** gamma - q_mi)
-        self._check_floor(q_mi)
-        x, q_mi = np.broadcast_arrays(x, np.asarray(q_mi, dtype=float))
-        out = np.array([self._inverse(v, w, 1)
-                        for v, w in zip(x.ravel().tolist(), q_mi.ravel().tolist())])
-        return out.reshape(x.shape) if x.shape else float(out[0])
-
     def symmetric_base_capacity(self, x) -> float | np.ndarray:
         """Smallest symmetric capital q (>= q_floor) with trigger(q, q) >= x,
         elementwise: the closed form for c = 0, otherwise _inverse at each
@@ -304,7 +299,7 @@ class DynamicBoundary:
 
 
 def _reference_base_capacity(boundary: Boundary, x, q_mi=None):
-    """Bisection re-derivation of boundary.base_capacity_array(x, q_mi), or
+    """Bisection re-derivation of boundary.base_capacity(x, q_mi), or
     of the symmetric base capacity when q_mi is None, for a dynamic boundary
     with a premium; other boundaries go to their closed forms.
 
@@ -316,7 +311,7 @@ def _reference_base_capacity(boundary: Boundary, x, q_mi=None):
     if not (isinstance(boundary, DynamicBoundary) and boundary.c > 0.0):
         if q_mi is None:
             return boundary.symmetric_base_capacity(x)
-        return boundary.base_capacity_array(x, q_mi)
+        return boundary.base_capacity(x, q_mi)
     p_star, gamma = boundary.params.p_star, boundary.params.gamma
     x = np.asarray(x, dtype=float)
     floor = boundary.q_floor

@@ -2,8 +2,7 @@
 
 Subcommands: derive | value | verify | simulate | sweep.  Inputs are JSON
 files; outputs are JSON or CSV with 17-significant-digit floats so that runs
-are byte-identical given the same configuration (including the seed) for any
-thread count.
+are byte-identical given the same configuration (including the seed).
 
 Exit codes: 0 success, 2 domain error, 3 numeric non-convergence, 64 usage.
 """
@@ -282,7 +281,7 @@ def cmd_simulate(args) -> int:
                 dump_outcome_csv(builder(path), fh)
     est = estimate_payoff(params, builder, firm, x0, n_paths=args.paths,
                           dt=args.dt, horizon=args.horizon, seed=args.seed,
-                          tail_boundary=boundary, threads=args.threads)
+                          tail_boundary=boundary)
     _write_out(est.dumps(), args.out)
     return 0
 
@@ -347,8 +346,7 @@ def cmd_deviation(args) -> int:
     dev = _boundary(_load_json(args.deviant), params)
     x0, q1, q2 = _state(args.state.split(","))
     res = deviation_experiment(params, eq, dev, x0, q1, q2, n_paths=args.paths,
-                               dt=args.dt, horizon=args.horizon, seed=args.seed,
-                               threads=args.threads)
+                               dt=args.dt, horizon=args.horizon, seed=args.seed)
     _write_out(json.dumps(res.to_json(), sort_keys=True), args.out)
     return 0
 
@@ -360,10 +358,6 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--out", default=None, help="output file (default stdout)")
-
-    def threads(p):
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for the Monte Carlo paths")
 
     p = sub.add_parser("derive", help="derive beta, p_star, mu_gamma from primitives")
     p.add_argument("--config", required=True)
@@ -392,7 +386,6 @@ def build_parser() -> _Parser:
                    help="write t,x,q1,q2 CSVs for the first --dump-count paths")
     p.add_argument("--dump-count", type=int, default=1)
     common(p)
-    threads(p)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("sweep", help="value sweep over thresholds; CSV output")
@@ -416,7 +409,6 @@ def build_parser() -> _Parser:
     p.add_argument("--horizon", type=float, default=20.0)
     p.add_argument("--seed", type=int, default=0)
     common(p)
-    threads(p)
     p.set_defaults(fn=cmd_deviation)
     return parser
 

@@ -10,7 +10,6 @@ pair reproduces the same shock path in every arm of an experiment.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,23 +53,6 @@ def value_linear_bound_coeff(params: ModelParams, boundary: Boundary) -> float:
     return p / rm * (1.0 + 1.0 / pr.beta) + pr.gamma / (pr.beta - pr.gamma) * (k_own + k_opp)
 
 
-def _collect(fn, n_paths: int, threads: int) -> np.ndarray:
-    """Evaluate fn(path_index) for 0..n_paths-1 into a fixed-order array.
-
-    Work may run on several threads; results land at their own index, so the
-    reduction is identical for any thread count.
-    """
-    out = np.empty(n_paths)
-    if threads <= 1:
-        for j in range(n_paths):
-            out[j] = fn(j)
-        return out
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for j, v in zip(range(n_paths), pool.map(fn, range(n_paths), chunksize=64)):
-            out[j] = v
-    return out
-
-
 def _se(vals: np.ndarray) -> float:
     """Standard error of the mean of i.i.d. samples; inf for one sample."""
     n = len(vals)
@@ -79,20 +61,16 @@ def _se(vals: np.ndarray) -> float:
 
 def estimate_payoff(params: ModelParams, builder, firm: int, x0: float,
                     n_paths: int, dt: float, horizon: float, seed: int,
-                    tail_boundary: Boundary | None = None,
-                    threads: int = 1) -> PayoffEstimate:
+                    tail_boundary: Boundary | None = None) -> PayoffEstimate:
     """Mean and standard error of the discounted payoff of `firm` under the
     outcome construction `builder` (a callable mapping a shock path to an
     Outcome)."""
+    vals = np.empty(n_paths)
     q_ends = np.empty(n_paths)
-
-    def one(j: int) -> float:
-        path = generate_path(params, x0, dt, horizon, seed, j)
-        out: Outcome = builder(path)
+    for j in range(n_paths):
+        out: Outcome = builder(generate_path(params, x0, dt, horizon, seed, j))
+        vals[j] = payoff(params, out, firm)
         q_ends[j] = out.Q1[-1] + out.Q2[-1]
-        return payoff(params, out, firm)
-
-    vals = _collect(one, n_paths, threads)
     mean = float(np.mean(vals))
     se = _se(vals)
     if tail_boundary is not None:
@@ -134,7 +112,7 @@ class DeviationResult:
 def deviation_experiment(params: ModelParams, equilibrium_boundary: Boundary,
                          deviant_boundary: Boundary, x0: float, q1_0: float,
                          q2_0: float, n_paths: int, dt: float, horizon: float,
-                         seed: int, threads: int = 1) -> DeviationResult:
+                         seed: int) -> DeviationResult:
     """Compare firm 1's payoff when it switches to `deviant_boundary` while
     firm 2 keeps the equilibrium strategy, against the same construction with
     firm 1 also on the equilibrium boundary.
@@ -144,17 +122,15 @@ def deviation_experiment(params: ModelParams, equilibrium_boundary: Boundary,
     equilibrium boundary the difference is identically zero.
     """
     devs = np.empty(n_paths)
-
-    def one(j: int) -> float:
+    eqs = np.empty(n_paths)
+    for j in range(n_paths):
         path = generate_path(params, x0, dt, horizon, seed, j)
         out_dev = build_joint_outcome(deviant_boundary, equilibrium_boundary,
                                       path, q1_0, q2_0)
         out_eq = build_joint_outcome(equilibrium_boundary, equilibrium_boundary,
                                      path, q1_0, q2_0)
         devs[j] = payoff(params, out_dev, 1)
-        return payoff(params, out_eq, 1)
-
-    eqs = _collect(one, n_paths, threads)
+        eqs[j] = payoff(params, out_eq, 1)
     diffs = devs - eqs
     diff_mean = float(np.mean(diffs))
     pi_dev = float(np.mean(devs))

@@ -63,14 +63,12 @@ def build_abstain_outcome(boundary_pair, path: ShockPath, q1_0: float, q2_0: flo
 
         Q_inv(t) = q_inv v sup_{s<=t} ((X_s / p)**gamma - q_abs).
     """
-    p = require_same_constant_price(*boundary_pair)
-    gamma = boundary_pair[0].params.gamma
+    require_same_constant_price(*boundary_pair)
     if abstaining_firm not in (1, 2):
         raise KindMismatchError(f"abstaining_firm must be 1 or 2, got {abstaining_firm}")
     q_abs = q1_0 if abstaining_firm == 1 else q2_0
     q_inv = q2_0 if abstaining_firm == 1 else q1_0
-    sup_x = running_sup(path.values)
-    investor = np.maximum(q_inv, (sup_x / p) ** gamma - q_abs)
+    investor = _one_mover(path, boundary_pair[2 - abstaining_firm], q_inv, q_abs)
     abstainer = np.full_like(investor, q_abs)
     Q1, Q2 = (abstainer, investor) if abstaining_firm == 1 else (investor, abstainer)
     return Outcome(path, Q1, Q2, q1_0, q2_0, construction=f"abstain({abstaining_firm})")
@@ -84,6 +82,16 @@ def _records(values):
     new[0] = True
     np.greater(sup[1:], sup[:-1], out=new[1:])
     return np.flatnonzero(new), np.cumsum(new) - 1
+
+
+def _one_mover(path: ShockPath, mover: Boundary, q_mover: float, q_frozen: float):
+    """Capital of the only firm that invests, against an opponent frozen at
+    q_frozen: the running supremum of its base capacity, which by
+    monotonicity in x is q_mover v phi(M_t, q_frozen) at the running maximum
+    M of X.  phi is evaluated at the running-max records only, and each grid
+    index takes the value of its latest record."""
+    rec, latest = _records(path.values)
+    return np.maximum(q_mover, mover.base_capacity(path.values[rec], q_frozen))[latest]
 
 
 def build_symmetric_outcome(boundary_pair, path: ShockPath, q1_0: float,
@@ -113,8 +121,8 @@ def build_symmetric_outcome(boundary_pair, path: ShockPath, q1_0: float,
     rec, latest = _records(path.values)
     x = path.values[rec]
     psi = np.asarray(b1.symmetric_base_capacity(x))
-    phi1 = b1.base_capacity_array(x, q2_0)
-    phi2 = b2.base_capacity_array(x, q1_0)
+    phi1 = b1.base_capacity(x, q2_0)
+    phi2 = b2.base_capacity(x, q1_0)
     Q1 = np.maximum(q1_0, running_sup(np.minimum(phi1, psi)))[latest]
     Q2 = np.maximum(q2_0, running_sup(np.minimum(phi2, psi)))[latest]
     return Outcome(path, Q1, Q2, q1_0, q2_0, construction="symmetric")
@@ -125,18 +133,17 @@ def build_aggregate_split(boundary_pair, path: ShockPath, q1_0: float, q2_0: flo
     """Split the constant-price aggregate investment between the firms.
 
     Aggregate capital is pinned by the reflection of the price at p:
-    S_t = (q1+q2) v sup (X_s/p)**gamma, and firm i receives the fixed share
-    weights[i] of every increment.  Any nonnegative pair summing to one keeps
-    both paths nondecreasing; anything else is an InvalidSplitError.
+    S_t = (q1+q2) v sup (X_s/p)**gamma, the base capacity against no
+    opponent capital, and firm i receives the fixed share weights[i] of
+    every increment.  Any nonnegative pair summing to one keeps both paths
+    nondecreasing; anything else is an InvalidSplitError.
     """
-    p = require_same_constant_price(*boundary_pair)
-    gamma = boundary_pair[0].params.gamma
+    require_same_constant_price(*boundary_pair)
     w = tuple(float(v) for v in weights)
     if len(w) != 2 or min(w) < 0.0 or abs(w[0] + w[1] - 1.0) > 1e-12:
         raise InvalidSplitError(f"weights must be nonnegative and sum to 1, got {w}")
     s0 = q1_0 + q2_0
-    sup_x = running_sup(path.values)
-    aggregate = np.maximum(s0, (sup_x / p) ** gamma)
+    aggregate = _one_mover(path, boundary_pair[0], s0, 0.0)
     Q1 = q1_0 + w[0] * (aggregate - s0)
     Q2 = q2_0 + w[1] * (aggregate - s0)
     return Outcome(path, Q1, Q2, q1_0, q2_0, construction=f"split{w}")
@@ -179,31 +186,20 @@ def _joint_closed_form(b1, b2, path, q1_0, q2_0):
     running supremum of its base capacity against a constant opponent, which
     by monotonicity in x is the base capacity at the running supremum of X.
     """
-    # Every branch evaluates at the records of the running maximum only.
-    rec, latest = _records(path.values)
-    x = path.values[rec]
     if isinstance(b1, InfiniteBoundary):
-        Q2 = np.maximum(q2_0, b2.base_capacity_array(x, q1_0))[latest]
-        Q1 = np.full_like(Q2, q1_0)
-        return Outcome(path, Q1, Q2, q1_0, q2_0, construction="joint")
-    if isinstance(b1, DynamicBoundary) and isinstance(b2, DynamicBoundary) \
-            and b1.c == b2.c:
-        Q1 = np.maximum(q1_0, b1.base_capacity_array(x, q2_0))[latest]
-        Q2 = np.full_like(Q1, q2_0)
-        return Outcome(path, Q1, Q2, q1_0, q2_0, construction="joint")
-    if not isinstance(b1, ConstantPriceBoundary):
-        return None
-    dominated = (
+        Q2 = _one_mover(path, b2, q2_0, q1_0)
+        return Outcome(path, np.full_like(Q2, q1_0), Q2, q1_0, q2_0, construction="joint")
+    same_dynamic = (isinstance(b1, DynamicBoundary) and isinstance(b2, DynamicBoundary)
+                    and b1.c == b2.c)
+    dominated = isinstance(b1, ConstantPriceBoundary) and (
         (isinstance(b2, ConstantPriceBoundary) and b2.p >= b1.p)
         or (isinstance(b2, DynamicBoundary) and b1.p <= b1.params.p_star)
         or isinstance(b2, InfiniteBoundary)
     )
-    if not dominated:
+    if not (same_dynamic or dominated):
         return None
-    gamma = b1.params.gamma
-    Q1 = np.maximum(q1_0, (x / b1.p) ** gamma - q2_0)[latest]
-    Q2 = np.full_like(Q1, q2_0)
-    return Outcome(path, Q1, Q2, q1_0, q2_0, construction="joint")
+    Q1 = _one_mover(path, b1, q1_0, q2_0)
+    return Outcome(path, Q1, np.full_like(Q1, q2_0), q1_0, q2_0, construction="joint")
 
 
 @dataclass(frozen=True)

@@ -155,10 +155,16 @@ class ValueFunction:
         dy = q ** (-1.0 / self.params.gamma) / self.p_ref
         return x * dy, dy
 
-    def _below(self, x, q_i, q_mi):
+    def _terms(self, x, q_i, q_mi):
+        """The branch's profit stream p_ref/(r-mu) * q_i * y and its option
+        term C * y**beta."""
         pr = self.params
         y, _ = self._y(x, q_i, q_mi)
-        return self.p_ref / (pr.r - pr.mu) * q_i * y + self._c(q_i, q_mi) * y ** pr.beta
+        return self.p_ref / (pr.r - pr.mu) * q_i * y, self._c(q_i, q_mi) * y ** pr.beta
+
+    def _below(self, x, q_i, q_mi):
+        stream, option = self._terms(x, q_i, q_mi)
+        return stream + option
 
     def _below_x(self, x, q_i, q_mi):
         pr = self.params
@@ -174,8 +180,7 @@ class ValueFunction:
     def option_term(self, x, q_i, q_mi):
         """C * y**beta of the below-trigger branch; above the own trigger it
         keeps its value on the trigger."""
-        y, _ = self._y(np.minimum(x, self._own_trigger(q_i, q_mi)), q_i, q_mi)
-        return self._c(q_i, q_mi) * y ** self.params.beta
+        return self._terms(np.minimum(x, self._own_trigger(q_i, q_mi)), q_i, q_mi)[1]
 
     def _q_below(self, x, q_i, q_mi, own: bool):
         """V_qi (own) or V_qmi of the below-trigger branch from _c_grad.
@@ -234,10 +239,13 @@ class ValueFunction:
         return self._piecewise(self._below_xx, self._above_xx, x, q_i, q_mi)
 
     def below_branch_arrays(self, x, q_i, q_mi):
-        """(value, V_x, V_xx) of the below-trigger branch, vectorized over x."""
-        x = np.asarray(x, dtype=float)
-        return (self._below(x, q_i, q_mi), self._below_x(x, q_i, q_mi),
-                self._below_xx(x, q_i, q_mi))
+        """(V, x V_x, x**2 V_xx) of the below-trigger branch, vectorized over
+        x.  With the profit stream S y and the option term O = C y**beta they
+        are S y + O, S y + beta O and beta (beta-1) O: written in y, they
+        stay finite where x**2 overflows."""
+        beta = self.params.beta
+        stream, option = self._terms(np.asarray(x, dtype=float), q_i, q_mi)
+        return stream + option, stream + beta * option, beta * (beta - 1.0) * option
 
     def partials(self, x, q_i, q_mi, which=("x", "xx", "qi", "qmi")) -> dict:
         """Requested analytic partial derivatives at one capital pair.
@@ -589,6 +597,6 @@ class PerturbedValue:
         return self.base.partials(x, q_i, q_mi, which)
 
     def below_branch_arrays(self, x, q_i, q_mi):
-        v, vx, vxx = self.base.below_branch_arrays(x, q_i, q_mi)
+        v, x_vx, x2_vxx = self.base.below_branch_arrays(x, q_i, q_mi)
         opt = self.base.option_term(np.asarray(x, dtype=float), q_i, q_mi)
-        return v + (self.option_scale - 1.0) * opt, vx, vxx
+        return v + (self.option_scale - 1.0) * opt, x_vx, x2_vxx

@@ -55,8 +55,8 @@ class GridSpec:
 
     def capital_pairs(self, pair):
         floor = max(b.q_floor for b in pair)
-        qs = np.linspace(floor, 10.0 * floor + self.q_span, self.nq)
-        return [(float(a), float(b)) for a in qs for b in qs if a + b > 0.0]
+        qs = np.linspace(floor, 10.0 * floor + self.q_span, self.nq).tolist()
+        return [(a, b) for a in qs for b in qs if a + b > 0.0]
 
     def x_levels(self, cap: float) -> np.ndarray:
         return cap * np.exp(np.linspace(np.log(self.x_lo_frac), 0.0, self.nx))
@@ -134,7 +134,9 @@ def _void(name: str, note: str) -> ConditionResult:
 
 def check_pde(value_fn, pair, spec: GridSpec = GridSpec(),
               mode: str = "equality") -> ConditionResult:
-    """Residual of the pricing equation on its region.
+    """Residual of the pricing equation on its region, from V, x V_x and
+    x**2 V_xx of the below-trigger branch, which stay finite at any level
+    where V does.
 
     equality: max |residual| / (r |V| + 1) on {x <= min(triggers)}
     inequality: max positive part, same normalization, on {x <= opp trigger}
@@ -149,11 +151,14 @@ def check_pde(value_fn, pair, spec: GridSpec = GridSpec(),
         else:
             cap = opp.trigger(q_mi, q_i)
         xs = spec.x_levels(cap)
-        v, vx, vxx = value_fn.below_branch_arrays(xs, q_i, q_mi)
-        profit = xs * (q_i + q_mi) ** (-1.0 / params.gamma) * q_i
-        resid = (-params.r * v + profit + params.mu * xs * vx
-                 + 0.5 * params.sigma ** 2 * xs ** 2 * vxx)
-        metric = resid / (params.r * np.abs(v) + 1.0)
+        # A value out of range shows as a non-finite metric, which _Worst
+        # refuses with an OverflowError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            v, x_vx, x2_vxx = value_fn.below_branch_arrays(xs, q_i, q_mi)
+            profit = xs * (q_i + q_mi) ** (-1.0 / params.gamma) * q_i
+            resid = (-params.r * v + profit + params.mu * x_vx
+                     + 0.5 * params.sigma ** 2 * x2_vxx)
+            metric = resid / (params.r * np.abs(v) + 1.0)
         worst.add(np.abs(metric) if mode == "equality" else metric, xs, q_i, q_mi)
     return worst.result("pde_equality" if mode == "equality" else "pde_inequality", tol)
 

@@ -71,20 +71,21 @@ def _levels(b, q_mi):
 
 
 def test_newton_base_capacity_matches_bisection(golden):
-    """The scalar inverse and the array inverse, which loops it, agree with
-    the reference bisection, and with each other, within 1e-12 * max(1, q):
-    at the floor, just above the floor trigger, across the kink q = q_mi and
-    far above the trigger.  At q_mi = q_floor the kink is the floor, where the
-    trigger's slope in q vanishes, so a rounding of x moves the root by
-    about 1e-16 / sqrt(x / trigger - 1) relative: there both inverses must
-    reproduce x instead."""
+    """base_capacity over an array of levels, which loops the scalar
+    inverse, and at each level alone agree with the reference bisection, and
+    with each other, within 1e-12 * max(1, q): at the floor, just above the
+    floor trigger, across the kink q = q_mi and far above the trigger.  At
+    q_mi = q_floor the kink is the floor, where the trigger's slope in q
+    vanishes, so a rounding of x moves the root by about
+    1e-16 / sqrt(x / trigger - 1) relative: there both must reproduce x
+    instead."""
     for c in (0.5, 1.0, 2.0):
         b = DynamicBoundary(golden, c)
         qf = b.q_floor
         for q_mi in (qf, qf + 0.3, qf + 1.0, 3.0):
             xs = _levels(b, q_mi)
             ref = _reference_base_capacity(b, xs, q_mi)
-            got = b.base_capacity_array(xs, q_mi)
+            got = b.base_capacity(xs, q_mi)
             one = np.array([b.base_capacity(float(x), q_mi) for x in xs])
             assert got[0] == got[1] == one[0] == one[1] == qf
             if q_mi == qf:
@@ -98,17 +99,28 @@ def test_newton_base_capacity_matches_bisection(golden):
             assert got[4] < q_mi < got[8]
 
 
-def test_base_capacity_array_shapes(golden):
-    """Scalars give floats, and arrays of x and q_mi broadcast."""
-    b = DynamicBoundary(golden, 1.0)
-    qf = b.q_floor
-    x = 2.0 * b.trigger(qf, 1.0)
-    assert isinstance(b.base_capacity_array(x, 1.0), float)
-    assert b.base_capacity_array(x, 1.0) == pytest.approx(b.base_capacity(x, 1.0), rel=1e-12)
-    grid = b.base_capacity_array(np.array([[x], [2.0 * x]]), np.array([qf, 1.0, 2.0]))
+_KINDS = {
+    "constant_price": lambda pr: ConstantPriceBoundary(pr, pr.p_star),
+    "infinite": InfiniteBoundary,
+    "dynamic-c0": lambda pr: DynamicBoundary(pr, 0.0),
+    "dynamic-c1": lambda pr: DynamicBoundary(pr, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_base_capacity_shapes(golden, kind):
+    """One shock level and one opponent capital give a float; arrays of x
+    and q_mi broadcast, and each entry equals the call at its own point."""
+    b = _KINDS[kind](golden)
+    x = 2.0 * golden.p_star * 4.0 ** (1.0 / golden.gamma)
+    q_mis = [b.q_floor, 1.0, 2.0]
+    assert isinstance(b.base_capacity(x, 1.0), float)
+    grid = b.base_capacity(np.array([[x], [2.0 * x]]), np.array(q_mis))
     assert grid.shape == (2, 3)
     for (i, j), q in np.ndenumerate(grid):
-        assert q == pytest.approx(b.base_capacity((1 + i) * x, [qf, 1.0, 2.0][j]), rel=1e-12)
+        assert q == pytest.approx(b.base_capacity((1 + i) * x, q_mis[j]), rel=1e-15, abs=0.0)
+    if kind != "infinite":
+        assert np.all(grid > 0.0)
 
 
 def test_symmetric_newton_matches_bisection(golden):
@@ -134,13 +146,13 @@ def test_base_capacity_at_tiny_premium(golden):
     """At a premium near 1e-303 the floor and the roots are near 1e-303
     too: the Newton step's premium term must not underflow, and the solver
     stops on a relative step, so each root reproduces its shock level to
-    1e-11 relative (scalar and array phi, and psi)."""
+    1e-11 relative (phi at one level and over an array, and psi)."""
     b = DynamicBoundary(golden, 1.6138520769888095e-303)
     qf = b.q_floor
     for frac in (1.05, 1.3, 2.0):
         for q_mi in (qf, 2.0 * qf, 1.0):
             x = frac * b.trigger(qf, q_mi)
-            for q in (b.base_capacity(x, q_mi), b.base_capacity_array(np.array([x]), q_mi)[0]):
+            for q in (b.base_capacity(x, q_mi), b.base_capacity(np.array([x]), q_mi)[0]):
                 assert qf <= q
                 assert abs(b._raw_trigger(q, q_mi) / x - 1.0) <= 1e-11, (frac, q_mi)
         x = frac * b.trigger(qf, qf)

@@ -126,8 +126,21 @@ def test_value_short_state_row_exit_64(tmp_path, capsys):
 
 
 def test_threads_only_where_read(golden_config, capsys):
-    assert main(["derive", "--config", str(golden_config), "--threads", "8"]) == EXIT_USAGE
-    assert "--threads" in capsys.readouterr().err
+    """No command reads --threads: Monte Carlo paths run in one loop, so on
+    every command, with its required arguments given, the flag is a usage
+    error."""
+    cfg = str(golden_config)
+    argvs = {
+        "derive": ["--config", cfg], "value": ["--config", cfg],
+        "verify": ["--config", cfg], "sweep": ["--config", cfg],
+        "npv": ["--config", cfg, "--p", "2.6"],
+        "simulate": ["--params", cfg, "--strategy", cfg, "--state", "2,1,1"],
+        "deviation": ["--params", cfg, "--equilibrium", cfg, "--deviant", cfg,
+                      "--state", "2,1,1"],
+    }
+    for command, argv in argvs.items():
+        assert main([command, *argv, "--threads", "2"]) == EXIT_USAGE, command
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err, command
 
 
 def test_sweep_monotone_in_c(tmp_path):
@@ -158,22 +171,6 @@ def test_byte_identical_reruns(tmp_path):
     main(["sweep", "--config", str(cfg), "--out", str(out1)])
     main(["sweep", "--config", str(cfg), "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_simulate_byte_identical_across_threads(tmp_path):
-    params_file = tmp_path / "params.json"
-    params_file.write_text(json.dumps(GOLDEN_BLOCK))
-    strat = tmp_path / "strategy.json"
-    strat.write_text(json.dumps({"kind": "constant_price", "p": 2.6}))
-    outs = []
-    for threads, name in ((1, "t1.json"), (4, "t4.json")):
-        out = tmp_path / name
-        assert main(["simulate", "--params", str(params_file), "--strategy", str(strat),
-                     "--state", "2.0,1.0,1.0", "--paths", "100", "--dt", "0.02",
-                     "--horizon", "2.0", "--seed", "3", "--threads", str(threads),
-                     "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
 
 
 def test_console_entrypoint_subprocess(golden_config):
@@ -232,24 +229,35 @@ def test_verify_overflow_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numeric error:")
 
 
-@pytest.mark.parametrize("kind, q_span", [("abstain", 1e250), ("sole_investor", 1e250)])
-def test_verify_nonfinite_metric_exit_3(tmp_path, capsys, kind, q_span):
-    """At capitals near 1e250 the pricing residual overflows (x**2 * V_xx is
-    inf * 0): a numeric failure, not a passing report."""
+@pytest.mark.parametrize("command, config", [
+    ("value", {**_ABSTAIN, "states": [[1.0, 1e308, 1e308]]}),
+    ("sweep", {"params": GOLDEN_BLOCK, "sweep": {"kind": "abstain", "p_values": [2.6]},
+               "states": [[1.0, 1e308, 1e308]]}),
+    ("verify", {**_ABSTAIN, "grid": {"nx": 3, "nq": 3, "q_span": 1e308}}),
+], ids=["value", "sweep", "verify"])
+def test_capital_overflow_exit_3(tmp_path, command, config):
+    """Capitals whose sum or value leaves the floating-point range are a
+    numeric failure: exit 3 with a message, and no NaN on stdout and no
+    numpy warning on stderr."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    proc = subprocess.run([sys.executable, "-m", "duopoly_invest", command, "--config", str(cfg)],
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_NUMERIC
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numeric error:") and "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("kind, q_span", [
+    ("sole_investor", 1e200), ("abstain", 1e250), ("sole_investor", 1e250)])
+def test_verify_huge_capitals_report_finite_metrics(tmp_path, kind, q_span):
+    """At capitals near 1e200 and 1e250 every metric of the report is
+    finite and passes: the branch, its q-partials and the pricing residual
+    are written in the normalised price, which stays O(1), so nothing forms
+    x**2 where it overflows."""
     cfg = tmp_path / "verify.json"
     cfg.write_text(json.dumps({"params": GOLDEN_BLOCK, "value": {"kind": kind},
                                "grid": {"nx": 3, "nq": 3, "q_span": q_span}}))
-    assert main(["verify", "--config", str(cfg)]) == EXIT_NUMERIC
-    assert capsys.readouterr().err.startswith("numeric error: non-finite")
-
-
-def test_verify_huge_capitals_report_finite_metrics(tmp_path):
-    """At capitals near 1e200 every metric of the sole investor's report is
-    finite: the branch and its q-partials are written in the normalised
-    price, which stays O(1)."""
-    cfg = tmp_path / "verify.json"
-    cfg.write_text(json.dumps({"params": GOLDEN_BLOCK, "value": {"kind": "sole_investor"},
-                               "grid": {"nx": 3, "nq": 3, "q_span": 1e200}}))
     out = tmp_path / "report.json"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads(out.read_text())

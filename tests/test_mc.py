@@ -66,14 +66,6 @@ def test_symmetric_c0_matches_abstain_value(golden):
     assert abs(est.mean - target) < 3.0 * est.se + 0.01 * abs(target)
 
 
-def test_estimate_deterministic_across_threads(golden, cp):
-    builder = lambda path: build_abstain_outcome((cp, cp), path, 1.0, 1.0, 1)
-    a = estimate_payoff(golden, builder, 1, 2.0, 500, 1e-2, 5.0, seed=3, threads=1)
-    b = estimate_payoff(golden, builder, 1, 2.0, 500, 1e-2, 5.0, seed=3, threads=4)
-    assert a.mean == b.mean
-    assert a.se == b.se
-
-
 def test_deviation_zero_for_equal_boundary(golden, cp):
     res = deviation_experiment(golden, cp, ConstantPriceBoundary(golden, golden.p_star),
                                x0=2.0, q1_0=1.0, q2_0=1.0, n_paths=300,

@@ -188,7 +188,7 @@ def test_symmetric_records_match_full_path(golden, c):
         psi = dyn.symmetric_base_capacity(path.values)
         for q, q_own, q_opp in ((out.Q1, q1, q2), (out.Q2, q2, q1)):
             ref = np.maximum(q_own, running_sup(np.minimum(
-                dyn.base_capacity_array(path.values, q_opp), psi)))
+                dyn.base_capacity(path.values, q_opp), psi)))
             assert np.all(np.abs(q - ref) <= 1e-12 * (1.0 + ref))
         rep = catch_up_report(dyn, out)
         reached = np.nonzero(psi >= max(q1, q2))[0]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from duopoly_invest.boundaries import ConstantPriceBoundary, DynamicBoundary
@@ -14,6 +15,7 @@ from duopoly_invest.values import (
 )
 from duopoly_invest.verify import (
     GridSpec,
+    _Worst,
     check_derivative_propagation,
     check_opponent_increment_derivative,
     check_pde,
@@ -192,3 +194,14 @@ def test_report_covers_all_conditions(golden):
             "opp_derivative_on_trigger",
             "derivative_propagation"} <= set(rep.conditions)
     assert rep.all_pass
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_worst_refuses_non_finite_metric(bad):
+    """A NaN compares False with every bound and an inf is no measurement:
+    _Worst raises OverflowError for either, alone or inside an array."""
+    for metric, x in ((bad, 1.0), (np.array([0.5, bad, 2.0]), np.array([1.0, 2.0, 3.0]))):
+        worst = _Worst()
+        with pytest.raises(OverflowError, match="non-finite"):
+            worst.add(metric, x, 1.0, 2.0)
+        assert worst.value == -math.inf
