@@ -94,7 +94,8 @@ def _number(raw, what: str, rule: str = "", valid=lambda v: True, integer: bool 
 
 
 def _path_count(text: str) -> int:
-    """--paths: a whole number of at least one (the mean of no paths is NaN)."""
+    """--paths and --dump-count: a whole number of at least one (the mean of
+    no paths is NaN, and a dump of none writes nothing)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -157,6 +158,13 @@ def _states(config: dict) -> list:
     return [_state(s) for s in raw]
 
 
+def _finite_row(values, state) -> None:
+    """OverflowError unless every output value at state is finite: NaN is
+    not JSON, and inf is no value."""
+    if not all(math.isfinite(v) for v in values):
+        raise OverflowError(f"non-finite output at state {state!r}")
+
+
 def _write_out(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
@@ -188,8 +196,9 @@ def cmd_value(args) -> int:
     fn = _value_fn(config, params)
     rows = []
     for x, q1, q2 in _states(config):
-        rows.append({"x": x, "q_i": q1, "q_mi": q2, "value": fn.value(x, q1, q2),
-                     "partials": fn.partials(x, q1, q2, ("x", "qi", "qmi"))})
+        value, partials = fn.value(x, q1, q2), fn.partials(x, q1, q2, ("x", "qi", "qmi"))
+        _finite_row([value, *partials.values()], (x, q1, q2))
+        rows.append({"x": x, "q_i": q1, "q_mi": q2, "value": value, "partials": partials})
     _write_out(json.dumps(rows, sort_keys=True, indent=2), args.out)
     return 0
 
@@ -320,9 +329,10 @@ def cmd_sweep(args) -> int:
     lines = []
     for lvl, fn in fns:
         for x, q1, q2 in states:
-            row = [*(_g17(v) for v in derived), kind, _g17(lvl),
-                   _g17(x), _g17(q1), _g17(q2), _g17(fn.value(x, q1, q2))]
-            lines.append(row)
+            value = fn.value(x, q1, q2)
+            _finite_row([value], (x, q1, q2))
+            lines.append([*(_g17(v) for v in derived), kind, _g17(lvl),
+                          _g17(x), _g17(q1), _g17(q2), _g17(value)])
     import io
 
     buf = io.StringIO()
@@ -335,7 +345,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_npv(args) -> int:
     params = _params_block(_load_json(args.config))
-    _write_out(json.dumps({"p": args.p, "npv_per_unit": npv_at_boundary(params, args.p)},
+    p = _number(args.p, "--p", " > 0", lambda v: v > 0.0)
+    _write_out(json.dumps({"p": p, "npv_per_unit": npv_at_boundary(params, p)},
                           sort_keys=True), args.out)
     return 0
 
@@ -384,7 +395,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dump-outcomes", default=None, metavar="PREFIX",
                    help="write t,x,q1,q2 CSVs for the first --dump-count paths")
-    p.add_argument("--dump-count", type=int, default=1)
+    p.add_argument("--dump-count", type=_path_count, default=1)
     common(p)
     p.set_defaults(fn=cmd_simulate)
 

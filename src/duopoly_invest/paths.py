@@ -10,6 +10,7 @@ numbers regardless of how work is scheduled across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,9 @@ def generate_path(params: ModelParams, x0: float, dt: float, horizon: float,
     """
     if x0 <= 0.0:
         raise ParamDomainError(f"initial shock must be positive, got {x0}")
-    if dt <= 0.0 or horizon < dt:
-        raise ParamDomainError(f"need dt > 0 and horizon >= dt, got dt={dt}, horizon={horizon}")
+    if not (math.isfinite(dt) and math.isfinite(horizon)) or dt <= 0.0 or horizon < dt:
+        raise ParamDomainError(f"need finite dt > 0 and horizon >= dt, got dt={dt}, "
+                               f"horizon={horizon}")
     n = int(round(horizon / dt))
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(path_index,)))

@@ -12,8 +12,8 @@ For a candidate value function V and a strategy pair with triggers
   6. V_qmi <= 0 on {x = own trigger <= opp}         (opp_derivative_on_trigger)
 
 plus the propagation identity V_qmi(x, q_i, q_mi) = V_qmi(x, phi(x, q_mi), q_mi)
-above the own trigger and a Monte Carlo transversality probe of
-e^{-rT} E|V(X_T, Q_T)| -> 0.
+above the own trigger, a closed-form bound for transversality,
+e^{-rT} E|V(X_T, Q_T)| -> 0, and V_qmi = 0 at simulated opponent increments.
 
 Tolerances follow the numerical source: 1e-9 for the closed-form kinds and
 1e-7 for DynamicValue, whose values and q-partials are quadrature-backed.
@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundaries import InfiniteBoundary
+from .boundaries import ConstantPriceBoundary, InfiniteBoundary
+from .errors import UsageError
+from .mc import value_linear_bound_coeff
 from .model import ModelParams
 from .paths import generate_path
 
@@ -40,9 +42,7 @@ TOL_ANALYTIC = 1e-9
 TOL_QUAD = 1e-7
 # Opponent increments checked per simulated path, evenly subsampled.
 _MAX_INCREMENTS = 60
-# Paths of the opponent-increment check in a full report.
-_INCREMENT_PATHS = 20
-# Default simulation seed of the outcome-based side conditions.
+# Default simulation seed of the opponent-increment check.
 SEED = 7
 
 
@@ -253,85 +253,40 @@ def check_derivative_propagation(value_fn, pair, spec: GridSpec = GridSpec()) ->
     return worst.result("derivative_propagation", tol)
 
 
-def check_transversality(value_fn, params: ModelParams, builder, x0: float,
-                         horizon: float, n_paths: int = 400, dt: float = 0.01,
-                         seed: int = SEED, abs_cap: float = 1e-3) -> ConditionResult:
-    """Estimate e^{-rT} E|V| at T and 2T along simulated outcomes.
-
-    Passes when the 2T estimate is below half the T estimate (or both are
-    already under the absolute cap) and below the cap itself.
-
-    Each path is simulated and built once, to 2T, and the T estimate reads
-    the same outcome at grid index round(T/dt).  A path of horizon T is a
-    bit-identical prefix of the 2T path of the same (seed, path_index), so
-    this equals building both horizons only if the builder is
-    non-anticipating: its outcome up to t depends only on the path up to t,
-    as for every builder in `outcomes`.
-
-    The estimate is heavy tailed, dominated by single extreme paths, so its
-    verdict depends on the seed: with the criterion-4 settings (80 paths,
-    T = 6, dt = 0.01) it fails on about 2.5% of seeds for the exact
-    DynamicValue of c = 0.5 and c = 1.
-    """
-    outcomes = _outcomes(params, builder, x0, 2 * horizon, n_paths, dt, seed)
-    return _transversality(value_fn, params.r, outcomes, horizon, dt, abs_cap)
+def _norm_cdf(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def check_opponent_increment_derivative(value_fn, params: ModelParams, builder,
-                                        x0: float, horizon: float,
-                                        n_paths: int = _INCREMENT_PATHS, dt: float = 0.01,
-                                        seed: int = SEED) -> ConditionResult:
-    """Along simulated outcomes, V_qmi must vanish wherever the opponent
-    actually invests on the joint boundary (initial jump included).
-
-    Checked on the built outcomes only, not over all conceivable outcomes;
-    increment indices are subsampled per path to bound the cost.
-    """
-    outcomes = _outcomes(params, builder, x0, horizon, n_paths, dt, seed)
-    return _increment_derivative(value_fn, outcomes, int(round(horizon / dt)) + 1)
-
-
-def _outcomes(params: ModelParams, builder, x0: float, horizon: float, n_paths: int,
-              dt: float, seed: int):
-    """Outcomes of paths 0..n_paths-1 of `seed`, each simulated and built to
-    `horizon`, one at a time."""
-    for j in range(n_paths):
-        yield builder(generate_path(params, x0, dt, horizon, seed, j))
+def _discounted_max_moment(params: ModelParams, t: float) -> float:
+    """e^{-rt} E[e^{gamma m_t}] for m_t the running maximum of nu t + sigma W_t,
+    nu = mu - sigma^2/2 (Shreve 2004, Stochastic Calculus for Finance II,
+    sec. 7.2).  Both terms carry e^{(mu_gamma - r) t}; the second divides by
+    k = gamma + 2 nu/sigma^2 and is expanded to first order near k = 0."""
+    pr = params
+    nu = pr.mu - 0.5 * pr.sigma ** 2
+    s, k = pr.sigma * math.sqrt(t), pr.gamma + 2.0 * nu / pr.sigma ** 2
+    u = -nu * t / s
+    grown, disc = math.exp((pr.mu_gamma - pr.r) * t), math.exp(-pr.r * t)
+    i = (grown * _norm_cdf(pr.gamma * s - u) - disc * _norm_cdf(-u)) / pr.gamma
+    if abs(k * s) < 1e-5:
+        cdf, pdf = _norm_cdf(u), math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+        j = disc * s * (pdf + u * cdf + 0.5 * k * s * ((1.0 + u * u) * cdf + u * pdf))
+    else:
+        j = (grown * _norm_cdf(u + k * s) - disc * _norm_cdf(u)) / k
+    return disc + pr.gamma * (i + j)
 
 
-def _transversality(value_fn, r: float, outcomes, horizon: float, dt: float,
-                    abs_cap: float) -> ConditionResult:
-    """The transversality verdict over outcomes built to 2T, reading each at
-    grid index round(T/dt) and at its end."""
-    k_mid = int(round(horizon / dt))
-    totals = [0.0, 0.0]   # sums of |V| at T and at 2T
-    n = 0
-    for out in outcomes:
-        n += 1
-        for m, k in enumerate((k_mid, -1)):
-            totals[m] += abs(value_fn.value(float(out.path.values[k]),
-                                            float(out.Q1[k]), float(out.Q2[k])))
-    ests = {mult: np.exp(-r * mult * horizon) * totals[mult - 1] / n for mult in (1, 2)}
-    halved = ests[2] <= 0.5 * ests[1] or ests[1] <= abs_cap
-    return ConditionResult("transversality", worst=float(ests[2]),
-                           at=(float(ests[1]), float(ests[2])), tol=abs_cap,
-                           passed=bool(halved and ests[2] <= abs_cap),
-                           note=f"e^-rT E|V|: T={ests[1]:.3e}, 2T={ests[2]:.3e}")
-
-
-def _increment_derivative(value_fn, outcomes, end: int) -> ConditionResult:
+def _increment_derivative(value_fn, outcomes) -> ConditionResult:
     """The opponent-increment verdict: |V_qmi| at the opponent's increments
-    among the first `end` grid indices of each outcome, where they lie on
-    firm 1's trigger."""
+    along each outcome, where they lie on firm 1's trigger."""
     own = value_fn.strategy_pair()[0]
     if isinstance(own, InfiniteBoundary):
         return _void("opponent_increment_derivative",
                      "void: own trigger infinite, opponent increments unrestricted")
     worst = _Worst(0.0)
     for out in outcomes:
-        head = out.Q2[:end]
-        idx = np.nonzero(np.diff(head) > 1e-12 * (1.0 + head[1:]))[0] + 1
-        if head[0] > out.initial(2) + 1e-12:
+        idx = np.nonzero(np.diff(out.Q2) > 1e-12 * (1.0 + out.Q2[1:]))[0] + 1
+        if out.Q2[0] > out.initial(2) + 1e-12:
             idx = np.concatenate(([0], idx))
         if len(idx) > _MAX_INCREMENTS:
             idx = idx[np.linspace(0, len(idx) - 1, _MAX_INCREMENTS).astype(int)]
@@ -343,33 +298,48 @@ def _increment_derivative(value_fn, outcomes, end: int) -> ConditionResult:
     return worst.result("opponent_increment_derivative", _tolerance(value_fn))
 
 
-def _side_conditions(value_fn, builder, x0: float, horizon: float, n_paths: int = 400,
-                     dt: float = 0.01, seed: int = SEED, abs_cap: float = 1e-3) -> tuple:
-    """check_transversality and check_opponent_increment_derivative on one
-    set of outcomes: each path is simulated and built once, to 2T, and the
-    increment check reads the first _INCREMENT_PATHS of them up to grid
-    index round(T/dt).  By the prefix property of check_transversality this
-    equals building those paths to T."""
-    outcomes = _outcomes(value_fn.params, builder, x0, 2 * horizon,
-                         max(n_paths, _INCREMENT_PATHS), dt, seed)
-    head = list(itertools.islice(outcomes, _INCREMENT_PATHS))
-    inc = _increment_derivative(value_fn, head, int(round(horizon / dt)) + 1)
-    tv = _transversality(value_fn, value_fn.params.r,
-                         itertools.islice(itertools.chain(head, outcomes), n_paths),
-                         horizon, dt, abs_cap)
-    return tv, inc
+def _side_conditions(value_fn, pair, spec: GridSpec, builder, x0: float, horizon: float,
+                     n_paths: int = 20, dt: float = 0.01, seed: int = SEED) -> tuple:
+    """Transversality, and the increment check on n_paths outcomes built to T.
+
+    Q1 + Q2 <= s0 + (M_t/p_lo)**gamma (M_t: running max of the shock, p_lo:
+    lowest zero-premium price of the finite triggers), so where
+    |V| <= a (1 + q_i + q_mi), e^{-rt} E|V| is at most the `at` values
+    U(t) = e^{-rt} a (1 + s0 + (x0/p_lo)**gamma E[e^{gamma m_t}]) at T, 2T.
+    Passes iff that hypothesis holds on the grid below both triggers."""
+    if n_paths < 1:
+        raise UsageError(f"the side conditions need n_paths >= 1, got {n_paths}")
+    params, (own, opp) = value_fn.params, pair
+    outcomes = (builder(generate_path(params, x0, dt, horizon, seed, j))
+                for j in range(n_paths))
+    first = next(outcomes)
+    finite = [b for b in pair if not isinstance(b, InfiniteBoundary)]
+    a = value_linear_bound_coeff(params, finite[0])
+    p_lo = min(b.p if isinstance(b, ConstantPriceBoundary) else params.p_star
+               for b in finite)
+    worst = _Worst()
+    for q_i, q_mi in spec.capital_pairs(pair):
+        xs = spec.x_levels(min(own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = value_fn.below_branch_arrays(xs, q_i, q_mi)[0]
+            worst.add(np.abs(v) / (a * (1.0 + q_i + q_mi)), xs, q_i, q_mi)
+    u = [a * (math.exp(-params.r * t) * (1.0 + first.initial(1) + first.initial(2))
+              + (x0 / p_lo) ** params.gamma * _discounted_max_moment(params, t))
+         for t in (horizon, 2.0 * horizon)]
+    tv = ConditionResult("transversality", worst.value, tuple(u), 1.0, worst.value <= 1.0,
+                         note=f"e^-rT E|V| <= {u[0]:.3e} at T, {u[1]:.3e} at 2T")
+    return tv, _increment_derivative(value_fn, itertools.chain([first], outcomes))
 
 
 def run_verification(value_fn, pair=None, spec: GridSpec = GridSpec(),
                      simulation: dict | None = None) -> VerificationReport:
     """Full report: conditions 1-6, the propagation identity, and, when a
-    simulation configuration is supplied, the outcome-based side conditions
-    (transversality and the opponent-increment derivative).
+    simulation configuration is supplied, transversality and the
+    opponent-increment derivative.
 
-    simulation keys: builder, x0, horizon, plus optional n_paths, dt, seed
-    and abs_cap of the transversality probe.  Each of its n_paths paths is
-    simulated and built once, to 2T; the increment check reads the first 20
-    of those outcomes up to grid index round(T/dt).
+    simulation keys: builder, x0, horizon, plus optional n_paths (default
+    20), dt and seed of the opponent-increment check.  Transversality is a
+    closed-form bound that reads only x0 and the first outcome's capitals.
     """
     if pair is None:
         pair = value_fn.strategy_pair()
@@ -383,6 +353,6 @@ def run_verification(value_fn, pair=None, spec: GridSpec = GridSpec(),
         report.add(res)
     report.add(check_derivative_propagation(value_fn, pair, spec))
     if simulation is not None:
-        for res in _side_conditions(value_fn, **simulation):
+        for res in _side_conditions(value_fn, pair, spec, **simulation):
             report.add(res)
     return report

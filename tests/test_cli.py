@@ -287,6 +287,48 @@ def test_malformed_run_input_exit_64(tmp_path, capsys, command, strategy, paths)
     assert "usage error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config", [
+    ("value", {**_ABSTAIN, "states": [[1.0, 1e308, 0.0]]}),
+    ("sweep", {"params": GOLDEN_BLOCK, "sweep": {"kind": "sole_investor", "p_values": [2.6]},
+               "states": [[1.0, 1e308, 0.0]]}),
+], ids=["value-nan", "sweep-inf"])
+def test_non_finite_output_row_exit_3(tmp_path, capsys, command, config):
+    """A row whose value or partial is NaN or inf is a numeric failure, not
+    output: NaN is not JSON, and inf is no value."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("numeric error:")
+
+
+@pytest.mark.parametrize("command, flags, code", [
+    ("simulate", ["--dt", "nan"], EXIT_DOMAIN),
+    ("simulate", ["--horizon", "nan"], EXIT_DOMAIN),
+    ("deviation", ["--dt", "nan"], EXIT_DOMAIN),
+    ("deviation", ["--horizon", "nan"], EXIT_DOMAIN),
+    ("simulate", ["--dump-count", "-3"], EXIT_USAGE),
+    ("npv", ["--p", "nan"], EXIT_USAGE),
+    ("npv", ["--p", "-1"], EXIT_USAGE),
+], ids=["simulate-dt-nan", "simulate-horizon-nan", "deviation-dt-nan",
+        "deviation-horizon-nan", "dump-count-negative", "npv-p-nan", "npv-p-negative"])
+def test_numeric_flag_exit_codes(tmp_path, capsys, command, flags, code):
+    """Non-finite run lengths are a domain error, like --dt 0; a negative
+    dump count and a price threshold that is not a positive number are
+    usage errors.  Nothing reaches stdout."""
+    params_file = tmp_path / "params.json"
+    params_file.write_text(json.dumps(GOLDEN_BLOCK))
+    strat = tmp_path / "strategy.json"
+    strat.write_text(json.dumps({"kind": "constant_price", "p": 2.6}))
+    run = ["--state", "2.0,1.0,1.0", "--paths", "2", "--dump-outcomes", str(tmp_path / "d")]
+    argv = {"simulate": ["--params", str(params_file), "--strategy", str(strat), *run],
+            "deviation": ["--params", str(params_file), "--equilibrium", str(strat),
+                          "--deviant", str(strat), *run[:4]],
+            "npv": ["--config", str(params_file)]}[command]
+    assert main([command, *argv, *flags]) == code
+    assert capsys.readouterr().out == ""
+
+
 def test_value_state_outside_domain_exit_2(tmp_path, capsys):
     cfg = tmp_path / "value.json"
     cfg.write_text(json.dumps({"params": GOLDEN_BLOCK,

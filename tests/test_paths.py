@@ -55,6 +55,9 @@ def test_domain_errors(golden):
         generate_path(golden, 1.0, 0.0, 1.0, seed=0)
     with pytest.raises(ParamDomainError):
         generate_path(golden, 1.0, 0.5, 0.1, seed=0)
+    for dt, horizon in ((math.nan, 1.0), (0.01, math.nan), (0.01, math.inf)):
+        with pytest.raises(ParamDomainError, match="finite"):
+            generate_path(golden, 1.0, dt, horizon, seed=0)
 
 
 def test_running_sup_fold():

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from duopoly_invest.boundaries import ConstantPriceBoundary, DynamicBoundary
+from duopoly_invest.errors import UsageError
 from duopoly_invest.model import derive_params
 from duopoly_invest.outcomes import build_abstain_outcome, build_symmetric_outcome
 from duopoly_invest.paths import generate_path
@@ -15,12 +17,11 @@ from duopoly_invest.values import (
 )
 from duopoly_invest.verify import (
     GridSpec,
+    _discounted_max_moment,
     _Worst,
     check_derivative_propagation,
-    check_opponent_increment_derivative,
     check_pde,
     check_smooth_fit,
-    check_transversality,
     run_verification,
 )
 
@@ -100,68 +101,123 @@ def test_propagation_identity(golden):
         assert res.passed, (fn.kind, res.worst)
 
 
-def test_transversality_decay(golden):
-    cp = ConstantPriceBoundary(golden, golden.p_star)
-    fn = AbstainValue(golden, golden.p_star)
+def _criterion4_sim(params, c, seed=53, n_paths=80):
+    """DynamicValue(c) and the criterion-4 simulation setup of its report."""
+    fn = DynamicValue(params, c)
+    dyn = fn.boundary
+    q1 = dyn.q_floor + 0.2 if c > 0 else 1.0
+    q2 = q1 + 0.2
+    builder = lambda path: build_symmetric_outcome((dyn, dyn), path, q1, q2)
+    return fn, dict(builder=builder, x0=0.9 * dyn.trigger(q2, q2), horizon=6.0,
+                    n_paths=n_paths, dt=0.01, seed=seed)
+
+
+def _abstain_sim(params):
+    """AbstainValue at p_star and the criterion-4 simulation setup of its report."""
+    cp = ConstantPriceBoundary(params, params.p_star)
     builder = lambda path: build_abstain_outcome((cp, cp), path, 1.0, 1.0, 1)
-    res = check_transversality(fn, golden, builder, x0=2.0, horizon=8.0,
-                               n_paths=100, dt=0.01, seed=3)
-    assert res.passed
-    est_T, est_2T = res.at
-    assert est_2T < est_T
+    return AbstainValue(params, params.p_star), dict(builder=builder, x0=2.0, horizon=8.0,
+                                                     n_paths=120, dt=0.01, seed=97)
 
 
-def test_transversality_single_build_matches_two_builds(golden):
-    """Reading the T estimate off the 2T outcome gives the estimates of
-    separate T and 2T builds, on the criterion-4 configuration."""
-    for c in (0.5, 1.0):
-        fn = DynamicValue(golden, c)
-        dyn = fn.boundary
-        q1 = dyn.q_floor + 0.2
-        q2 = q1 + 0.2
-        builder = lambda path: build_symmetric_outcome((dyn, dyn), path, q1, q2)
-        x0, horizon, n_paths, dt, seed = 0.9 * dyn.trigger(q2, q2), 6.0, 80, 0.01, 53
-        res = check_transversality(fn, golden, builder, x0=x0, horizon=horizon,
-                                   n_paths=n_paths, dt=dt, seed=seed)
-        for mult, est in zip((1, 2), res.at):
-            total = 0.0
-            for j in range(n_paths):
-                path = generate_path(golden, x0, dt, mult * horizon, seed, j)
-                out = builder(path)
-                total += abs(fn.value(float(path.values[-1]), float(out.Q1[-1]),
-                                      float(out.Q2[-1])))
-            ref = math.exp(-golden.r * mult * horizon) * total / n_paths
-            assert abs(est - ref) <= 1e-12 * abs(ref), (c, mult, est, ref)
+@pytest.mark.parametrize("mu, sigma", [(0.0, math.sqrt(2.0)),   # nu < 0
+                                       (0.3, 0.5),               # nu > 0
+                                       (-0.5, math.sqrt(2.0))])  # gamma + 2 nu/sigma^2 = 0
+@pytest.mark.parametrize("t", [0.5, 6.0, 12.0])
+def test_discounted_max_moment_matches_quadrature(mu, sigma, t):
+    """e^{-rt} E[e^{gamma m_t}] against quadrature of the survival function
+    of the running maximum: E[e^{gamma m}] = 1 + gamma int e^{gamma y} P(m > y) dy."""
+    from scipy import integrate
+    from scipy.stats import norm
+
+    pr = derive_params(1.0, mu, sigma, 1.5)
+    nu, s = mu - 0.5 * sigma ** 2, sigma * math.sqrt(t)
+
+    def integrand(y):
+        surv = norm.sf((y - nu * t) / s) + math.exp(2 * nu * y / sigma ** 2) * norm.sf((y + nu * t) / s)
+        return math.exp(pr.gamma * y - pr.r * t) * surv
+
+    top = max(nu * t, 0.0) + 40.0 * s
+    tail, _ = integrate.quad(integrand, 0.0, top, points=[top - 39.0 * s],
+                             epsabs=0.0, epsrel=1e-13, limit=400)
+    ref = math.exp(-pr.r * t) + pr.gamma * tail
+    assert _discounted_max_moment(pr, t) == pytest.approx(ref, rel=1e-10)
+
+
+def test_transversality_decay(golden, monkeypatch):
+    """The bound decays from T to 2T, and the abstain report builds only its
+    first path: the increment check is void, and the bound needs only the
+    initial capitals."""
+    import duopoly_invest.verify as verify
+
+    fn, sim = _abstain_sim(golden)
+    calls = []
+    counted = lambda *args: calls.append(args) or generate_path(*args)
+    monkeypatch.setattr(verify, "generate_path", counted)
+    res = run_verification(fn, spec=SPEC, simulation=sim).conditions["transversality"]
+    assert res.passed and res.tol == 1.0 and 0.0 < res.worst <= 1.0
+    bound_T, bound_2T = res.at
+    assert math.isfinite(bound_T) and 0.0 < bound_2T < bound_T
+    assert [args[3] for args in calls] == [8.0]
+
+
+def test_transversality_bound_exceeds_monte_carlo(golden):
+    """On every criterion-4 configuration the bound at T lies above a
+    2,000-path Monte Carlo mean of e^{-rT} |V(X_T, Q_T)| plus three standard
+    errors."""
+    configs = [_abstain_sim(golden)] + [_criterion4_sim(golden, c) for c in (0.0, 0.5, 1.0)]
+    for fn, sim in configs:
+        bound_T = run_verification(fn, spec=GridSpec(nx=3, nq=2),
+                                   simulation=sim).conditions["transversality"].at[0]
+        vals = np.empty(2000)
+        for j in range(len(vals)):
+            out = sim["builder"](generate_path(golden, sim["x0"], sim["dt"], sim["horizon"], 11, j))
+            vals[j] = abs(fn.value(float(out.path.values[-1]), float(out.Q1[-1]),
+                                   float(out.Q2[-1])))
+        vals *= math.exp(-golden.r * sim["horizon"])
+        mc = vals.mean() + 3.0 * vals.std(ddof=1) / math.sqrt(len(vals))
+        assert bound_T >= mc, (fn.kind, bound_T, mc)
+
+
+def test_transversality_is_seed_independent(golden):
+    spec = GridSpec(nx=3, nq=2)
+    for c in (0.0, 0.5, 1.0):
+        blobs = {json.dumps(run_verification(fn, spec=spec, simulation=sim)
+                            .conditions["transversality"].to_json())
+                 for fn, sim in (_criterion4_sim(golden, c, seed=seed, n_paths=2)
+                                 for seed in (53, 7, 11))}
+        assert len(blobs) == 1, c
+
+
+def test_transversality_negative_control(golden):
+    """Scaling the option term by 100 breaks the bound's hypothesis
+    |V| <= a (1 + q_i + q_mi)."""
+    fn, sim = _criterion4_sim(golden, 0.5, n_paths=1)
+    bad = PerturbedValue(fn, 100.0)
+    res = run_verification(bad, spec=SPEC, simulation=sim).conditions["transversality"]
+    assert not res.passed and res.worst > 1.0
+
+
+def test_side_conditions_need_a_path(golden):
+    fn, sim = _abstain_sim(golden)
+    with pytest.raises(UsageError, match="n_paths >= 1"):
+        run_verification(fn, spec=SPEC, simulation={**sim, "n_paths": 0})
 
 
 def test_report_builds_each_path_once(golden, monkeypatch):
-    """A report simulates and builds each side-condition path once: on the
-    criterion-4 configuration the increment check, reading the first 20
-    outcomes of the 2T transversality paths up to T, gives the `worst` and
-    `at` of separate builds to T, and the transversality result equals
-    check_transversality's."""
+    """A report simulates and builds each of its n_paths side-condition
+    paths once, to T, and reads increments on them all."""
     import duopoly_invest.verify as verify
 
     for c in (0.5, 1.0):
-        fn = DynamicValue(golden, c)
-        dyn = fn.boundary
-        q1 = dyn.q_floor + 0.2
-        q2 = q1 + 0.2
-        builder = lambda path: build_symmetric_outcome((dyn, dyn), path, q1, q2)
-        sim = dict(builder=builder, x0=0.9 * dyn.trigger(q2, q2), horizon=6.0,
-                   n_paths=80, dt=0.01, seed=53)
+        fn, sim = _criterion4_sim(golden, c)
         calls = []
         counted = lambda *args: calls.append(args) or generate_path(*args)
         monkeypatch.setattr(verify, "generate_path", counted)
         rep = run_verification(fn, spec=GridSpec(nx=3, nq=2), simulation=sim)
         monkeypatch.undo()
-        assert len(calls) == 80
-        inc = rep.conditions["opponent_increment_derivative"]
-        sep = check_opponent_increment_derivative(fn, golden, **{**sim, "n_paths": 20})
-        assert (inc.worst, inc.at) == (sep.worst, sep.at), c
-        assert inc.at  # some increments were checked
-        tv = check_transversality(fn, golden, **sim)
-        assert rep.conditions["transversality"].to_json() == tv.to_json()
+        assert [(args[3], args[5]) for args in calls] == [(6.0, j) for j in range(80)]
+        assert rep.conditions["opponent_increment_derivative"].at  # increments were checked
 
 
 def test_opponent_increment_derivative(golden):
@@ -169,9 +225,10 @@ def test_opponent_increment_derivative(golden):
     fn = DynamicValue(golden, 1.0)
     qf = dyn.q_floor
     builder = lambda path: build_symmetric_outcome((dyn, dyn), path, qf, 1.2 * qf)
-    res = check_opponent_increment_derivative(fn, golden, builder, x0=5.2,
-                                              horizon=2.0, n_paths=10, dt=0.005,
-                                              seed=5)
+    rep = run_verification(fn, spec=GridSpec(nx=3, nq=2),
+                           simulation=dict(builder=builder, x0=5.2, horizon=2.0,
+                                           n_paths=10, dt=0.005, seed=5))
+    res = rep.conditions["opponent_increment_derivative"]
     assert res.passed
     assert res.worst < 1e-6
 
