@@ -35,22 +35,16 @@ from .outcomes import (
     payoff,
 )
 from .paths import ShockPath, generate_path, running_sup
-from .values import (
-    AbstainValue,
-    DynamicValue,
-    PerturbedValue,
-    QuadratureSettings,
-    SoleInvestorValue,
-)
+from .values import AbstainValue, DynamicValue, PerturbedValue, SoleInvestorValue
 from .verify import GridSpec, VerificationReport, run_verification
 
 __all__ = [
     "AbstainValue", "Boundary", "ConstantPriceBoundary", "DeviationResult",
     "DynamicBoundary", "DynamicValue", "GridSpec", "InfiniteBoundary",
-    "ModelParams", "Outcome", "PayoffEstimate", "PerturbedValue",
-    "QuadratureSettings", "ShockPath", "SoleInvestorValue",
-    "VerificationReport", "boundary_from_json", "build_abstain_outcome",
-    "build_aggregate_split", "build_joint_outcome", "build_symmetric_outcome",
+    "ModelParams", "Outcome", "PayoffEstimate", "PerturbedValue", "ShockPath",
+    "SoleInvestorValue", "VerificationReport", "boundary_from_json",
+    "build_abstain_outcome", "build_aggregate_split", "build_joint_outcome",
+    "build_symmetric_outcome",
     "catch_up_report", "check_consistency", "derive_params",
     "deviation_experiment", "discount_identity_defect", "estimate_payoff",
     "generate_path", "npv_at_boundary", "params_from_json", "payoff",

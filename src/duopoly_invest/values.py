@@ -1,14 +1,19 @@
 """Candidate value functions and their partial derivatives.
 
 Below its own trigger every value function solves the same linear pricing
-equation.  ValueFunction writes that branch once, as the profit stream
-without further investment plus an option term in the normalised price
-y = x * P(q_i + q_mi) / p_ref:
+equation.  ValueFunction writes that branch once, in the normalised price
+y = x * P(q_i + q_mi) / p_ref, as a profit stream S plus an option term O:
 
-    V = p_ref/(r-mu) * q_i * y + C(q_i, q_mi) * y**beta
+    S = unit * q_i,  unit = p_ref/(r-mu) * y,    O = C(q_i, q_mi) * y**beta
 
-The strategy family enters only through C.  Each kind supplies p_ref, C
-and C's gradient, from which every q-partial is analytic:
+One evaluation of unit and y**beta gives the value and every partial.  Both
+capitals move y by dy/dq = -y/(gamma q), q = q_i + q_mi, so
+
+    V = S + O,    x V_x = S + beta O,    x**2 V_xx = beta (beta-1) O,
+    V_qi  = unit + C_qi y**beta - x V_x / (gamma q),
+    V_qmi =        C_qmi y**beta - x V_x / (gamma q).
+
+The strategy family enters only through C and its gradient:
 
   AbstainValue(p)        never investing while the opponent reflects the
                          price at the constant threshold p; p_ref = p,
@@ -23,13 +28,14 @@ The branch is written in y, not as A*x + B*x**beta: y stays O(1) below the
 trigger, while x**beta overflows once x passes 1e308**(1/beta), about
 1e190 at the golden parameters.
 
-Above the trigger the first two have explicit continuations; all three use
-the smooth-pasting recursion
+Above the trigger the abstainer earns a constant annuity; the investing kinds
+continue by the smooth-pasting recursion
 
     V(x, q_i, q_mi) = V(x, phi(x, q_mi), q_mi) - phi(x, q_mi) + q_i
 
 which is evaluated directly against the below-trigger branch (never by
-re-dispatching, so floating-point ties at the trigger cannot recurse).
+re-dispatching, so floating-point ties at the trigger cannot recurse), with
+one root solve for phi per level however many partials are asked for.
 
 DynamicValue's B is an improper integral over [q_i, inf).  It is evaluated as
 one integral over t in (0, 1], where s = q + q_mi = (q_i + q_mi) * t**(-1/d),
@@ -43,8 +49,7 @@ its q_i-derivative is the integrand at q_i.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -94,12 +99,10 @@ _S_MAX = 1e300
 _TAIL_REL_TOL = 1e-12
 # B values kept per DynamicValue: about four default verification reports.
 _B_CACHE_SIZE = 40_000
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    rel_tol: float = 1e-10       # target |error| <= rel_tol * (1 + |B|)
-    max_splits: int = 8          # refinement rounds before giving up
+# B's target |error| <= _REL_TOL * (1 + |B|), within _MAX_SPLITS refinement
+# rounds.
+_REL_TOL = 1e-10
+_MAX_SPLITS = 8
 
 
 def _gk15_panels(f, edges):
@@ -120,21 +123,20 @@ def _gk15_panels(f, edges):
 
 
 class ValueFunction:
-    """Shared evaluation plumbing and the below-trigger branch of every kind
-    (see the module docstring).  A kind supplies p_ref, its strategy pair
-    (own boundary first), the option coefficient _c and its gradient
-    _c_grad = (dC/dq_i, dC/dq_mi).
+    """Shared evaluation of every kind (see the module docstring).  A kind
+    supplies p_ref, its strategy pair (own boundary first), the option
+    coefficient _c and its gradient _c_grad = (dC/dq_i, dC/dq_mi).
 
     Every evaluation takes one capital pair and a shock level x that is a
-    float or a numpy array of levels.  The below-trigger formulas take a
-    whole array of levels at once; only levels above the own trigger, which
-    paste to phi(x, q_mi), are evaluated one by one.
+    float or a numpy array of levels.  _evaluate splits the levels once at
+    the own trigger: the branch (_below) takes every level up to it in one
+    call, and the continuation (_above) each level over it.  Both return all
+    requested entries at once, keyed "v" (V), "x" (x V_x), "xx" (x**2 V_xx),
+    "qi" and "qmi"; partials divides the x-derivatives by x last.
     """
 
     params: ModelParams
     p_ref: float
-
-    # -- branch anatomy -------------------------------------------------------
 
     def _own_trigger(self, q_i, q_mi):
         return self.strategy_pair()[0].trigger(q_i, q_mi)
@@ -147,105 +149,90 @@ class ValueFunction:
 
     # -- the below-trigger branch ---------------------------------------------
 
-    def _y(self, x, q_i, q_mi):
-        """Normalised price y and its x-derivative P(q)/p_ref."""
+    def _branch(self, x, q_i, q_mi):
+        """unit = p_ref/(r-mu) * y and y**beta at the normalised price y."""
+        pr = self.params
         q = q_i + q_mi
         if q <= 0.0:
             raise ZeroCapacityError("value needs positive aggregate capacity")
-        dy = q ** (-1.0 / self.params.gamma) / self.p_ref
-        return x * dy, dy
+        y = x * (q ** (-1.0 / pr.gamma) / self.p_ref)
+        return self.p_ref / (pr.r - pr.mu) * y, y ** pr.beta
 
-    def _terms(self, x, q_i, q_mi):
-        """The branch's profit stream p_ref/(r-mu) * q_i * y and its option
-        term C * y**beta."""
+    def _below(self, x, q_i, q_mi, which):
+        """The branch's entries from the profit stream S = unit * q_i and the
+        option term O = C * y**beta.  Both capitals lower the price P(q),
+        which moves y by dy/dq = -y/(gamma q); own capital also scales S."""
         pr = self.params
-        y, _ = self._y(x, q_i, q_mi)
-        return self.p_ref / (pr.r - pr.mu) * q_i * y, self._c(q_i, q_mi) * y ** pr.beta
+        unit, y_beta = self._branch(x, q_i, q_mi)
+        stream, option = unit * q_i, self._c(q_i, q_mi) * y_beta
+        x_vx = stream + pr.beta * option
+        out = {}
+        if "v" in which:
+            out["v"] = stream + option
+        if "x" in which:
+            out["x"] = x_vx
+        if "xx" in which:
+            out["xx"] = pr.beta * (pr.beta - 1.0) * option
+        if "qi" in which or "qmi" in which:
+            c_qi, c_qmi = self._c_grad(q_i, q_mi)
+            via_price = x_vx / (pr.gamma * (q_i + q_mi))
+            if "qi" in which:
+                out["qi"] = unit + c_qi * y_beta - via_price
+            if "qmi" in which:
+                out["qmi"] = c_qmi * y_beta - via_price
+        return out
 
-    def _below(self, x, q_i, q_mi):
-        stream, option = self._terms(x, q_i, q_mi)
-        return stream + option
-
-    def _below_x(self, x, q_i, q_mi):
-        pr = self.params
-        y, dy = self._y(x, q_i, q_mi)
-        return (self.p_ref / (pr.r - pr.mu) * q_i
-                + pr.beta * self._c(q_i, q_mi) * y ** (pr.beta - 1.0)) * dy
-
-    def _below_xx(self, x, q_i, q_mi):
-        pr = self.params
-        y, dy = self._y(x, q_i, q_mi)
-        return pr.beta * (pr.beta - 1.0) * self._c(q_i, q_mi) * y ** (pr.beta - 2.0) * dy * dy
-
-    def option_term(self, x, q_i, q_mi):
-        """C * y**beta of the below-trigger branch; above the own trigger it
-        keeps its value on the trigger."""
-        return self._terms(np.minimum(x, self._own_trigger(q_i, q_mi)), q_i, q_mi)[1]
-
-    def _q_below(self, x, q_i, q_mi, own: bool):
-        """V_qi (own) or V_qmi of the below-trigger branch from _c_grad.
-
-        Both capitals lower the price P(q), which moves y by
-        dy/dq = -y/(gamma q); own capital also scales the profit stream.
-        """
-        pr = self.params
-        y, _ = self._y(x, q_i, q_mi)
-        stream = self.p_ref / (pr.r - pr.mu)
-        c = self._c(q_i, q_mi)
-        dc = self._c_grad(q_i, q_mi)[0 if own else 1]
-        via_price = (stream * q_i + pr.beta * c * y ** (pr.beta - 1.0)) \
-            * (-y / (pr.gamma * (q_i + q_mi)))
-        return (stream * y if own else 0.0) + dc * y ** pr.beta + via_price
-
-    # Continuation at one shock level above the own trigger: the branch at
-    # the paste point phi(x, q_mi).  Kinds with an explicit continuation
-    # override these.
-
-    def _above(self, x, q_i, q_mi):
+    def _above(self, x, q_i, q_mi, which):
+        """The continuation at one level x above the own trigger: the branch
+        at the paste point phi = phi(x, q_mi).  V = V(x, phi, q_mi) - phi +
+        q_i, V_x is the branch's and V_qi = 1, which needs no root solve.
+        V_qmi is the chain rule of the pasting identity, V_qmi + (V_qi - 1) *
+        phi_qmi of the branch at phi, with phi_qmi = -T_qmi / T_qi from the
+        own trigger's gradient.  Smooth fit (V_qi = 1 on the trigger) drops
+        the second term; it is kept, so that the propagation check tests
+        smooth fit instead of assuming it.  Kinds with an explicit
+        continuation override this."""
+        if "xx" in which:
+            raise TooCloseToBoundaryError("second x-derivative is only provided below the trigger")
+        out = {"qi": 1.0}
+        if set(which) <= {"qi"}:
+            return out
         phi = self._phi(x, q_mi)
-        return self._below(x, phi, q_mi) - phi + q_i
+        at = self._below(x, phi, q_mi, (*which, "qi") if "qmi" in which else which)
+        if "v" in which:
+            out["v"] = at["v"] - phi + q_i
+        if "x" in which:
+            out["x"] = at["x"]
+        if "qmi" in which:
+            t_qi, t_qmi = self.strategy_pair()[0].trigger_grad(phi, q_mi)
+            out["qmi"] = at["qmi"] - (at["qi"] - 1.0) * t_qmi / t_qi
+        return out
 
-    def _above_x(self, x, q_i, q_mi):
-        return self._below_x(x, self._phi(x, q_mi), q_mi)
-
-    def _above_xx(self, x, q_i, q_mi):
-        raise TooCloseToBoundaryError("second x-derivative is only provided below the trigger")
-
-    def _piecewise(self, below, above, x, q_i, q_mi):
-        """below(x, q_i, q_mi) at levels up to the own trigger, in one call
-        for an array; above(x_k, q_i, q_mi) at each level over it."""
+    def _evaluate(self, x, q_i, q_mi, which):
+        """The entries `which` (see the class docstring) at every level of x:
+        one split at the own trigger, one branch call for the levels up to
+        it, and one continuation call per level over it."""
+        if q_i + q_mi <= 0.0:
+            raise ZeroCapacityError("value needs positive aggregate capacity")
         trig = self._own_trigger(q_i, q_mi)
         if not isinstance(x, np.ndarray):
-            return below(x, q_i, q_mi) if x <= trig else above(x, q_i, q_mi)
-        out = np.empty(x.shape)
+            return (self._below if x <= trig else self._above)(x, q_i, q_mi, which)
+        out = {key: np.empty(x.shape) for key in which}
         under = x <= trig
         if under.any():
-            out[under] = below(x[under], q_i, q_mi)
+            below = self._below(x[under], q_i, q_mi, which)
+            for key in which:
+                out[key][under] = below[key]
         for k in np.flatnonzero(~under):
-            out.flat[k] = above(float(x.flat[k]), q_i, q_mi)
+            above = self._above(float(x.flat[k]), q_i, q_mi, which)
+            for key in which:
+                out[key].flat[k] = above[key]
         return out
 
     # -- generic surface ------------------------------------------------------
 
     def value(self, x, q_i, q_mi):
-        if q_i + q_mi <= 0.0:
-            raise ZeroCapacityError("value needs positive aggregate capacity")
-        return self._piecewise(self._below, self._above, x, q_i, q_mi)
-
-    def value_x(self, x, q_i, q_mi):
-        return self._piecewise(self._below_x, self._above_x, x, q_i, q_mi)
-
-    def value_xx(self, x, q_i, q_mi):
-        return self._piecewise(self._below_xx, self._above_xx, x, q_i, q_mi)
-
-    def below_branch_arrays(self, x, q_i, q_mi):
-        """(V, x V_x, x**2 V_xx) of the below-trigger branch, vectorized over
-        x.  With the profit stream S y and the option term O = C y**beta they
-        are S y + O, S y + beta O and beta (beta-1) O: written in y, they
-        stay finite where x**2 overflows."""
-        beta = self.params.beta
-        stream, option = self._terms(np.asarray(x, dtype=float), q_i, q_mi)
-        return stream + option, stream + beta * option, beta * (beta - 1.0) * option
+        return self._evaluate(x, q_i, q_mi, ("v",))["v"]
 
     def partials(self, x, q_i, q_mi, which=("x", "xx", "qi", "qmi")) -> dict:
         """Requested analytic partial derivatives at one capital pair.
@@ -255,36 +242,27 @@ class ValueFunction:
         """
         if isinstance(which, str):
             which = (which,)
-        out = {}
         for key in which:
-            if key == "x":
-                out[key] = self.value_x(x, q_i, q_mi)
-            elif key == "xx":
-                out[key] = self.value_xx(x, q_i, q_mi)
-            elif key in ("qi", "qmi"):
-                out[key] = self._d_q(x, q_i, q_mi, key == "qi")
-            else:
+            if key not in ("x", "xx", "qi", "qmi"):
                 raise ValueError(f"unknown partial {key!r}")
-        return out
+        out = self._evaluate(x, q_i, q_mi, which)
+        if "x" in which:
+            out["x"] = out["x"] / x
+        if "xx" in which:
+            out["xx"] = out["xx"] / x / x
+        return {key: out[key] for key in which}
 
-    def _d_q(self, x, q_i, q_mi, own: bool):
-        """V_qi (own) or V_qmi: the branch's, from _c_grad, below the own
-        trigger.  Above it, the chain rule of the pasting identity at the
-        paste point phi: V_qi = 1 and V_qmi = V_qmi + (V_qi - 1) * phi_qmi of
-        the branch at (x, phi, q_mi), with phi_qmi = -T_qmi / T_qi from the
-        own trigger's gradient.  Smooth fit (V_qi = 1 on the trigger) drops
-        the second term; it is kept, so that the propagation check tests
-        smooth fit instead of assuming it.
-        """
-        def above(v, q_i, q_mi):
-            if own:
-                return 1.0
-            phi = self._phi(v, q_mi)
-            t_qi, t_qmi = self.strategy_pair()[0].trigger_grad(phi, q_mi)
-            return self._q_below(v, phi, q_mi, own=False) \
-                - (self._q_below(v, phi, q_mi, own=True) - 1.0) * t_qmi / t_qi
+    def below_branch_arrays(self, x, q_i, q_mi):
+        """(V, x V_x, x**2 V_xx) of the below-trigger branch, vectorized over
+        x.  Written in y, they stay finite where x**2 overflows."""
+        out = self._below(np.asarray(x, dtype=float), q_i, q_mi, ("v", "x", "xx"))
+        return out["v"], out["x"], out["xx"]
 
-        return self._piecewise(partial(self._q_below, own=own), above, x, q_i, q_mi)
+    def option_term(self, x, q_i, q_mi):
+        """C * y**beta of the below-trigger branch; above the own trigger it
+        keeps its value on the trigger."""
+        y_beta = self._branch(np.minimum(x, self._own_trigger(q_i, q_mi)), q_i, q_mi)[1]
+        return self._c(q_i, q_mi) * y_beta
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +304,11 @@ class AbstainValue(ValueFunction):
         pr = self.params
         return -self.p / ((pr.r - pr.mu) * pr.beta), 0.0
 
-    def _above(self, x, q_i, q_mi):
+    def _above(self, x, q_i, q_mi, which):
+        """The annuity's row: flat in x and in the opponent's capital."""
         pr = self.params
-        return self.p / (pr.r - pr.mu) * (pr.beta - 1.0) / pr.beta * q_i
-
-    def _above_x(self, x, q_i, q_mi):
-        return 0.0
-
-    _above_xx = _above_x   # the annuity does not depend on x
-
-    def _d_q(self, x, q_i, q_mi, own):
-        above = self.p / self.params.p_star if own else 0.0   # of the annuity
-        return self._piecewise(partial(self._q_below, own=own), lambda *_: above,
-                               x, q_i, q_mi)
+        return {"v": self.p / (pr.r - pr.mu) * (pr.beta - 1.0) / pr.beta * q_i,
+                "x": 0.0, "xx": 0.0, "qi": self.p / pr.p_star, "qmi": 0.0}
 
 
 class SoleInvestorValue(ValueFunction):
@@ -391,12 +361,10 @@ class DynamicValue(ValueFunction):
     own-capital derivative to one on the trigger.
     """
 
-    def __init__(self, params: ModelParams, c: float,
-                 quadrature: QuadratureSettings = QuadratureSettings()):
+    def __init__(self, params: ModelParams, c: float):
         self.params = params
         self.p_ref = params.p_star
         self.c = c
-        self.quadrature = quadrature
         self.boundary = DynamicBoundary(params, c)
         # (q_i, q_mi) -> (B, B_qmi).  An OrderedDict drops its oldest entry
         # in O(1); a dict's first key is found past every deleted one.
@@ -439,12 +407,12 @@ class DynamicValue(ValueFunction):
     def _split_until(self, f, edges):
         """Integrals of the stacked integrands f over the panels between
         edges, splitting panels until each integrand's error gauge sum is
-        within rel_tol * (1 + |its integral|)."""
-        for _ in range(self.quadrature.max_splits + 1):
+        within _REL_TOL * (1 + |its integral|)."""
+        for _ in range(_MAX_SPLITS + 1):
             vals, errs = _gk15_panels(f, edges)
             totals = vals.sum(axis=1)
             # Each gauge as a share of its integrand's error budget.
-            share = errs / (self.quadrature.rel_tol * (1.0 + np.abs(totals)))[:, None]
+            share = errs / (_REL_TOL * (1.0 + np.abs(totals)))[:, None]
             if np.all(share.sum(axis=1) <= 1.0):
                 return totals
             worst = share.max(axis=0)
@@ -520,7 +488,7 @@ class DynamicValue(ValueFunction):
         return float(total), float(d_total)
 
     def B(self, q_i: float, q_mi: float) -> float:
-        """Coefficient of x**beta, certified to rel_tol * (1 + |B|).  Its
+        """Coefficient of x**beta, certified to _REL_TOL * (1 + |B|).  Its
         q_mi-derivative, certified alike, is cached with it."""
         key = (float(q_i), float(q_mi))
         hit = self._b_cache.get(key)
@@ -586,12 +554,6 @@ class PerturbedValue:
     def value(self, x, q_i, q_mi):
         return self.base.value(x, q_i, q_mi) \
             + (self.option_scale - 1.0) * self.base.option_term(x, q_i, q_mi)
-
-    def value_x(self, x, q_i, q_mi):
-        return self.base.value_x(x, q_i, q_mi)
-
-    def value_xx(self, x, q_i, q_mi):
-        return self.base.value_xx(x, q_i, q_mi)
 
     def partials(self, x, q_i, q_mi, which=("x", "xx", "qi", "qmi")):
         return self.base.partials(x, q_i, q_mi, which)

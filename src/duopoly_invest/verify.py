@@ -225,7 +225,8 @@ def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec()) -> list:
 
 def check_derivative_propagation(value_fn, pair, spec: GridSpec = GridSpec()) -> ConditionResult:
     """Above the own trigger the opponent-derivative must propagate down to
-    the paste point: V_qmi(x, q_i, q_mi) = V_qmi(x, phi(x, q_mi), q_mi).
+    the paste point: V_qmi(x, q_i, q_mi) equals the branch's
+    V_qmi(x, phi(x, q_mi), q_mi).
 
     With an infinite own trigger the region is empty and the check falls back
     to condition 3's content (V_qmi = 0 above the opponent trigger).
@@ -248,7 +249,10 @@ def check_derivative_propagation(value_fn, pair, spec: GridSpec = GridSpec()) ->
             x = frac * xb
             lhs = value_fn.partials(x, q_i, q_mi, ("qmi",))["qmi"]
             phi = own.base_capacity(x, q_mi)
-            rhs = value_fn.partials(x, phi, q_mi, ("qmi",))["qmi"]
+            # Rounding can put x above the trigger at phi, where partials
+            # would paste again and compare the chain rule with itself.
+            rhs = value_fn.partials(min(x, own.trigger(phi, q_mi)), phi, q_mi,
+                                    ("qmi",))["qmi"]
             worst.add(abs(lhs - rhs), x, q_i, q_mi)
     return worst.result("derivative_propagation", tol)
 

@@ -221,12 +221,17 @@ def test_malformed_config_exit_64(tmp_path, capsys, command, config):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
-def test_verify_overflow_exit_3(tmp_path, capsys):
-    """Capitals of 1e-311 overflow the inverse demand: a numeric failure."""
+def test_verify_tiny_capitals_report_finite_metrics(tmp_path):
+    """Capitals of 1e-311 put the inverse demand near 1e207, but the
+    q-partials divide x V_x, not the price, by the capital: every metric of
+    the report is finite and passes."""
     cfg = tmp_path / "verify.json"
     cfg.write_text(json.dumps({**_ABSTAIN, "grid": {"nx": 1, "nq": 2, "q_span": 1e-311}}))
-    assert main(["verify", "--config", str(cfg)]) == EXIT_NUMERIC
-    assert capsys.readouterr().err.startswith("numeric error:")
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["all_pass"] is True
+    assert all(math.isfinite(c["worst"]) for c in report["conditions"].values())
 
 
 @pytest.mark.parametrize("command, config", [
@@ -289,8 +294,10 @@ def test_malformed_run_input_exit_64(tmp_path, capsys, command, strategy, paths)
 
 @pytest.mark.parametrize("command, config", [
     ("value", {**_ABSTAIN, "states": [[1.0, 1e308, 0.0]]}),
-    ("sweep", {"params": GOLDEN_BLOCK, "sweep": {"kind": "sole_investor", "p_values": [2.6]},
-               "states": [[1.0, 1e308, 0.0]]}),
+    # By homogeneity the value is 1e10 * V(1e306 / 1e10**(2/3), 1, 0), about
+    # 5.7e309: out of range.
+    ("sweep", {"params": GOLDEN_BLOCK, "sweep": {"kind": "sole_investor", "p_values": [1e300]},
+               "states": [[1e306, 1e10, 0.0]]}),
 ], ids=["value-nan", "sweep-inf"])
 def test_non_finite_output_row_exit_3(tmp_path, capsys, command, config):
     """A row whose value or partial is NaN or inf is a numeric failure, not

@@ -33,6 +33,7 @@ def cp(golden):
     return ConstantPriceBoundary(golden, golden.p_star)
 
 
+@pytest.mark.slow
 def test_frozen_perpetuity(golden):
     """Nobody invests: the payoff is the Gordon-style annuity x P q / (r - mu)."""
     inf = InfiniteBoundary(golden)
@@ -43,6 +44,7 @@ def test_frozen_perpetuity(golden):
     assert abs(est.mean - 1.0) < 3.0 * est.se + 0.002
 
 
+@pytest.mark.slow
 def test_abstain_payoff_matches_analytic(golden, cp):
     fn = AbstainValue(golden, golden.p_star)
     x0 = golden.p_star * 2.0 ** (1 / golden.gamma) / 2.0
@@ -55,6 +57,7 @@ def test_abstain_payoff_matches_analytic(golden, cp):
     assert est.n == 20_000
 
 
+@pytest.mark.slow
 def test_symmetric_c0_matches_abstain_value(golden):
     d0 = DynamicBoundary(golden, 0.0)
     fn = AbstainValue(golden, golden.p_star)

@@ -11,7 +11,6 @@ from duopoly_invest.values import (
     AbstainValue,
     DynamicValue,
     PerturbedValue,
-    QuadratureSettings,
     SoleInvestorValue,
 )
 
@@ -61,7 +60,7 @@ def test_abstain_golden_state(golden):
 def test_abstain_vanishes_linearly(golden):
     fn = AbstainValue(golden, golden.p_star)
     small = fn.value(1e-9, 1.0, 1.0)
-    assert small == pytest.approx(1e-9 * fn.value_x(1e-12, 1.0, 1.0), rel=1e-3)
+    assert small == pytest.approx(1e-9 * fn.partials(1e-12, 1.0, 1.0, "x")["x"], rel=1e-3)
     assert fn.value(1e-12, 1.0, 1.0) < 1e-11
 
 
@@ -130,6 +129,26 @@ def test_investor_smooth_fit(golden):
     assert fn.partials(1.7 * xb, q_i, q_mi, ("qi",))["qi"] == 1.0
 
 
+def test_above_trigger_partials_solve_phi_once(golden, monkeypatch):
+    """Above the own trigger one partials call solves for the paste point
+    once, however many entries it asks for, and V_qi alone needs no solve.
+    Each entry equals the one asked for alone."""
+    for fn in (SoleInvestorValue(golden, 1.1 * golden.p_star), DynamicValue(golden, 0.5)):
+        own = fn.strategy_pair()[0]
+        solve, calls = type(own).base_capacity, []
+        monkeypatch.setattr(type(own), "base_capacity",
+                            lambda self, x, q_mi: calls.append(x) or solve(self, x, q_mi))
+        q_i, q_mi = own.q_floor + 0.7, own.q_floor + 0.4
+        x = 1.5 * own.trigger(q_i, q_mi)
+        keys = ("x", "qi", "qmi")
+        d = fn.partials(x, q_i, q_mi, keys)
+        assert len(calls) == 1, fn.kind
+        calls.clear()
+        assert fn.partials(x, q_i, q_mi, "qi") == {"qi": 1.0} and not calls, fn.kind
+        for key in keys:
+            assert fn.partials(x, q_i, q_mi, key)[key] == d[key], (fn.kind, key)
+
+
 def _central_difference(f, q):
     """Central difference of f at q, with one Richardson level, 2 D(h/2) -
     D(h), which also cancels the O(h) term of a curvature kink at q."""
@@ -167,7 +186,7 @@ def test_power_rule_second_derivative(golden):
     btil = fn._btil(q_i, q_mi)
     expected = btil * golden.beta * (golden.beta - 1) \
         * (x * P / fn.p) ** (golden.beta - 2) * (P / fn.p) ** 2
-    assert fn.value_xx(x, q_i, q_mi) == pytest.approx(expected, rel=1e-12)
+    assert fn.partials(x, q_i, q_mi, "xx")["xx"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_pde_identity_analytic_kinds(golden, state_grid):
@@ -179,11 +198,10 @@ def test_pde_identity_analytic_kinds(golden, state_grid):
             if x > xb:
                 continue
             v = fn.value(x, q_i, q_mi)
-            vx = fn.value_x(x, q_i, q_mi)
-            vxx = fn.value_xx(x, q_i, q_mi)
+            d = fn.partials(x, q_i, q_mi, ("x", "xx"))
             pi = golden.profit_flow(x, q_i, q_mi)
-            resid = -golden.r * v + pi + golden.mu * x * vx \
-                + 0.5 * golden.sigma ** 2 * x ** 2 * vxx
+            resid = -golden.r * v + pi + golden.mu * x * d["x"] \
+                + 0.5 * golden.sigma ** 2 * x ** 2 * d["xx"]
             assert abs(resid) / (golden.r * abs(v) + 1.0) < 1e-9
 
 
@@ -191,17 +209,23 @@ def test_pde_identity_analytic_kinds(golden, state_grid):
 def test_closed_form_values_homogeneous_of_degree_one(golden, scale):
     """V(x s**(1/gamma), s q_i, s q_mi) = s V(x, q_i, q_mi), on the trigger
     too, at capitals where x**beta would overflow or underflow: the branch
-    is written in the normalised price y, which the scaling leaves alone."""
+    is written in the normalised price y, which the scaling leaves alone.
+    V_qi and V_qmi are homogeneous of degree zero."""
     for fn in (AbstainValue(golden, golden.p_star),
                SoleInvestorValue(golden, 1.2 * golden.p_star)):
         for q_i, q_mi in ((1.0, 1.0), (0.3, 2.2), (1.7, 0.4)):
             xb = fn._own_trigger(q_i, q_mi)
             for frac in (0.05, 0.5, 1.0, 1.5, 3.0):
-                v = fn.value(frac * xb, q_i, q_mi)
-                scaled = fn.value(frac * xb * scale ** (1.0 / golden.gamma),
-                                  scale * q_i, scale * q_mi)
+                x, x_scaled = frac * xb, frac * xb * scale ** (1.0 / golden.gamma)
+                v = fn.value(x, q_i, q_mi)
+                scaled = fn.value(x_scaled, scale * q_i, scale * q_mi)
                 assert abs(scaled - scale * v) <= 1e-14 * abs(scale * v), \
                     (fn.kind, q_i, q_mi, frac)
+                d = fn.partials(x, q_i, q_mi, ("qi", "qmi"))
+                d_scaled = fn.partials(x_scaled, scale * q_i, scale * q_mi, ("qi", "qmi"))
+                for key, got in d_scaled.items():
+                    assert abs(got - d[key]) <= 1e-14 * (1.0 + abs(d[key])), \
+                        (fn.kind, key, q_i, q_mi, frac)
 
 
 def test_c_grad_matches_central_difference(golden):
@@ -317,13 +341,13 @@ def test_branch_continuity_all_kinds(golden):
         q_i = max(1.1, getattr(fn, "q_floor", 0.0) + 0.3)
         q_mi = q_i + 0.2
         xb = trig(q_i, q_mi)
-        slope = abs(fn.value_x(0.999 * xb, q_i, q_mi)) * xb
+        slope = abs(fn.partials(0.999 * xb, q_i, q_mi, "x")["x"]) * xb
         for eps in (1e-7, 1e-9):
             below = fn.value(xb * (1 - eps), q_i, q_mi)
             above = fn.value(xb * (1 + eps), q_i, q_mi)
             assert abs(above - below) <= 1e-9 * (1 + abs(below)) + 3 * eps * slope
-            dbelow = fn.value_x(xb * (1 - eps), q_i, q_mi)
-            dabove = fn.value_x(xb * (1 + eps), q_i, q_mi)
+            dbelow = fn.partials(xb * (1 - eps), q_i, q_mi, "x")["x"]
+            dabove = fn.partials(xb * (1 + eps), q_i, q_mi, "x")["x"]
             assert abs(dabove - dbelow) <= 1e-6 * (1 + abs(dbelow))
 
 
@@ -400,7 +424,7 @@ def test_perturbed_value_channel_only(golden):
     q_i, q_mi = 1.0, 1.2
     x = 0.6 * base.boundary.trigger(q_i, q_mi)
     assert bad.value(x, q_i, q_mi) != base.value(x, q_i, q_mi)
-    assert bad.value_x(x, q_i, q_mi) == base.value_x(x, q_i, q_mi)
+    assert bad.partials(x, q_i, q_mi) == base.partials(x, q_i, q_mi)
 
 
 def test_perturbed_dynamic_option_term_held_above_trigger(golden):
@@ -418,13 +442,6 @@ def test_perturbed_dynamic_option_term_held_above_trigger(golden):
     for x in levels:
         shift = bad.value(float(x), q_i, q_mi) - base.value(float(x), q_i, q_mi)
         assert shift == pytest.approx(0.01 * on, abs=1e-13)
-
-
-def test_quadrature_settings_respected(golden):
-    loose = DynamicValue(golden, 1.0, QuadratureSettings(rel_tol=1e-6))
-    tight = DynamicValue(golden, 1.0)
-    for q_i in (1.0, 2.5, 0.8):
-        assert loose.B(q_i, 1.0) == pytest.approx(tight.B(q_i, 1.0), rel=1e-6)
 
 
 def _count_panels(monkeypatch):
@@ -458,12 +475,15 @@ def test_b_miss_integrates_one_call_of_a_few_panels(golden, monkeypatch):
 def test_b_strict_tolerance_splits_panels(golden, monkeypatch):
     """A tolerance the fixed layout misses goes through split refinement and
     agrees with the default B."""
+    import duopoly_invest.values as values
+
+    defaults = {q: DynamicValue(golden, 1.0).B(*q) for q in ((1.0, 1.0), (0.8, 1.5))}
     panels = _count_panels(monkeypatch)
-    for q_i, q_mi in ((1.0, 1.0), (0.8, 1.5)):
+    monkeypatch.setattr(values, "_REL_TOL", 1e-13)
+    for (q_i, q_mi), default in defaults.items():
         panels.clear()
-        strict = DynamicValue(golden, 1.0, QuadratureSettings(rel_tol=1e-13)).B(q_i, q_mi)
+        strict = DynamicValue(golden, 1.0).B(q_i, q_mi)
         assert len(panels) > 1 and panels[-1] > panels[0], (q_i, q_mi, panels)
-        default = DynamicValue(golden, 1.0).B(q_i, q_mi)
         assert abs(strict - default) <= 1e-10 * (1.0 + abs(default))
 
 
