@@ -1,22 +1,27 @@
 """Investment-trigger surfaces and their base-capacity inverses.
 
 A boundary maps capital stocks (q_i, q_mi) to the shock level at which the
-owning firm starts investing.  The base capacity phi(x, q_mi) inverts the
-trigger in its first argument: the smallest own capital at which the shock x
-no longer triggers investment.  Three families are supported:
+owning firm starts investing.  Every boundary is one trigger surface
 
-  ConstantPriceBoundary(p)   invest when the price x*P rises above p
-  DynamicBoundary(c)         invest when x*P rises above p_star + c/(q_i v q_mi)
-  InfiniteBoundary           never invest (phi identically zero)
+    T(q_i, q_mi) = (p + c/max(q_i, q_mi)) * (q_i + q_mi)**(1/gamma),
 
-The dynamic family is defined (and strictly increasing in both capitals)
-only for q_i, q_mi >= q_floor = c*(2*gamma-1)/p_star.
+invest when the price x*P rises above p + c/max(q_i, q_mi).  The base
+capacity phi(x, q_mi) inverts the trigger in its first argument: the
+smallest own capital at which the shock x no longer triggers investment.
+The strategy families are parameter choices of (p, c):
+
+  ConstantPriceBoundary(p)   (p, 0): invest when the price rises above p
+  DynamicBoundary(c)         (p_star, c): the premium c/max(q_i, q_mi)
+  InfiniteBoundary           (inf, 0): never invest (phi identically zero)
+
+The trigger is defined (and strictly increasing in both capitals) only for
+q_i, q_mi >= q_floor = c*(2*gamma-1)/p, which is zero without a premium.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -72,13 +77,6 @@ def _bisect_increasing(g, target, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def _price_base_capacity(x, q_mi, p: float, gamma: float):
-    """max(0, (x/p)**gamma - q_mi), the base capacity under the constant
-    price threshold p: a float at one point, elementwise over arrays."""
-    phi = (x / p) ** gamma - q_mi
-    return np.maximum(0.0, phi) if isinstance(phi, np.ndarray) else max(0.0, float(phi))
-
-
 def _total_capacity(q_i, q_mi):
     """q_i + q_mi for floats or arrays; ZeroCapacityError where it is not
     positive, OverflowError where it overflows."""
@@ -92,83 +90,24 @@ def _total_capacity(q_i, q_mi):
 
 
 @dataclass(frozen=True)
-class ConstantPriceBoundary:
-    """Trigger p * (q_i + q_mi)**(1/gamma): invest when the price exceeds p."""
+class Boundary:
+    """Trigger (p + c/max(q_i, q_mi)) * (q_i + q_mi)**(1/gamma).
 
-    params: ModelParams
-    p: float
-    kind: str = field(default="constant_price", init=False)
-
-    def __post_init__(self):
-        if self.p <= 0.0:
-            raise UsageError(f"price threshold must be positive, got {self.p}")
-
-    @property
-    def q_floor(self) -> float:
-        return 0.0
-
-    def trigger(self, q_i, q_mi):
-        """Trigger at one capital pair, or elementwise over arrays."""
-        return self.p * _total_capacity(q_i, q_mi) ** (1.0 / self.params.gamma)
-
-    def trigger_grad(self, q_i: float, q_mi: float) -> tuple:
-        """(dT/dq_i, dT/dq_mi) at one capital pair: both capitals enter
-        through q_i + q_mi only."""
-        d = self.trigger(q_i, q_mi) / (self.params.gamma * (q_i + q_mi))
-        return d, d
-
-    def base_capacity(self, x, q_mi):
-        return _price_base_capacity(x, q_mi, self.p, self.params.gamma)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "p": self.p}
-
-
-@dataclass(frozen=True)
-class InfiniteBoundary:
-    """Never-invest sentinel: trigger +inf, base capacity identically zero."""
-
-    params: ModelParams
-    kind: str = field(default="infinite", init=False)
-
-    @property
-    def q_floor(self) -> float:
-        return 0.0
-
-    def trigger(self, q_i, q_mi):
-        shape = np.broadcast(q_i, q_mi).shape
-        return np.full(shape, np.inf) if shape else math.inf
-
-    def base_capacity(self, x, q_mi):
-        shape = np.broadcast(x, q_mi).shape
-        return np.zeros(shape) if shape else 0.0
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind}
-
-
-@dataclass(frozen=True)
-class DynamicBoundary:
-    """Trigger (p_star + c/max(q_i, q_mi)) * (q_i + q_mi)**(1/gamma).
-
-    The premium c/max(q_i, q_mi) over the zero-NPV price shrinks as the
-    bigger firm grows, so extra investment by either firm lowers the price at
-    which future investment happens.  Strict monotonicity in both capitals
-    holds on q_i, q_mi >= q_floor = c*(2*gamma-1)/p_star, and evaluation
-    below the floor is a domain error rather than an extrapolation.
+    The premium c/max(q_i, q_mi) over the price p shrinks as the bigger firm
+    grows, so extra investment by either firm lowers the price at which
+    future investment happens.  Strict monotonicity in both capitals holds
+    on q_i, q_mi >= q_floor = c*(2*gamma-1)/p, and evaluation below the
+    floor is a domain error rather than an extrapolation.  p = inf is the
+    never-invest trigger.
     """
 
     params: ModelParams
+    p: float
     c: float
-    kind: str = field(default="dynamic_c", init=False)
-
-    def __post_init__(self):
-        if self.c < 0.0:
-            raise UsageError(f"premium coefficient must be nonnegative, got {self.c}")
 
     @cached_property
     def q_floor(self) -> float:
-        return self.c * (2.0 * self.params.gamma - 1.0) / self.params.p_star
+        return self.c * (2.0 * self.params.gamma - 1.0) / self.p
 
     @cached_property
     def _floor_limit(self) -> float:
@@ -198,7 +137,7 @@ class DynamicBoundary:
                 prem = self.c / (q_i if q_i > q_mi else q_mi)
             else:
                 prem = self.c / np.maximum(q_i, q_mi)
-        return (self.params.p_star + prem) * q ** (1.0 / self.params.gamma)
+        return (self.p + prem) * q ** (1.0 / self.params.gamma)
 
     def trigger(self, q_i, q_mi):
         """Trigger at one capital pair, or elementwise over arrays."""
@@ -208,32 +147,35 @@ class DynamicBoundary:
         return trig if isinstance(trig, np.ndarray) else float(trig)
 
     def _terms(self, big, s):
-        """The trigger (p_star + c/big) * s**(1/gamma) and the two terms of
-        its derivative, through s and through the premium c/big; shared by
+        """The trigger (p + c/big) * s**(1/gamma) and the two terms of its
+        derivative, through s and through the premium c/big; shared by
         trigger_grad and the Newton solver.  The premium term is
         c/big * s_a/big, not c*s_a/big**2, so that it does not underflow for
         a premium near 1e-303."""
         s_a = s ** (1.0 / self.params.gamma)
         prem = self.c / big
-        trig = (self.params.p_star + prem) * s_a
+        trig = (self.p + prem) * s_a
         return trig, trig / (self.params.gamma * s), prem * s_a / big
 
     def trigger_grad(self, q_i: float, q_mi: float) -> tuple:
         """(dT/dq_i, dT/dq_mi) of the raw trigger at one capital pair.  The
         premium c/max(q_i, q_mi) moves with the bigger capital, q_i on the
         kink q_i = q_mi, where its one-sided derivative is the one for
-        growing q_i."""
+        growing q_i; without a premium both capitals enter through
+        q_i + q_mi only."""
         _, via_s, via_prem = self._terms(q_i if q_i >= q_mi else q_mi, q_i + q_mi)
         return (via_s - via_prem, via_s) if q_i >= q_mi else (via_s, via_s - via_prem)
 
     def base_capacity(self, x, q_mi):
         """Smallest own capital (>= q_floor) keeping the trigger at or above
         x, a float at one point or elementwise over arrays: the closed form
-        for c = 0, otherwise _inverse at each point.  The builders pass the
-        running-max records of a path, a few dozen points, where a loop of
-        the scalar solver is faster than the same iteration vectorized."""
+        max(0, (x/p)**gamma - q_mi) for c = 0, otherwise _inverse at each
+        point.  The builders pass the running-max records of a path, a few
+        dozen points, where a loop of the scalar solver is faster than the
+        same iteration vectorized."""
         if self.c == 0.0:
-            return _price_base_capacity(x, q_mi, self.params.p_star, self.params.gamma)
+            phi = (x / self.p) ** self.params.gamma - q_mi
+            return np.maximum(0.0, phi) if isinstance(phi, np.ndarray) else max(0.0, float(phi))
         self._check_floor(q_mi)
         if not (isinstance(x, np.ndarray) or isinstance(q_mi, np.ndarray)):
             return self._inverse(float(x), float(q_mi), 1)
@@ -243,22 +185,22 @@ class DynamicBoundary:
         return out.reshape(x.shape)
 
     def _inverse(self, x: float, q_mi: float, k: int) -> float:
-        """Smallest q >= q_floor with (p_star + c/max(q, q_mi)) *
+        """Smallest q >= q_floor with (p + c/max(q, q_mi)) *
         (k*q + q_mi)**(1/gamma) >= x, for c > 0: k = 1 inverts the trigger
         in own capital, k = 2 with q_mi = 0 on the diagonal q_i = q_mi.
 
         The trigger has a kink at q = q_mi: below it the premium is frozen at
         c/q_mi and the trigger inverts in closed form; above it a safeguarded
         Newton iteration, with the analytic derivative, stays inside
-        [max(q_floor, q_mi), max(q_floor, ((x/p_star)**gamma - q_mi)/k) + 1],
+        [max(q_floor, q_mi), max(q_floor, ((x/p)**gamma - q_mi)/k) + 1],
         bisects whenever a step would leave that bracket, and stops once a
         step or the bracket is below 1e-12 * q.
         """
-        p_star, gamma, c = self.params.p_star, self.params.gamma, self.c
+        p, gamma, c = self.p, self.params.gamma, self.c
         floor = self.q_floor
         a = 1.0 / gamma
         lo = floor if floor > q_mi else q_mi
-        price_lo = p_star + c / lo
+        price_lo = p + c / lo
         if x <= price_lo * (k * floor + q_mi) ** a:
             return floor
         # The premium frozen at its value at lo is exact below the kink and
@@ -266,7 +208,7 @@ class DynamicBoundary:
         q = ((x / price_lo) ** gamma - q_mi) / k
         if x <= price_lo * (k * lo + q_mi) ** a:
             return max(floor, q)
-        hi = max(floor, ((x / p_star) ** gamma - q_mi) / k) + 1.0
+        hi = max(floor, ((x / p) ** gamma - q_mi) / k) + 1.0
         for _ in range(_NEWTON_MAX_ITER):
             trig, via_s, via_prem = self._terms(q, k * q + q_mi)
             f = trig - x
@@ -288,48 +230,83 @@ class DynamicBoundary:
         point with k = 2."""
         x = np.asarray(x, dtype=float)
         if self.c == 0.0:
-            out = 0.5 * (x / self.params.p_star) ** self.params.gamma
+            out = 0.5 * (x / self.p) ** self.params.gamma
         else:
             out = np.array([self._inverse(v, 0.0, 2) for v in x.ravel().tolist()])
             out = out.reshape(x.shape)
         return out if out.shape else float(out)
 
+
+class ConstantPriceBoundary(Boundary):
+    """Trigger p * (q_i + q_mi)**(1/gamma): invest when the price exceeds p."""
+
+    kind = "constant_price"
+
+    def __init__(self, params: ModelParams, p: float):
+        if p <= 0.0:
+            raise UsageError(f"price threshold must be positive, got {p}")
+        super().__init__(params, p, 0.0)
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "p": self.p}
+
+
+class DynamicBoundary(Boundary):
+    """Trigger (p_star + c/max(q_i, q_mi)) * (q_i + q_mi)**(1/gamma): the
+    capital-dependent premium over the zero-NPV price."""
+
+    kind = "dynamic_c"
+
+    def __init__(self, params: ModelParams, c: float):
+        if c < 0.0:
+            raise UsageError(f"premium coefficient must be nonnegative, got {c}")
+        super().__init__(params, params.p_star, c)
+
     def to_json(self) -> dict:
         return {"kind": self.kind, "c": self.c}
 
 
+class InfiniteBoundary(Boundary):
+    """Never-invest sentinel: trigger +inf, base capacity identically zero."""
+
+    kind = "infinite"
+
+    def __init__(self, params: ModelParams):
+        super().__init__(params, math.inf, 0.0)
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind}
+
+
 def _reference_base_capacity(boundary: Boundary, x, q_mi=None):
     """Bisection re-derivation of boundary.base_capacity(x, q_mi), or
-    of the symmetric base capacity when q_mi is None, for a dynamic boundary
-    with a premium; other boundaries go to their closed forms.
+    of the symmetric base capacity when q_mi is None, for a boundary with a
+    premium; without one it goes to the closed forms.
 
     It shares no code with the Newton solver, so check_consistency, which
     re-derives capital with it, can catch their errors.  Its tolerance is
     absolute, 1e-12 * max(1, q), which moves |rhs - Q| / (1 + Q) by at most
     1e-12, far inside check_consistency's 1e-8 bound.
     """
-    if not (isinstance(boundary, DynamicBoundary) and boundary.c > 0.0):
+    if boundary.c == 0.0:
         if q_mi is None:
             return boundary.symmetric_base_capacity(x)
         return boundary.base_capacity(x, q_mi)
-    p_star, gamma = boundary.params.p_star, boundary.params.gamma
+    p, gamma = boundary.p, boundary.params.gamma
     x = np.asarray(x, dtype=float)
     floor = boundary.q_floor
     if q_mi is None:
         g = lambda q: boundary._raw_trigger(q, q)
-        hi = np.maximum(floor, 0.5 * (x / p_star) ** gamma) + 1.0
+        hi = np.maximum(floor, 0.5 * (x / p) ** gamma) + 1.0
     else:
         boundary._check_floor(q_mi)
         q_mi = np.asarray(q_mi, dtype=float)
         g = lambda q: boundary._raw_trigger(q, q_mi)
-        hi = np.maximum(floor, (x / p_star) ** gamma - q_mi) + 1.0
+        hi = np.maximum(floor, (x / p) ** gamma - q_mi) + 1.0
     at_floor = x <= g(floor)
     root = _bisect_increasing(g, x, np.full_like(x, floor), hi)
     out = np.where(at_floor, floor, np.maximum(root, floor))
     return out if out.shape else float(out)
-
-
-Boundary = ConstantPriceBoundary | DynamicBoundary | InfiniteBoundary
 
 
 def boundary_from_json(block: dict, params: ModelParams) -> Boundary:
@@ -351,17 +328,13 @@ def boundary_from_json(block: dict, params: ModelParams) -> Boundary:
 def require_same_constant_price(b1: Boundary, b2: Boundary) -> float:
     """Shared price threshold of a constant-price pair, or KindMismatchError.
 
-    A dynamic boundary with c = 0 degenerates to constant price p_star and is
-    accepted as such.
+    Any boundary without a premium and with a finite p counts, so a dynamic
+    boundary with c = 0 is the constant price p_star.
     """
-    ps = []
     for b in (b1, b2):
-        if isinstance(b, ConstantPriceBoundary):
-            ps.append(b.p)
-        elif isinstance(b, DynamicBoundary) and b.c == 0.0:
-            ps.append(b.params.p_star)
-        else:
-            raise KindMismatchError(f"expected constant-price boundaries, got {b.kind}")
-    if ps[0] != ps[1]:
-        raise KindMismatchError(f"price thresholds differ: {ps[0]} vs {ps[1]}")
-    return ps[0]
+        if b.c != 0.0 or b.p == math.inf:
+            raise KindMismatchError(
+                f"expected constant-price boundaries, got p={b.p}, c={b.c}")
+    if b1.p != b2.p:
+        raise KindMismatchError(f"price thresholds differ: {b1.p} vs {b2.p}")
+    return b1.p

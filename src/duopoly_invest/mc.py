@@ -61,10 +61,11 @@ def _se(vals: np.ndarray) -> float:
 
 def estimate_payoff(params: ModelParams, builder, firm: int, x0: float,
                     n_paths: int, dt: float, horizon: float, seed: int,
-                    tail_boundary: Boundary | None = None) -> PayoffEstimate:
+                    tail_boundary: Boundary) -> PayoffEstimate:
     """Mean and standard error of the discounted payoff of `firm` under the
     outcome construction `builder` (a callable mapping a shock path to an
-    Outcome)."""
+    Outcome), and the horizon tail bound from the linear value bound of
+    `tail_boundary`'s strategy family."""
     vals = np.empty(n_paths)
     q_ends = np.empty(n_paths)
     for j in range(n_paths):
@@ -73,11 +74,8 @@ def estimate_payoff(params: ModelParams, builder, firm: int, x0: float,
         q_ends[j] = out.Q1[-1] + out.Q2[-1]
     mean = float(np.mean(vals))
     se = _se(vals)
-    if tail_boundary is not None:
-        coeff = value_linear_bound_coeff(params, tail_boundary)
-        tail = float(np.exp(-params.r * horizon) * coeff * (1.0 + np.mean(q_ends)))
-    else:
-        tail = float("nan")
+    coeff = value_linear_bound_coeff(params, tail_boundary)
+    tail = float(np.exp(-params.r * horizon) * coeff * (1.0 + np.mean(q_ends)))
     return PayoffEstimate(mean=mean, se=se, n=n_paths, dt=dt,
                           horizon=horizon, tail_bound=tail)
 

@@ -16,6 +16,7 @@ the t = 0 jump carries full weight.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,9 +24,7 @@ import numpy as np
 
 from .boundaries import (
     Boundary,
-    ConstantPriceBoundary,
     DynamicBoundary,
-    InfiniteBoundary,
     _reference_base_capacity,
     require_same_constant_price,
 )
@@ -158,48 +157,45 @@ def build_joint_outcome(b1: Boundary, b2: Boundary, path: ShockPath,
     approximates continuous-time mutual consistency to O(dt) without a
     fixed-point solve per step.  Used by deviation experiments with firm 1
     as the deviant.
+
+    Base capacities rise in x and fall in the opponent's capital, so neither
+    firm moves at a grid point below the running maximum of X: the updates
+    run at the running-max records only, and each grid index takes the
+    capitals of its latest record, as the per-step loop would give them.
     """
     fast = _joint_closed_form(b1, b2, path, q1_0, q2_0)
     if fast is not None:
         return fast
-    n = len(path.values)
-    Q1 = np.empty(n)
-    Q2 = np.empty(n)
+    rec, latest = _records(path.values)
+    Q1 = np.empty(len(rec))
+    Q2 = np.empty(len(rec))
     q1, q2 = q1_0, q2_0
-    for k, x in enumerate(path.values):
+    for k, x in enumerate(path.values[rec]):
         q1 = max(q1, b1.base_capacity(x, q2))
         q2 = max(q2, b2.base_capacity(x, q1))
         Q1[k] = q1
         Q2[k] = q2
-    return Outcome(path, Q1, Q2, q1_0, q2_0, construction="joint")
+    return Outcome(path, Q1[latest], Q2[latest], q1_0, q2_0, construction="joint")
 
 
 def _joint_closed_form(b1, b2, path, q1_0, q2_0):
     """Closed form for pairs in which only one firm can ever invest.
 
-    Firm 1 reflecting first keeps its own trigger at or above X, which
-    freezes firm 2 whenever firm 2's trigger surface dominates firm 1's at
-    equal aggregates: equal constant prices, a higher constant price, any
-    with-premium dynamic boundary against a price at most p_star, or an
-    identical dynamic boundary.  Conversely an infinite b1 freezes firm 1 and
-    firm 2 reflects alone.  In either case the survivor's capital is the
-    running supremum of its base capacity against a constant opponent, which
-    by monotonicity in x is the base capacity at the running supremum of X.
+    Firm 1 reflecting first keeps its own trigger at or above X.  Firm 2's
+    trigger is at or above firm 1's at every capital pair when p2 = inf or
+    when p2 >= p1 and c2 >= c1, which freezes firm 2; p1 = inf freezes firm
+    1 and firm 2 reflects alone.  In either case the survivor's capital is
+    the running supremum of its base capacity against a constant opponent,
+    which by monotonicity in x is the base capacity at the running supremum
+    of X.
     """
-    if isinstance(b1, InfiniteBoundary):
+    if b2.p == math.inf or (b2.p >= b1.p and b2.c >= b1.c):
+        Q1 = _one_mover(path, b1, q1_0, q2_0)
+        return Outcome(path, Q1, np.full_like(Q1, q2_0), q1_0, q2_0, construction="joint")
+    if b1.p == math.inf:
         Q2 = _one_mover(path, b2, q2_0, q1_0)
         return Outcome(path, np.full_like(Q2, q1_0), Q2, q1_0, q2_0, construction="joint")
-    same_dynamic = (isinstance(b1, DynamicBoundary) and isinstance(b2, DynamicBoundary)
-                    and b1.c == b2.c)
-    dominated = isinstance(b1, ConstantPriceBoundary) and (
-        (isinstance(b2, ConstantPriceBoundary) and b2.p >= b1.p)
-        or (isinstance(b2, DynamicBoundary) and b1.p <= b1.params.p_star)
-        or isinstance(b2, InfiniteBoundary)
-    )
-    if not (same_dynamic or dominated):
-        return None
-    Q1 = _one_mover(path, b1, q1_0, q2_0)
-    return Outcome(path, Q1, np.full_like(Q1, q2_0), q1_0, q2_0, construction="joint")
+    return None
 
 
 @dataclass(frozen=True)
@@ -236,21 +232,17 @@ def check_consistency(outcome: Outcome, boundary: Boundary, firm: int) -> Consis
     dev = np.abs(rhs - q) / (1.0 + q)
     worst = int(np.argmax(dev))
 
-    if isinstance(boundary, InfiniteBoundary):
-        containment = -np.inf
-        triggers = None
-    else:
-        triggers = boundary.trigger(q, q_opp)
-        containment = float(np.max(x - triggers))
+    # An infinite trigger gives containment -inf, and any increment of its
+    # firm's capital lies off it.
+    triggers = boundary.trigger(q, q_opp)
+    containment = float(np.max(x - triggers))
 
     dq = np.diff(q)
     jump_tol = 1e-12 * (1.0 + q[1:])
     band = _BAND_SIGMAS * params.sigma * np.sqrt(outcome.path.dt)
-    violations = 0
-    if triggers is not None:
-        idx = np.nonzero(dq > jump_tol)[0] + 1
-        off_boundary = np.abs(x[idx] - triggers[idx]) > band * x[idx]
-        violations = int(np.count_nonzero(off_boundary))
+    idx = np.nonzero(dq > jump_tol)[0] + 1
+    off_boundary = np.abs(x[idx] - triggers[idx]) > band * x[idx]
+    violations = int(np.count_nonzero(off_boundary))
     return ConsistencyReport(max_deviation=float(dev[worst]), worst_index=worst,
                              containment_excess=containment,
                              support_violations=violations, band=band)

@@ -298,7 +298,8 @@ class AbstainValue(ValueFunction):
 
     def _c(self, q_i, q_mi):
         pr = self.params
-        return -self.p * q_i / ((pr.r - pr.mu) * pr.beta)
+        # Divided before the product, which would overflow near q_i = 1e308.
+        return -self.p / ((pr.r - pr.mu) * pr.beta) * q_i
 
     def _c_grad(self, q_i, q_mi):
         pr = self.params

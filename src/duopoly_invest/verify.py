@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundaries import ConstantPriceBoundary, InfiniteBoundary
 from .errors import UsageError
 from .mc import value_linear_bound_coeff
 from .model import ModelParams
@@ -171,7 +170,7 @@ def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec()) -> list:
     pairs = spec.capital_pairs(pair)
 
     # Condition 2: V_qi = 1 at and above the own trigger.
-    if isinstance(own, InfiniteBoundary):
+    if own.p == math.inf:
         results.append(_void("own_derivative_on_trigger", "void: own trigger infinite"))
     else:
         worst = _Worst()
@@ -235,7 +234,7 @@ def check_derivative_propagation(value_fn, pair, spec: GridSpec = GridSpec()) ->
     tol = _tolerance(value_fn)
     pairs = spec.capital_pairs(pair)
     worst = _Worst()
-    if isinstance(own, InfiniteBoundary):
+    if own.p == math.inf:
         for q_i, q_mi in pairs:
             xb = opp.trigger(q_mi, q_i)
             for frac in (1.0, 1.5, 3.0):
@@ -284,7 +283,7 @@ def _increment_derivative(value_fn, outcomes) -> ConditionResult:
     """The opponent-increment verdict: |V_qmi| at the opponent's increments
     along each outcome, where they lie on firm 1's trigger."""
     own = value_fn.strategy_pair()[0]
-    if isinstance(own, InfiniteBoundary):
+    if own.p == math.inf:
         return _void("opponent_increment_derivative",
                      "void: own trigger infinite, opponent increments unrestricted")
     worst = _Worst(0.0)
@@ -307,7 +306,7 @@ def _side_conditions(value_fn, pair, spec: GridSpec, builder, x0: float, horizon
     """Transversality, and the increment check on n_paths outcomes built to T.
 
     Q1 + Q2 <= s0 + (M_t/p_lo)**gamma (M_t: running max of the shock, p_lo:
-    lowest zero-premium price of the finite triggers), so where
+    the lower price p of the pair's triggers), so where
     |V| <= a (1 + q_i + q_mi), e^{-rt} E|V| is at most the `at` values
     U(t) = e^{-rt} a (1 + s0 + (x0/p_lo)**gamma E[e^{gamma m_t}]) at T, 2T.
     Passes iff that hypothesis holds on the grid below both triggers."""
@@ -317,10 +316,8 @@ def _side_conditions(value_fn, pair, spec: GridSpec, builder, x0: float, horizon
     outcomes = (builder(generate_path(params, x0, dt, horizon, seed, j))
                 for j in range(n_paths))
     first = next(outcomes)
-    finite = [b for b in pair if not isinstance(b, InfiniteBoundary)]
-    a = value_linear_bound_coeff(params, finite[0])
-    p_lo = min(b.p if isinstance(b, ConstantPriceBoundary) else params.p_star
-               for b in finite)
+    a = value_linear_bound_coeff(params, [b for b in pair if b.p < math.inf][0])
+    p_lo = min(b.p for b in pair)
     worst = _Worst()
     for q_i, q_mi in spec.capital_pairs(pair):
         xs = spec.x_levels(min(own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i)))

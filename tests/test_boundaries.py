@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duopoly_invest.boundaries import (
+    Boundary,
     ConstantPriceBoundary,
     DynamicBoundary,
     InfiniteBoundary,
@@ -27,11 +28,19 @@ def golden():
 
 
 def test_constant_trigger(golden):
+    """Without a premium the trigger is p * (q_i + q_mi)**(1/gamma) bit for
+    bit, at one pair and over arrays; it checks the floor 0."""
     p2 = derive_params(1.5, 0.0, 1.0, 2.0)
     b = ConstantPriceBoundary(p2, 2.0)
     assert b.trigger(2.0, 2.0) == pytest.approx(4.0, abs=1e-14)
     with pytest.raises(ZeroCapacityError):
         b.trigger(0.0, 0.0)
+    b = ConstantPriceBoundary(golden, 1.3)
+    q_i, q_mi = np.array([0.2, 1.0, 7.5]), np.array([1.1, 0.0, 3.0])
+    assert np.array_equal(b.trigger(q_i, q_mi), 1.3 * (q_i + q_mi) ** (1.0 / golden.gamma))
+    assert b.trigger(0.2, 1.1) == 1.3 * (0.2 + 1.1) ** (1.0 / golden.gamma)
+    with pytest.raises(BelowFloorError):
+        b.trigger(-1.0, 2.0)
 
 
 def test_dynamic_c0_trigger_is_p_star(golden):
@@ -193,9 +202,17 @@ def test_base_capacity_c0_reduction(golden):
 
 
 def test_infinite_boundary(golden):
+    """p = inf: an infinite trigger, elementwise over arrays, with the same
+    floor and zero-capacity checks as any trigger."""
     b = InfiniteBoundary(golden)
     assert b.trigger(1.0, 1.0) == math.inf
     assert b.base_capacity(100.0, 1.0) == 0.0
+    got = b.trigger(np.array([0.2, 1.0, 7.5]), np.array([1.1, 0.0, 3.0]))
+    assert got.shape == (3,) and np.all(got == math.inf)
+    with pytest.raises(BelowFloorError):
+        b.trigger(-1.0, 2.0)
+    with pytest.raises(ZeroCapacityError):
+        b.trigger(0.0, 0.0)
 
 
 def test_symmetric_base_capacity_c0(golden):
@@ -295,6 +312,18 @@ def test_boundary_json(golden):
         ConstantPriceBoundary(golden, -1.0)
 
 
+def test_kinds_are_parameter_choices_of_one_surface(golden):
+    """Each kind is a Boundary with its (p, c) and round-trips through its
+    JSON block."""
+    for b, p, c in ((ConstantPriceBoundary(golden, 2.0), 2.0, 0.0),
+                    (DynamicBoundary(golden, 0.5), golden.p_star, 0.5),
+                    (InfiniteBoundary(golden), math.inf, 0.0)):
+        assert isinstance(b, Boundary)
+        assert (b.p, b.c) == (p, c)
+        back = boundary_from_json(b.to_json(), golden)
+        assert type(back) is type(b) and back == b
+
+
 def test_kind_mismatch(golden):
     from duopoly_invest.boundaries import require_same_constant_price
 
@@ -308,3 +337,5 @@ def test_kind_mismatch(golden):
         require_same_constant_price(cp, dyn)
     with pytest.raises(KindMismatchError):
         require_same_constant_price(cp, ConstantPriceBoundary(golden, 3.0))
+    with pytest.raises(KindMismatchError):
+        require_same_constant_price(InfiniteBoundary(golden), InfiniteBoundary(golden))

@@ -293,7 +293,10 @@ def test_malformed_run_input_exit_64(tmp_path, capsys, command, strategy, paths)
 
 
 @pytest.mark.parametrize("command, config", [
-    ("value", {**_ABSTAIN, "states": [[1.0, 1e308, 0.0]]}),
+    # Above the opponent trigger the abstainer's annuity is
+    # 1e10 / (r - mu) * (beta - 1) / beta * 1e308, about 3.8e317: out of range.
+    ("value", {"params": GOLDEN_BLOCK, "value": {"kind": "abstain", "p": 1e10},
+               "states": [[1e216, 1e308, 0.0]]}),
     # By homogeneity the value is 1e10 * V(1e306 / 1e10**(2/3), 1, 0), about
     # 5.7e309: out of range.
     ("sweep", {"params": GOLDEN_BLOCK, "sweep": {"kind": "sole_investor", "p_values": [1e300]},

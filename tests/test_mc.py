@@ -164,8 +164,10 @@ def test_dt_refinement_stability(golden, cp):
     fn = AbstainValue(golden, golden.p_star)
     x0 = golden.p_star * 2.0 ** (1 / golden.gamma) / 2.0
     builder = lambda path: build_abstain_outcome((cp, cp), path, 1.0, 1.0, 1)
-    coarse = estimate_payoff(golden, builder, 1, x0, 4000, 2e-3, 10.0, seed=37)
-    fine = estimate_payoff(golden, builder, 1, x0, 4000, 1e-3, 10.0, seed=37)
+    coarse = estimate_payoff(golden, builder, 1, x0, 4000, 2e-3, 10.0, seed=37,
+                             tail_boundary=cp)
+    fine = estimate_payoff(golden, builder, 1, x0, 4000, 1e-3, 10.0, seed=37,
+                           tail_boundary=cp)
     band = max(3.0 * math.hypot(coarse.se, fine.se),
                0.01 * abs(fn.value(x0, 1.0, 1.0)))
     assert abs(coarse.mean - fine.mean) < band

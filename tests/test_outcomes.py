@@ -107,6 +107,20 @@ def test_abstain_consistent_with_higher_own_trigger(golden, cp):
         assert rep.support_violations == 0
 
 
+def test_infinite_boundary_flags_its_firms_investment(golden, cp):
+    """Under an infinite trigger any increment of the firm's capital lies
+    off its trigger: the investor of an abstain outcome checked against the
+    never-invest boundary shows one support violation per increment."""
+    path = _path(golden, x0=3.0, seed=3)
+    out = build_abstain_outcome((cp, cp), path, 1.0, 0.8, abstaining_firm=1)
+    increments = int(np.count_nonzero(np.diff(out.Q2) > 1e-12 * (1.0 + out.Q2[1:])))
+    assert increments > 0
+    rep = check_consistency(out, InfiniteBoundary(golden), firm=2)
+    assert rep.containment_excess == -math.inf
+    assert rep.support_violations == increments
+    assert not rep.consistent
+
+
 def test_abstain_kind_mismatch(golden, cp):
     dyn = DynamicBoundary(golden, 1.0)
     path = _path(golden, T=0.1)
@@ -310,33 +324,84 @@ def test_joint_equal_boundaries_firm1_invests(golden, cp):
     assert np.allclose(out.Q1, np.maximum(1.0, (sup_x / cp.p) ** golden.gamma - 1.0))
 
 
+def _per_step_joint(b1, b2, path, q1_0, q2_0):
+    """The joint construction by its definition: firm 1, then firm 2,
+    reflects at every grid point."""
+    n = len(path.values)
+    Q1 = np.empty(n)
+    Q2 = np.empty(n)
+    q1, q2 = q1_0, q2_0
+    for k, x in enumerate(path.values):
+        q1 = max(q1, b1.base_capacity(x, q2))
+        q2 = max(q2, b2.base_capacity(x, q1))
+        Q1[k], Q2[k] = q1, q2
+    return Q1, Q2
+
+
 def test_joint_closed_form_matches_loop(golden):
-    """Every fast path agrees with the per-step loop."""
+    """Every fast path, p2 = inf, p1 = inf or (p2 >= p1 and c2 >= c1),
+    agrees with the per-step loop within 1e-12 * (1 + Q)."""
     from duopoly_invest.outcomes import _joint_closed_form
 
     dyn = DynamicBoundary(golden, 1.0)
+    half = DynamicBoundary(golden, 0.5)
+    d0 = DynamicBoundary(golden, 0.0)
+    inf = InfiniteBoundary(golden)
+    cp = lambda f: ConstantPriceBoundary(golden, f * golden.p_star)
+    short = [_path(golden, x0=3.0, seed=9, dt=0.01, T=1.5)]
+    long = [_path(golden, x0=3.0, seed=99, dt=2e-3, T=4.0, j=j) for j in range(6)]
+    q1, q2 = 1.1 * dyn.q_floor, 1.3 * dyn.q_floor
     cases = [
-        (ConstantPriceBoundary(golden, 0.9 * golden.p_star),
-         ConstantPriceBoundary(golden, golden.p_star), 1.0, 1.0),
-        (ConstantPriceBoundary(golden, 0.9 * golden.p_star), dyn, 1.0, 1.0),
-        (InfiniteBoundary(golden),
-         ConstantPriceBoundary(golden, golden.p_star), 1.0, 1.0),
-        (dyn, DynamicBoundary(golden, 1.0), dyn.q_floor, 1.2 * dyn.q_floor),
+        (cp(0.9), cp(1.0), short, 1.0, 1.0),
+        (cp(0.9), dyn, short, 1.0, 1.0),
+        (inf, cp(1.0), short, 1.0, 1.0),
+        (dyn, DynamicBoundary(golden, 1.0), short, dyn.q_floor, 1.2 * dyn.q_floor),
+        (half, dyn, long, q1, q2),
+        (d0, dyn, long, q1, q2),
+        (cp(0.9), half, long, q1, q2),
+        (half, inf, long, q1, q2),
+        (dyn, inf, long, q1, q2),
+        (d0, cp(1.3), long, q1, q2),
     ]
-    for b1, b2, q1_0, q2_0 in cases:
-        path = _path(golden, x0=3.0, seed=9, dt=0.01, T=1.5)
-        fast = _joint_closed_form(b1, b2, path, q1_0, q2_0)
-        assert fast is not None
-        n = len(path.values)
-        Q1 = np.empty(n)
-        Q2 = np.empty(n)
-        q1, q2 = q1_0, q2_0
-        for k, x in enumerate(path.values):
-            q1 = max(q1, b1.base_capacity(float(x), q2))
-            q2 = max(q2, b2.base_capacity(float(x), q1))
-            Q1[k], Q2[k] = q1, q2
-        assert np.max(np.abs(fast.Q1 - Q1)) < 1e-10
-        assert np.max(np.abs(fast.Q2 - Q2)) < 1e-10
+    for b1, b2, paths, q1_0, q2_0 in cases:
+        for path in paths:
+            fast = _joint_closed_form(b1, b2, path, q1_0, q2_0)
+            assert fast is not None, (b1, b2)
+            for got, want in zip((fast.Q1, fast.Q2), _per_step_joint(b1, b2, path, q1_0, q2_0)):
+                assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + want)), (b1, b2)
+
+
+def test_joint_record_loop_equals_per_step_loop(golden, monkeypatch):
+    """Pairs without a closed form run the sequential updates at the
+    running-max records only; the capitals equal the per-step loop's bit for
+    bit, and each record costs at most two base-capacity solves."""
+    from duopoly_invest.outcomes import _joint_closed_form
+
+    dyn = DynamicBoundary(golden, 1.0)
+    half = DynamicBoundary(golden, 0.5)
+    cp = lambda f: ConstantPriceBoundary(golden, f * golden.p_star)
+    q1, q2 = 1.1 * dyn.q_floor, 1.3 * dyn.q_floor
+    pairs = [(cp(1.2), cp(1.0)), (dyn, half), (dyn, cp(1.3)), (cp(1.3), dyn)]
+    paths = [_path(golden, x0=3.0, seed=99, dt=2e-3, T=4.0, j=j) for j in range(6)]
+    calls = [0]
+    solve = boundaries.Boundary.base_capacity
+
+    def counted(self, x, q_mi):
+        calls[0] += 1
+        return solve(self, x, q_mi)
+
+    for b1, b2 in pairs:
+        for path in paths:
+            assert _joint_closed_form(b1, b2, path, q1, q2) is None
+            want = _per_step_joint(b1, b2, path, q1, q2)
+            with monkeypatch.context() as m:
+                m.setattr(boundaries.Boundary, "base_capacity", counted)
+                calls[0] = 0
+                out = build_joint_outcome(b1, b2, path, q1, q2)
+            n_records = 1 + int(np.count_nonzero(np.diff(running_sup(path.values)) > 0.0))
+            assert calls[0] <= 2 * n_records
+            assert np.array_equal(out.Q1, want[0]) and np.array_equal(out.Q2, want[1])
+            assert out.construction == "joint"
 
 
 def test_joint_loop_general_pair(golden):

@@ -210,9 +210,13 @@ def test_closed_form_values_homogeneous_of_degree_one(golden, scale):
     """V(x s**(1/gamma), s q_i, s q_mi) = s V(x, q_i, q_mi), on the trigger
     too, at capitals where x**beta would overflow or underflow: the branch
     is written in the normalised price y, which the scaling leaves alone.
-    V_qi and V_qmi are homogeneous of degree zero."""
+    V_qi and V_qmi are homogeneous of degree zero.  At (1, 1e308, 0) the
+    option coefficient must not overflow before y**beta cancels it."""
     for fn in (AbstainValue(golden, golden.p_star),
                SoleInvestorValue(golden, 1.2 * golden.p_star)):
+        v = fn.value(1.0, 1e308, 0.0)
+        want = 1e308 * fn.value(1e308 ** (-1.0 / golden.gamma), 1.0, 0.0)
+        assert abs(v - want) <= 1e-14 * abs(want), fn.kind
         for q_i, q_mi in ((1.0, 1.0), (0.3, 2.2), (1.7, 0.4)):
             xb = fn._own_trigger(q_i, q_mi)
             for frac in (0.05, 0.5, 1.0, 1.5, 3.0):
