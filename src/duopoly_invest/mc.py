@@ -71,7 +71,7 @@ def estimate_payoff(params: ModelParams, builder, firm: int, x0: float,
     for j in range(n_paths):
         out: Outcome = builder(generate_path(params, x0, dt, horizon, seed, j))
         vals[j] = payoff(params, out, firm)
-        q_ends[j] = out.Q1[-1] + out.Q2[-1]
+        q_ends[j] = out.K1[-1] + out.K2[-1]
     mean = float(np.mean(vals))
     se = _se(vals)
     coeff = value_linear_bound_coeff(params, tail_boundary)

@@ -1,7 +1,10 @@
 """Capital-path pairs consistent with reflection strategies.
 
 Every construction works on one discretized shock path and returns a pair of
-nondecreasing capital arrays aligned to the path's time grid.  Discrete-time
+nondecreasing capital paths on the path's time grid.  Investment is a
+singular control: capital moves only where the running maximum of the shock
+sets a record, so an Outcome stores both capitals at knots, the grid indices
+at which they may change, and holds each until the next knot.  Discrete-time
 semantics: at each grid point the running-supremum update uses the opponent
 capital carried over from the previous grid point (for the built-in
 symmetric constructions this matters only at O(dt)).  A discrete jump at
@@ -10,7 +13,9 @@ functionals and are O(sigma * sqrt(dt)) per step.
 
 Discounted Stieltjes integrals discount each increment over (t_{k-1}, t_k]
 at the interval midpoint, which halves the O(dt) bias of cost accounting;
-the t = 0 jump carries full weight.
+the t = 0 jump carries full weight.  The accumulators read the knots: the
+profit flow's capital factor is constant between knots, and increments sit
+at knots.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,18 +40,49 @@ from .paths import ShockPath, running_sup
 # Half-width of check_consistency's support band, in shock standard
 # deviations per step.
 _BAND_SIGMAS = 3.0
+# Block length of _records' block maxima.
+_RECORD_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class Outcome:
+    """Both firms' capital paths on one shock path, stored at knots.
+
+    knots are the grid indices at which a capital may change, knots[0] == 0,
+    and they include every running-max record of the path; K1 and K2 are the
+    capitals at the knots, each held until the next knot.  Without knots, K1
+    and K2 are full-grid arrays and every grid index is a knot.  Q1 and Q2
+    are the full-grid arrays, built on first use.
+    """
+
     path: ShockPath
-    Q1: np.ndarray
-    Q2: np.ndarray
+    K1: np.ndarray
+    K2: np.ndarray
     q1_0: float
     q2_0: float
     construction: str
+    knots: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.knots is None:
+            object.__setattr__(self, "knots", np.arange(len(self.K1)))
+
+    def _expand(self, k: np.ndarray) -> np.ndarray:
+        return np.repeat(k, np.diff(self.knots, append=len(self.path.values)))
+
+    @cached_property
+    def Q1(self) -> np.ndarray:
+        return self._expand(self.K1)
+
+    @cached_property
+    def Q2(self) -> np.ndarray:
+        return self._expand(self.K2)
 
     def capital(self, firm: int) -> np.ndarray:
         return self.Q1 if firm == 1 else self.Q2
+
+    def knot_capital(self, firm: int) -> np.ndarray:
+        return self.K1 if firm == 1 else self.K2
 
     def initial(self, firm: int) -> float:
         return self.q1_0 if firm == 1 else self.q2_0
@@ -67,30 +103,45 @@ def build_abstain_outcome(boundary_pair, path: ShockPath, q1_0: float, q2_0: flo
         raise KindMismatchError(f"abstaining_firm must be 1 or 2, got {abstaining_firm}")
     q_abs = q1_0 if abstaining_firm == 1 else q2_0
     q_inv = q2_0 if abstaining_firm == 1 else q1_0
-    investor = _one_mover(path, boundary_pair[2 - abstaining_firm], q_inv, q_abs)
+    knots, investor = _one_mover(path, boundary_pair[2 - abstaining_firm], q_inv, q_abs)
     abstainer = np.full_like(investor, q_abs)
-    Q1, Q2 = (abstainer, investor) if abstaining_firm == 1 else (investor, abstainer)
-    return Outcome(path, Q1, Q2, q1_0, q2_0, construction=f"abstain({abstaining_firm})")
+    K1, K2 = (abstainer, investor) if abstaining_firm == 1 else (investor, abstainer)
+    return Outcome(path, K1, K2, q1_0, q2_0, construction=f"abstain({abstaining_firm})",
+                   knots=knots)
 
 
 def _records(values):
-    """Grid indices at which the running maximum of values sets a new record,
-    and for every grid index the position of the latest record among them."""
-    sup = running_sup(values)
-    new = np.empty(len(sup), dtype=bool)
-    new[0] = True
-    np.greater(sup[1:], sup[:-1], out=new[1:])
-    return np.flatnonzero(new), np.cumsum(new) - 1
+    """Indices at which the running maximum of values sets a new record,
+    index 0 included: the k with running_sup(values)[k] >
+    running_sup(values)[k-1].  Every builder's knots are these indices, so
+    the knots include every running-max record.
+
+    A block of _RECORD_BLOCK values holds a record only if its maximum beats
+    every earlier block's, so only those blocks get a running maximum, seeded
+    with the maximum before them.  The ragged last block reads its final
+    value again to fill its row, which an equal value never makes a record.
+    """
+    n = len(values)
+    starts = np.arange(0, n, _RECORD_BLOCK)
+    block_max = np.maximum.reduceat(values, starts)
+    before = np.maximum.accumulate(np.concatenate(([values[0]], block_max[:-1])))
+    live = np.flatnonzero(block_max > before)
+    rows = np.empty((len(live), _RECORD_BLOCK + 1))
+    rows[:, 0] = before[live]
+    rows[:, 1:] = values[np.minimum(starts[live, None] + np.arange(_RECORD_BLOCK), n - 1)]
+    np.maximum.accumulate(rows, axis=1, out=rows)
+    row, col = np.nonzero(rows[:, 1:] > rows[:, :-1])
+    return np.concatenate(([0], starts[live[row]] + col))
 
 
 def _one_mover(path: ShockPath, mover: Boundary, q_mover: float, q_frozen: float):
-    """Capital of the only firm that invests, against an opponent frozen at
-    q_frozen: the running supremum of its base capacity, which by
-    monotonicity in x is q_mover v phi(M_t, q_frozen) at the running maximum
-    M of X.  phi is evaluated at the running-max records only, and each grid
-    index takes the value of its latest record."""
-    rec, latest = _records(path.values)
-    return np.maximum(q_mover, mover.base_capacity(path.values[rec], q_frozen))[latest]
+    """Knots and knot capitals of the only firm that invests, against an
+    opponent frozen at q_frozen: the running supremum of its base capacity,
+    which by monotonicity in x is q_mover v phi(M_t, q_frozen) at the running
+    maximum M of X.  The knots are the running-max records, where phi is
+    evaluated."""
+    rec = _records(path.values)
+    return rec, np.maximum(q_mover, mover.base_capacity(path.values[rec], q_frozen))
 
 
 def build_symmetric_outcome(boundary_pair, path: ShockPath, q1_0: float,
@@ -106,9 +157,9 @@ def build_symmetric_outcome(boundary_pair, path: ShockPath, q1_0: float,
     Until psi(X) first reaches the larger initial stock only the smaller
     firm invests; afterwards both capitals equal the running supremum of
     psi(X).  phi and psi increase in x, so the supremum is attained where
-    the running maximum M of X sets a record: the roots are solved there
-    only, and each grid index takes the value of its latest record,
-    Q_i(t) = q_i v min(phi_i(M_t, q_mi), psi(M_t)).
+    the running maximum M of X sets a record: the records are the knots, and
+    the roots are solved there only, Q_i(t) = q_i v min(phi_i(M_t, q_mi),
+    psi(M_t)).
     """
     b1, b2 = boundary_pair
     if not (isinstance(b1, DynamicBoundary) and isinstance(b2, DynamicBoundary)
@@ -117,14 +168,14 @@ def build_symmetric_outcome(boundary_pair, path: ShockPath, q1_0: float,
     floor = b1.q_floor
     if min(q1_0, q2_0) < floor - 1e-12 * max(1.0, floor):
         raise BelowFloorError(f"initial capitals must be at least {floor}")
-    rec, latest = _records(path.values)
+    rec = _records(path.values)
     x = path.values[rec]
     psi = np.asarray(b1.symmetric_base_capacity(x))
     phi1 = b1.base_capacity(x, q2_0)
     phi2 = b2.base_capacity(x, q1_0)
-    Q1 = np.maximum(q1_0, running_sup(np.minimum(phi1, psi)))[latest]
-    Q2 = np.maximum(q2_0, running_sup(np.minimum(phi2, psi)))[latest]
-    return Outcome(path, Q1, Q2, q1_0, q2_0, construction="symmetric")
+    K1 = np.maximum(q1_0, running_sup(np.minimum(phi1, psi)))
+    K2 = np.maximum(q2_0, running_sup(np.minimum(phi2, psi)))
+    return Outcome(path, K1, K2, q1_0, q2_0, construction="symmetric", knots=rec)
 
 
 def build_aggregate_split(boundary_pair, path: ShockPath, q1_0: float, q2_0: float,
@@ -142,10 +193,10 @@ def build_aggregate_split(boundary_pair, path: ShockPath, q1_0: float, q2_0: flo
     if len(w) != 2 or min(w) < 0.0 or abs(w[0] + w[1] - 1.0) > 1e-12:
         raise InvalidSplitError(f"weights must be nonnegative and sum to 1, got {w}")
     s0 = q1_0 + q2_0
-    aggregate = _one_mover(path, boundary_pair[0], s0, 0.0)
-    Q1 = q1_0 + w[0] * (aggregate - s0)
-    Q2 = q2_0 + w[1] * (aggregate - s0)
-    return Outcome(path, Q1, Q2, q1_0, q2_0, construction=f"split{w}")
+    knots, aggregate = _one_mover(path, boundary_pair[0], s0, 0.0)
+    K1 = q1_0 + w[0] * (aggregate - s0)
+    K2 = q2_0 + w[1] * (aggregate - s0)
+    return Outcome(path, K1, K2, q1_0, q2_0, construction=f"split{w}", knots=knots)
 
 
 def build_joint_outcome(b1: Boundary, b2: Boundary, path: ShockPath,
@@ -160,22 +211,22 @@ def build_joint_outcome(b1: Boundary, b2: Boundary, path: ShockPath,
 
     Base capacities rise in x and fall in the opponent's capital, so neither
     firm moves at a grid point below the running maximum of X: the updates
-    run at the running-max records only, and each grid index takes the
-    capitals of its latest record, as the per-step loop would give them.
+    run at the running-max records only, which are the knots, and give the
+    per-step loop's capitals.
     """
     fast = _joint_closed_form(b1, b2, path, q1_0, q2_0)
     if fast is not None:
         return fast
-    rec, latest = _records(path.values)
-    Q1 = np.empty(len(rec))
-    Q2 = np.empty(len(rec))
+    rec = _records(path.values)
+    K1 = np.empty(len(rec))
+    K2 = np.empty(len(rec))
     q1, q2 = q1_0, q2_0
     for k, x in enumerate(path.values[rec]):
         q1 = max(q1, b1.base_capacity(x, q2))
         q2 = max(q2, b2.base_capacity(x, q1))
-        Q1[k] = q1
-        Q2[k] = q2
-    return Outcome(path, Q1[latest], Q2[latest], q1_0, q2_0, construction="joint")
+        K1[k] = q1
+        K2[k] = q2
+    return Outcome(path, K1, K2, q1_0, q2_0, construction="joint", knots=rec)
 
 
 def _joint_closed_form(b1, b2, path, q1_0, q2_0):
@@ -190,11 +241,13 @@ def _joint_closed_form(b1, b2, path, q1_0, q2_0):
     of X.
     """
     if b2.p == math.inf or (b2.p >= b1.p and b2.c >= b1.c):
-        Q1 = _one_mover(path, b1, q1_0, q2_0)
-        return Outcome(path, Q1, np.full_like(Q1, q2_0), q1_0, q2_0, construction="joint")
+        knots, K1 = _one_mover(path, b1, q1_0, q2_0)
+        return Outcome(path, K1, np.full_like(K1, q2_0), q1_0, q2_0, construction="joint",
+                       knots=knots)
     if b1.p == math.inf:
-        Q2 = _one_mover(path, b2, q2_0, q1_0)
-        return Outcome(path, np.full_like(Q2, q1_0), Q2, q1_0, q2_0, construction="joint")
+        knots, K2 = _one_mover(path, b2, q2_0, q1_0)
+        return Outcome(path, np.full_like(K2, q1_0), K2, q1_0, q2_0, construction="joint",
+                       knots=knots)
     return None
 
 
@@ -253,19 +306,21 @@ def catch_up_report(boundary: DynamicBoundary, outcome: Outcome) -> dict:
 
     tau is the first grid index at which the symmetric base capacity reaches
     the larger initial stock.  Before tau the larger firm must not invest;
-    from tau on both capitals must coincide.
+    from tau on both capitals must coincide.  Both read the knots: psi
+    increases in x, so it first reaches q_hi at a running-max record, which
+    is a knot, and capitals change only at knots.
     """
     q_hi = max(outcome.q1_0, outcome.q2_0)
     larger = 1 if outcome.q1_0 >= outcome.q2_0 else 2
     n = len(outcome.path.values)
-    # psi increases in x, so it first reaches q_hi at a running-max record.
-    rec, _ = _records(outcome.path.values)
-    psi = np.asarray(boundary.symmetric_base_capacity(outcome.path.values[rec]))
+    knots = outcome.knots
+    psi = np.asarray(boundary.symmetric_base_capacity(outcome.path.values[knots]))
     reached = np.nonzero(psi >= q_hi)[0]
-    tau = int(rec[reached[0]]) if len(reached) else n
-    q_big = outcome.capital(larger)
-    before_ok = bool(np.all(q_big[:tau] == q_big[0])) if tau > 0 else True
-    gap_after = float(np.max(np.abs(outcome.Q1[tau:] - outcome.Q2[tau:]))) \
+    tau = int(knots[reached[0]]) if len(reached) else n
+    k_big = outcome.knot_capital(larger)
+    after = knots >= tau
+    before_ok = bool(np.all(k_big[~after] == k_big[0]))
+    gap_after = float(np.max(np.abs(outcome.K1[after] - outcome.K2[after]))) \
         if tau < n else 0.0
     return {"tau_index": tau, "larger_firm": larger,
             "larger_constant_before": before_ok,
@@ -284,26 +339,44 @@ def _midpoint_discounts(r: float, dt: float, n: int) -> np.ndarray:
     return d
 
 
+@lru_cache(maxsize=64)
+def _trapezoid_weights(r: float, dt: float, n: int) -> np.ndarray:
+    """w_k = d_{k-1} + d_k for k = 0..n (d_{-1} = d_n = 0), d the midpoint
+    discounts of n steps: sum_k d_k (f_k + f_{k+1}) = sum_k w_k f_k."""
+    d = _midpoint_discounts(r, dt, n)
+    w = np.zeros(n + 1)
+    w[:-1] += d
+    w[1:] += d
+    w.setflags(write=False)
+    return w
+
+
+def _increment_discounts(params: ModelParams, outcome: Outcome) -> np.ndarray:
+    """Midpoint discount of each knot's increment after the first: the
+    increment at grid index k >= 1 is discounted over (t_{k-1}, t_k]."""
+    d = _midpoint_discounts(params.r, outcome.path.dt, outcome.path.n_steps)
+    return d[outcome.knots[1:] - 1]
+
+
 def discounted_profit(params: ModelParams, outcome: Outcome, firm: int) -> float:
     """Integral of e^{-rt} * profit flow, trapezoid in the flow and midpoint
-    discounting per step."""
+    discounting per step.  The flow is x times the capital factor
+    (Q1 + Q2)**(-1/gamma) * Q, which is constant between knots, so the
+    weighted shock is summed per knot segment and the factor is taken at the
+    knots only."""
     x = outcome.path.values
-    q = outcome.capital(firm)
-    q_tot = outcome.Q1 + outcome.Q2
-    flow = x * q_tot ** (-1.0 / params.gamma) * q
-    dt = outcome.path.dt
-    disc = _midpoint_discounts(params.r, dt, len(x) - 1)
-    return float(np.sum(disc * (flow[:-1] + flow[1:])) * 0.5 * dt)
+    w = _trapezoid_weights(params.r, outcome.path.dt, outcome.path.n_steps)
+    q = outcome.knot_capital(firm)
+    factor = (outcome.K1 + outcome.K2) ** (-1.0 / params.gamma) * q
+    return float(np.dot(np.add.reduceat(w * x, outcome.knots), factor) * 0.5 * outcome.path.dt)
 
 
 def discounted_cost(params: ModelParams, outcome: Outcome, firm: int) -> float:
     """Discounted investment cost: full-weight t=0 jump plus midpoint-discounted
-    increments."""
-    q = outcome.capital(firm)
-    dq = np.diff(q)
-    disc = _midpoint_discounts(params.r, outcome.path.dt, len(dq))
+    increments, which sit at the knots."""
+    q = outcome.knot_capital(firm)
     initial_jump = q[0] - outcome.initial(firm)
-    return float(initial_jump + np.sum(disc * dq))
+    return float(initial_jump + np.dot(_increment_discounts(params, outcome), np.diff(q)))
 
 
 def payoff(params: ModelParams, outcome: Outcome, firm: int) -> float:
@@ -312,15 +385,15 @@ def payoff(params: ModelParams, outcome: Outcome, firm: int) -> float:
 
 def discount_identity_defect(params: ModelParams, outcome: Outcome, firm: int) -> float:
     """Defect of Q_0 + int e^{-rt} dQ = r int e^{-rt} Q dt + e^{-rT} Q_T
-    under the accumulator's discretization; O(dt) by construction."""
-    q = outcome.capital(firm)
-    r = params.r
-    dt = outcome.path.dt
-    dq = np.diff(q)
-    disc = _midpoint_discounts(r, dt, len(dq))
-    lhs = q[0] + np.sum(disc * dq)
-    quad = np.sum(disc * 0.5 * (q[:-1] + q[1:])) * dt
-    rhs = r * quad + np.exp(-r * dt * (len(q) - 1)) * q[-1]
+    under the accumulator's discretization; O(dt) by construction.  Q is
+    constant between knots, so the trapezoid of e^{-rt} Q sums the weights
+    per knot segment."""
+    q = outcome.knot_capital(firm)
+    r, dt, n = params.r, outcome.path.dt, outcome.path.n_steps
+    lhs = q[0] + np.dot(_increment_discounts(params, outcome), np.diff(q))
+    w = _trapezoid_weights(r, dt, n)
+    quad = np.dot(np.add.reduceat(w, outcome.knots), q) * 0.5 * dt
+    rhs = r * quad + np.exp(-r * dt * n) * q[-1]
     return float(abs(lhs - rhs))
 
 

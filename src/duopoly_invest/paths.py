@@ -54,13 +54,18 @@ def generate_path(params: ModelParams, x0: float, dt: float, horizon: float,
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(path_index,)))
     )
-    z = rng.standard_normal(n)
     drift = (params.mu - 0.5 * params.sigma ** 2) * dt
     vol = params.sigma * np.sqrt(dt)
-    log_x = np.empty(n + 1)
-    log_x[0] = 0.0
-    np.cumsum(drift + vol * z, out=log_x[1:])
-    values = x0 * np.exp(log_x)
+    # One buffer goes from normals to log increments, log X and X in place.
+    values = np.empty(n + 1)
+    values[0] = 0.0
+    steps = values[1:]
+    rng.standard_normal(out=steps)
+    steps *= vol
+    steps += drift
+    np.cumsum(steps, out=steps)
+    np.exp(values, out=values)
+    values *= x0
     values.setflags(write=False)
     return ShockPath(x0=x0, dt=dt, horizon=n * dt, values=values,
                      seed=seed, path_index=path_index)

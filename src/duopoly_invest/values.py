@@ -48,6 +48,7 @@ its q_i-derivative is the integrand at q_i.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from functools import cached_property
 
@@ -132,7 +133,8 @@ class ValueFunction:
     the own trigger: the branch (_below) takes every level up to it in one
     call, and the continuation (_above) each level over it.  Both return all
     requested entries at once, keyed "v" (V), "x" (x V_x), "xx" (x**2 V_xx),
-    "qi" and "qmi"; partials divides the x-derivatives by x last.
+    "qi", "qmi" and "phi" (the paste point); partials divides the
+    x-derivatives by x last.
     """
 
     params: ModelParams
@@ -161,18 +163,25 @@ class ValueFunction:
     def _below(self, x, q_i, q_mi, which):
         """The branch's entries from the profit stream S = unit * q_i and the
         option term O = C * y**beta.  Both capitals lower the price P(q),
-        which moves y by dy/dq = -y/(gamma q); own capital also scales S."""
+        which moves y by dy/dq = -y/(gamma q); own capital also scales S.
+
+        S and O are formed divided by a power of two m <= max(1, q_i) and
+        the sums multiplied by m: exact scalings, which keep S from
+        overflowing before O cancels it at q_i near 1e308."""
         pr = self.params
         unit, y_beta = self._branch(x, q_i, q_mi)
-        stream, option = unit * q_i, self._c(q_i, q_mi) * y_beta
-        x_vx = stream + pr.beta * option
+        m = 2.0 ** max(0, math.frexp(q_i)[1] - 1)
+        stream, option = unit * (q_i / m), self._c(q_i, q_mi) / m * y_beta
+        x_vx = (stream + pr.beta * option) * m
         out = {}
         if "v" in which:
-            out["v"] = stream + option
+            out["v"] = (stream + option) * m
         if "x" in which:
             out["x"] = x_vx
         if "xx" in which:
-            out["xx"] = pr.beta * (pr.beta - 1.0) * option
+            out["xx"] = pr.beta * (pr.beta - 1.0) * option * m
+        if "phi" in which:
+            out["phi"] = q_i
         if "qi" in which or "qmi" in which:
             c_qi, c_qmi = self._c_grad(q_i, q_mi)
             via_price = x_vx / (pr.gamma * (q_i + q_mi))
@@ -190,14 +199,14 @@ class ValueFunction:
         phi_qmi of the branch at phi, with phi_qmi = -T_qmi / T_qi from the
         own trigger's gradient.  Smooth fit (V_qi = 1 on the trigger) drops
         the second term; it is kept, so that the propagation check tests
-        smooth fit instead of assuming it.  Kinds with an explicit
-        continuation override this."""
+        smooth fit instead of assuming it.  "phi" hands back the paste point.
+        Kinds with an explicit continuation override this."""
         if "xx" in which:
             raise TooCloseToBoundaryError("second x-derivative is only provided below the trigger")
         out = {"qi": 1.0}
         if set(which) <= {"qi"}:
             return out
-        phi = self._phi(x, q_mi)
+        phi = out["phi"] = self._phi(x, q_mi)
         at = self._below(x, phi, q_mi, (*which, "qi") if "qmi" in which else which)
         if "v" in which:
             out["v"] = at["v"] - phi + q_i
@@ -238,12 +247,14 @@ class ValueFunction:
         """Requested analytic partial derivatives at one capital pair.
 
         x is one shock level or a numpy array of them; each entry of the
-        result has the shape of x.
+        result has the shape of x.  "phi" also asks for the paste point:
+        phi(x, q_mi) above the own trigger, which the q-partials there are
+        evaluated at, and q_i at or below it.
         """
         if isinstance(which, str):
             which = (which,)
         for key in which:
-            if key not in ("x", "xx", "qi", "qmi"):
+            if key not in ("x", "xx", "qi", "qmi", "phi"):
                 raise ValueError(f"unknown partial {key!r}")
         out = self._evaluate(x, q_i, q_mi, which)
         if "x" in which:
@@ -309,7 +320,7 @@ class AbstainValue(ValueFunction):
         """The annuity's row: flat in x and in the opponent's capital."""
         pr = self.params
         return {"v": self.p / (pr.r - pr.mu) * (pr.beta - 1.0) / pr.beta * q_i,
-                "x": 0.0, "xx": 0.0, "qi": self.p / pr.p_star, "qmi": 0.0}
+                "x": 0.0, "xx": 0.0, "qi": self.p / pr.p_star, "qmi": 0.0, "phi": q_i}
 
 
 class SoleInvestorValue(ValueFunction):

@@ -225,7 +225,8 @@ def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec()) -> list:
 def check_derivative_propagation(value_fn, pair, spec: GridSpec = GridSpec()) -> ConditionResult:
     """Above the own trigger the opponent-derivative must propagate down to
     the paste point: V_qmi(x, q_i, q_mi) equals the branch's
-    V_qmi(x, phi(x, q_mi), q_mi).
+    V_qmi(x, phi(x, q_mi), q_mi).  The continuation hands back the paste
+    point it solved, so each point solves phi once.
 
     With an infinite own trigger the region is empty and the check falls back
     to condition 3's content (V_qmi = 0 above the opponent trigger).
@@ -246,8 +247,8 @@ def check_derivative_propagation(value_fn, pair, spec: GridSpec = GridSpec()) ->
         xb = own.trigger(q_i, q_mi)
         for frac in (1.05, 1.3, 2.0):
             x = frac * xb
-            lhs = value_fn.partials(x, q_i, q_mi, ("qmi",))["qmi"]
-            phi = own.base_capacity(x, q_mi)
+            at = value_fn.partials(x, q_i, q_mi, ("qmi", "phi"))
+            lhs, phi = at["qmi"], at["phi"]
             # Rounding can put x above the trigger at phi, where partials
             # would paste again and compare the chain rule with itself.
             rhs = value_fn.partials(min(x, own.trigger(phi, q_mi)), phi, q_mi,
@@ -281,20 +282,23 @@ def _discounted_max_moment(params: ModelParams, t: float) -> float:
 
 def _increment_derivative(value_fn, outcomes) -> ConditionResult:
     """The opponent-increment verdict: |V_qmi| at the opponent's increments
-    along each outcome, where they lie on firm 1's trigger."""
+    along each outcome, where they lie on firm 1's trigger.  Capitals change
+    only at an outcome's knots, so the increments are read there."""
     own = value_fn.strategy_pair()[0]
     if own.p == math.inf:
         return _void("opponent_increment_derivative",
                      "void: own trigger infinite, opponent increments unrestricted")
     worst = _Worst(0.0)
     for out in outcomes:
-        idx = np.nonzero(np.diff(out.Q2) > 1e-12 * (1.0 + out.Q2[1:]))[0] + 1
-        if out.Q2[0] > out.initial(2) + 1e-12:
+        k2 = out.K2
+        idx = np.nonzero(np.diff(k2) > 1e-12 * (1.0 + k2[1:]))[0] + 1
+        if k2[0] > out.initial(2) + 1e-12:
             idx = np.concatenate(([0], idx))
         if len(idx) > _MAX_INCREMENTS:
             idx = idx[np.linspace(0, len(idx) - 1, _MAX_INCREMENTS).astype(int)]
-        for k in idx:
-            x, q1, q2 = float(out.path.values[k]), float(out.Q1[k]), float(out.Q2[k])
+        for j in idx:
+            x = float(out.path.values[out.knots[j]])
+            q1, q2 = float(out.K1[j]), float(out.K2[j])
             if x < own.trigger(q1, q2) * (1.0 - 1e-9):
                 continue  # opponent invests strictly inside firm 1's region
             worst.add(abs(value_fn.partials(x, q1, q2, ("qmi",))["qmi"]), x, q1, q2)

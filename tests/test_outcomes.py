@@ -19,6 +19,7 @@ from duopoly_invest.errors import (
 )
 from duopoly_invest.model import derive_params
 from duopoly_invest.outcomes import (
+    _records,
     build_abstain_outcome,
     build_aggregate_split,
     build_joint_outcome,
@@ -448,3 +449,112 @@ def test_frozen_firm_payoff_is_perpetuity(golden):
     flow = golden.profit_flow(x0, 1.0, 1.0)
     expected = flow / golden.r * (1.0 - math.exp(-golden.r * 30.0))
     assert got == pytest.approx(expected, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# knots: records, lazy full-grid capitals, segment accumulators
+# ---------------------------------------------------------------------------
+
+def _plain_records(values):
+    """Running-max records by their definition: index 0 and every k with
+    sup[k] > sup[k-1]."""
+    sup = running_sup(values)
+    return np.flatnonzero(np.concatenate(([True], sup[1:] > sup[:-1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129, 601, 3001, 20001]),
+       shape=st.sampled_from(["walk", "constant", "descending", "ascending", "plateau"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_records_equal_plain_running_max_records(n, shape, seed):
+    """Block-maximum records equal the plain running-max records bit for
+    bit; the values are small integers, so ties and plateaus are common."""
+    rng = np.random.default_rng(seed)
+    if shape == "walk":
+        v = np.cumsum(rng.integers(-2, 3, n))
+    elif shape == "constant":
+        v = np.full(n, rng.integers(-5, 5))
+    elif shape == "descending":
+        v = np.sort(rng.integers(0, 20, n))[::-1]
+    elif shape == "ascending":
+        v = np.sort(rng.integers(0, 20, n))
+    else:
+        v = np.repeat(rng.integers(0, 6, n), rng.integers(1, 100, n))[:n]
+    v = v.astype(float)
+    assert np.array_equal(_records(v), _plain_records(v))
+
+
+@pytest.mark.parametrize("x0, dt, T", [(1.3, 1e-3, 20.0),   # mc_abstain
+                                       (5.0, 1e-3, 3.0),    # catch_up
+                                       (1.5, 0.01, 6.0)])   # verify_dynamic
+def test_records_on_benchmark_grids(golden, x0, dt, T):
+    for j in range(20):
+        values = generate_path(golden, x0, dt, T, 21, j).values
+        assert np.array_equal(_records(values), _plain_records(values))
+
+
+def _full_grid_payoff(params, out, firm):
+    """payoff and discount_identity_defect by their per-step formulas over
+    every grid point."""
+    x, q, dt = out.path.values, out.capital(firm), out.path.dt
+    r = params.r
+    d = np.exp(-r * (dt * np.arange(len(x) - 1) + 0.5 * dt))
+    flow = x * (out.Q1 + out.Q2) ** (-1.0 / params.gamma) * q
+    profit = np.sum(d * (flow[:-1] + flow[1:])) * 0.5 * dt
+    cost = q[0] - out.initial(firm) + np.sum(d * np.diff(q))
+    lhs = q[0] + np.sum(d * np.diff(q))
+    quad = np.sum(d * 0.5 * (q[:-1] + q[1:])) * dt
+    defect = abs(lhs - (r * quad + np.exp(-r * dt * (len(q) - 1)) * q[-1]))
+    return float(profit - cost), float(defect)
+
+
+def _every_builder(params, path):
+    cp = ConstantPriceBoundary(params, params.p_star)
+    cp_hi = ConstantPriceBoundary(params, 1.2 * params.p_star)
+    dyn, half = DynamicBoundary(params, 1.0), DynamicBoundary(params, 0.5)
+    qf = dyn.q_floor
+    return [build_abstain_outcome((cp, cp), path, 1.0, 0.8, abstaining_firm=1),
+            build_abstain_outcome((cp, cp), path, 0.5, 1.0, abstaining_firm=2),
+            build_symmetric_outcome((dyn, dyn), path, qf, 1.3 * qf),
+            build_aggregate_split((cp, cp), path, 1.0, 0.5, weights=(0.3, 0.7)),
+            build_joint_outcome(ConstantPriceBoundary(params, 0.9 * params.p_star), cp,
+                                path, 1.0, 1.0),
+            build_joint_outcome(cp_hi, cp, path, 1.0, 1.0),
+            build_joint_outcome(dyn, half, path, 1.1 * qf, 1.3 * qf)]
+
+
+def test_knot_outcomes_expand_to_the_record_gathers(golden):
+    """Every builder's knots are the running-max records, and Q1, Q2 are the
+    knot capitals gathered at each grid index's latest record, as float64
+    and byte for byte."""
+    for j, x0 in enumerate((0.5, 3.0, 6.0)):
+        path = generate_path(golden, x0, 2e-3, 3.0, 61, j)
+        rec = _plain_records(path.values)
+        latest = np.cumsum(np.isin(np.arange(len(path.values)), rec)) - 1
+        for out in _every_builder(golden, path):
+            assert np.array_equal(out.knots, rec), out.construction
+            for full, knot in ((out.Q1, out.K1), (out.Q2, out.K2)):
+                assert full.dtype == np.float64 and len(full) == len(path.values)
+                assert full.tobytes() == knot[latest].tobytes(), out.construction
+
+
+def test_knot_accumulators_match_full_grid_formulas(golden, cp):
+    """payoff and discount_identity_defect read the knots and agree with the
+    per-step formulas within 1e-14 * (1 + |v|), for every builder, with and
+    without a t = 0 jump, and for a hand-made full-grid outcome."""
+    outcomes = []
+    for j, x0 in enumerate((0.5, 3.0, 6.0)):
+        outcomes += _every_builder(golden, generate_path(golden, x0, 2e-3, 3.0, 62, j))
+    base = build_abstain_outcome((cp, cp), _path(golden, x0=3.0, seed=3), 1.0, 0.8, 1)
+    q2 = base.Q2.copy()
+    q2[len(q2) // 2] += 0.1
+    outcomes.append(type(base)(base.path, base.Q1, q2, base.q1_0, base.q2_0, "perturbed"))
+    for out in outcomes:
+        for firm in (1, 2):
+            want_payoff, want_defect = _full_grid_payoff(golden, out, firm)
+            got_payoff = payoff(golden, out, firm)
+            got_defect = discount_identity_defect(golden, out, firm)
+            assert abs(got_payoff - want_payoff) <= 1e-14 * (1.0 + abs(want_payoff)), \
+                (out.construction, firm)
+            assert abs(got_defect - want_defect) <= 1e-14 * (1.0 + abs(want_defect)), \
+                (out.construction, firm)

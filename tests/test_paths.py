@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -29,6 +30,19 @@ def test_terminal_mean_matches_gbm():
     target = math.exp(pp.mu * T)
     se = ends.std(ddof=1) / math.sqrt(n)
     assert abs(ends.mean() - target) < 3.0 * se
+
+
+@pytest.mark.parametrize("x0, dt, T, seed, j, digest", [
+    (2.0, 1e-3, 20.0, 21, 0,
+     "2175c069e4735e61f78ecd84629d0385a101648d8316e8e4fd313879af1381b8"),
+    (1.3, 0.01, 6.0, 53, 79,
+     "a9f27e0f7552a6b214a9408483b490a5f9a3ccd3ab62a9b96fab4bc116255787"),
+])
+def test_path_bytes_pinned(golden, x0, dt, T, seed, j, digest):
+    """The sampled bytes are pinned: normals, log increments, log X and X
+    are formed in one buffer in the order x0 * exp(cumsum(drift + vol * z))."""
+    values = generate_path(golden, x0, dt, T, seed, j).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 def test_reproducible_and_distinct(golden):

@@ -211,7 +211,9 @@ def test_closed_form_values_homogeneous_of_degree_one(golden, scale):
     too, at capitals where x**beta would overflow or underflow: the branch
     is written in the normalised price y, which the scaling leaves alone.
     V_qi and V_qmi are homogeneous of degree zero.  At (1, 1e308, 0) the
-    option coefficient must not overflow before y**beta cancels it."""
+    option coefficient must not overflow before y**beta cancels it, and at
+    (2 * 1e308**(2/3), 1e308, 0) the sole investor's profit stream must not
+    overflow before the option term cancels it."""
     for fn in (AbstainValue(golden, golden.p_star),
                SoleInvestorValue(golden, 1.2 * golden.p_star)):
         v = fn.value(1.0, 1e308, 0.0)
@@ -230,6 +232,10 @@ def test_closed_form_values_homogeneous_of_degree_one(golden, scale):
                 for key, got in d_scaled.items():
                     assert abs(got - d[key]) <= 1e-14 * (1.0 + abs(d[key])), \
                         (fn.kind, key, q_i, q_mi, frac)
+    sole = SoleInvestorValue(golden, 2.6)
+    v = sole.value(2.0 * 1e308 ** (1.0 / golden.gamma), 1e308, 0.0)
+    want = 1e308 * sole.value(2.0, 1.0, 0.0)
+    assert abs(v - want) <= 1e-14 * abs(want), v
 
 
 def test_c_grad_matches_central_difference(golden):

@@ -102,18 +102,18 @@ def test_propagation_identity(golden):
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0])
-def test_propagation_solves_phi_twice_per_point(golden, monkeypatch, c):
-    """Each propagation point solves for the paste point twice: once inside
-    V_qmi above the trigger, once for the branch's side.  The branch's side
-    is evaluated at or below its own trigger, so rounding never pastes it
-    a third time."""
+def test_propagation_solves_phi_once_per_point(golden, monkeypatch, c):
+    """Each propagation point solves for the paste point once, inside V_qmi
+    above the trigger, which hands it back for the branch's side.  The
+    branch's side is evaluated at or below its own trigger, so rounding
+    never pastes it again."""
     fn = DynamicValue(golden, c)
     solve, calls = DynamicBoundary.base_capacity, []
     monkeypatch.setattr(DynamicBoundary, "base_capacity",
                         lambda self, x, q_mi: calls.append(x) or solve(self, x, q_mi))
     res = check_derivative_propagation(fn, fn.strategy_pair(), SPEC)
     assert res.passed, res.worst
-    assert len(calls) == 2 * 3 * len(SPEC.capital_pairs(fn.strategy_pair()))
+    assert len(calls) == 3 * len(SPEC.capital_pairs(fn.strategy_pair()))
 
 
 def _criterion4_sim(params, c, seed=53, n_paths=80):
