@@ -80,7 +80,8 @@ def _bisect_increasing(g, target, lo, hi):
 def _total_capacity(q_i, q_mi):
     """q_i + q_mi for floats or arrays; ZeroCapacityError where it is not
     positive, OverflowError where it overflows."""
-    q = q_i + q_mi
+    with np.errstate(over="ignore"):   # an overflow is refused below
+        q = q_i + q_mi
     scalar = isinstance(q, float)
     if q <= 0.0 if scalar else np.any(q <= 0.0):
         raise ZeroCapacityError("trigger needs positive aggregate capacity")
@@ -157,14 +158,16 @@ class Boundary:
         trig = (self.p + prem) * s_a
         return trig, trig / (self.params.gamma * s), prem * s_a / big
 
-    def trigger_grad(self, q_i: float, q_mi: float) -> tuple:
-        """(dT/dq_i, dT/dq_mi) of the raw trigger at one capital pair.  The
-        premium c/max(q_i, q_mi) moves with the bigger capital, q_i on the
-        kink q_i = q_mi, where its one-sided derivative is the one for
-        growing q_i; without a premium both capitals enter through
+    def trigger_grad(self, q_i, q_mi) -> tuple:
+        """(dT/dq_i, dT/dq_mi) of the raw trigger, elementwise over capital
+        pairs.  The premium c/max(q_i, q_mi) moves with the bigger capital,
+        q_i on the kink q_i = q_mi, where its one-sided derivative is the one
+        for growing q_i; without a premium both capitals enter through
         q_i + q_mi only."""
-        _, via_s, via_prem = self._terms(q_i if q_i >= q_mi else q_mi, q_i + q_mi)
-        return (via_s - via_prem, via_s) if q_i >= q_mi else (via_s, via_s - via_prem)
+        own_big = np.greater_equal(q_i, q_mi)
+        _, via_s, via_prem = self._terms(np.where(own_big, q_i, q_mi), q_i + q_mi)
+        return (np.where(own_big, via_s - via_prem, via_s),
+                np.where(own_big, via_s, via_s - via_prem))
 
     def base_capacity(self, x, q_mi):
         """Smallest own capital (>= q_floor) keeping the trigger at or above

@@ -25,7 +25,6 @@ from .errors import (
     ParamDomainError,
     QuadratureNotConvergedError,
     RootBracketError,
-    TooCloseToBoundaryError,
     UsageError,
     ZeroCapacityError,
 )
@@ -45,8 +44,8 @@ _DOMAIN_ERRORS = (ParamDomainError, IntegrabilityError, ZeroCapacityError,
 # A float operation out of range (a power of a capital near zero, say)
 # raises OverflowError, and a quotient by an underflowed product raises
 # ZeroDivisionError: numeric failures like the others.
-_NUMERIC_ERRORS = (QuadratureNotConvergedError, RootBracketError,
-                   TooCloseToBoundaryError, OverflowError, ZeroDivisionError)
+_NUMERIC_ERRORS = (QuadratureNotConvergedError, RootBracketError, OverflowError,
+                   ZeroDivisionError)
 
 EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3

@@ -37,9 +37,5 @@ class QuadratureNotConvergedError(DuopolyError):
     """Estimated quadrature error stayed above tolerance after maximum refinement."""
 
 
-class TooCloseToBoundaryError(DuopolyError):
-    """A derivative was requested on a branch that does not provide it."""
-
-
 class UsageError(DuopolyError):
     """Malformed configuration or command line."""

@@ -10,11 +10,12 @@ pair reproduces the same shock path in every arm of an experiment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boundaries import Boundary, ConstantPriceBoundary, DynamicBoundary
+from .boundaries import Boundary
 from .model import ModelParams
 from .outcomes import Outcome, build_joint_outcome, payoff
 from .paths import generate_path
@@ -39,14 +40,18 @@ class PayoffEstimate:
 
 def value_linear_bound_coeff(params: ModelParams, boundary: Boundary) -> float:
     """Coefficient a with |V| <= a * (1 + q_i + q_mi) on the containment
-    region of the given strategy family; used for horizon-tail bounds."""
+    region of the strategy family with the boundary's (p, c); used for
+    horizon-tail bounds.  A premium c > 0 takes the capital-dependent
+    coefficient, c = 0 the constant-price one at p."""
     pr = params
-    if isinstance(boundary, DynamicBoundary):
+    if boundary.c > 0.0:
         lever = 2.0 * pr.gamma / (2.0 * pr.gamma - 1.0)
         return (pr.p_star / (pr.r - pr.mu) * lever
                 + pr.beta / (pr.beta - 1.0) * lever ** pr.beta
                 * pr.gamma / (pr.beta - pr.gamma))
-    p = boundary.p if isinstance(boundary, ConstantPriceBoundary) else pr.p_star
+    # A never-invest boundary (p = inf) has no price of its own; it takes the
+    # constant-price coefficient at the competitive threshold p_star.
+    p = boundary.p if boundary.p < math.inf else pr.p_star
     rm = pr.r - pr.mu
     k_own = abs(p * (pr.gamma - 1.0) / (rm * pr.gamma) - 1.0)
     k_opp = abs(p * (pr.beta - 1.0) / (rm * pr.beta) - 1.0)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import IntegrabilityError, ParamDomainError, ZeroCapacityError
 
 
@@ -76,10 +78,10 @@ class ModelParams:
         """P(q) + q_i * P'(q) at q = q_i + q_mi; marginal profit per unit of x.
 
         Equals (q_i + q_mi)**(-1/gamma - 1) * ((gamma-1)/gamma * q_i + q_mi),
-        strictly positive for gamma > 1.
+        strictly positive for gamma > 1; elementwise over arrays.
         """
         q = q_i + q_mi
-        if q <= 0.0:
+        if np.any(q <= 0.0):
             raise ZeroCapacityError("marginal revenue needs positive capacity")
         return q ** (-1.0 / self.gamma - 1.0) * ((self.gamma - 1.0) / self.gamma * q_i + q_mi)
 

@@ -35,20 +35,20 @@ continue by the smooth-pasting recursion
 
 which is evaluated directly against the below-trigger branch (never by
 re-dispatching, so floating-point ties at the trigger cannot recurse), with
-one root solve for phi per level however many partials are asked for.
+one root solve for phi per state however many partials are asked for.
 
 DynamicValue's B is an improper integral over [q_i, inf).  It is evaluated as
 one integral over t in (0, 1], where s = q + q_mi = (q_i + q_mi) * t**(-1/d),
 d = beta/gamma - 1: a fixed layout of six Gauss-Kronrod 15 panels, finer
 toward t = 1, plus one more from the image of the integrand's kink q = q_mi
 when q_i < q_mi, split only where their error gauges miss the tolerance (see
-DynamicValue._integral).  B's q_mi-derivative is integrated in the same call;
-its q_i-derivative is the integrand at q_i.
+DynamicValue._integral).  One vectorized pass integrates a block of capital
+pairs.  B's q_mi-derivative is integrated in the same call; its
+q_i-derivative is the integrand at q_i.
 """
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from functools import cached_property
 
@@ -61,7 +61,6 @@ from .boundaries import (
 )
 from .errors import (
     QuadratureNotConvergedError,
-    TooCloseToBoundaryError,
     ZeroCapacityError,
 )
 from .model import ModelParams
@@ -89,7 +88,6 @@ _G7_WEIGHTS = np.array([
     0.129484966168870, 0.0,
 ])
 
-_GK_STACK = np.stack((_GK_WEIGHTS, _G7_WEIGHTS), axis=1)
 
 # B's panel edges in its mapped variable t (see DynamicValue._integral),
 # scaled onto [0, t_k] when the kink t_k lies inside (0, 1).
@@ -98,8 +96,14 @@ _B_LAYOUT = np.array([0.0, 0.5, 0.75, 0.875, 0.9375, 0.96875, 1.0])
 # stay below _TAIL_REL_TOL.
 _S_MAX = 1e300
 _TAIL_REL_TOL = 1e-12
-# B values kept per DynamicValue: about four default verification reports.
+# B values kept per DynamicValue: a default verification report with 80
+# side-condition paths integrates about 2,200 distinct capital pairs, so
+# this holds about 18 reports.
 _B_CACHE_SIZE = 40_000
+# Distinct uncached capital pairs integrated together in one vectorized
+# quadrature pass, and capital pairs looked up in the cache at a time.
+_BLOCK_PAIRS = 32
+_LOOKUP_CHUNK = 2048
 # B's target |error| <= _REL_TOL * (1 + |B|), within _MAX_SPLITS refinement
 # rounds.
 _REL_TOL = 1e-10
@@ -107,34 +111,39 @@ _MAX_SPLITS = 8
 
 
 def _gk15_panels(f, edges):
-    """Integrate the stacked integrands f over consecutive [edges[j],
-    edges[j+1]] panels.
+    """Integrate the stacked integrands f over consecutive [edges[..., j],
+    edges[..., j+1]] panels, one row of edges per capital pair.
 
-    One vectorized call evaluates f at all 15-point node sets, returning one
-    row per integrand; returns the Kronrod integrals and |K15 - G7| error
-    gauges, each of shape (integrands, panels).
+    One vectorized call evaluates f at all 15-point node sets, of shape
+    (rows, panels, 15), and returns the Kronrod integrals and |K15 - G7|
+    error gauges, each of shape (integrands, rows, panels).  Each node set
+    is summed on its own, so a row's bits do not depend on the other rows.
     """
-    a = edges[:-1]
-    half = 0.5 * (edges[1:] - a)
+    a = edges[..., :-1]
+    half = 0.5 * (edges[..., 1:] - a)
     center = a + half
-    nodes = center[:, None] + half[:, None] * _GK_NODES[None, :]
-    sums = f(nodes.reshape(-1)).reshape(-1, *nodes.shape) @ _GK_STACK
-    k15, g7 = sums[..., 0] * half, sums[..., 1] * half
+    vals = f(center[..., None] + half[..., None] * _GK_NODES)
+    k15 = (vals * _GK_WEIGHTS).sum(axis=-1) * half
+    g7 = (vals * _G7_WEIGHTS).sum(axis=-1) * half
     return k15, np.abs(k15 - g7)
 
 
 class ValueFunction:
     """Shared evaluation of every kind (see the module docstring).  A kind
     supplies p_ref, its strategy pair (own boundary first), the option
-    coefficient _c and its gradient _c_grad = (dC/dq_i, dC/dq_mi).
+    coefficient _c and its gradient _c_grad = (dC/dq_i, dC/dq_mi), each
+    elementwise over arrays of capital pairs.
 
-    Every evaluation takes one capital pair and a shock level x that is a
-    float or a numpy array of levels.  _evaluate splits the levels once at
-    the own trigger: the branch (_below) takes every level up to it in one
-    call, and the continuation (_above) each level over it.  Both return all
-    requested entries at once, keyed "v" (V), "x" (x V_x), "xx" (x**2 V_xx),
-    "qi", "qmi" and "phi" (the paste point); partials divides the
-    x-derivatives by x last.
+    Every evaluation takes states (x, q_i, q_mi) as floats or broadcastable
+    numpy arrays.  _evaluate splits them once at the own trigger: the branch
+    (_below) takes every state up to it in one call, and the continuation
+    (_above) every state over it in another.  Both return all requested
+    entries at once, keyed "v" (V), "x" (x V_x), "xx" (x**2 V_xx), "qi",
+    "qmi" and "phi" (the paste point); partials divides the x-derivatives by
+    x last.  Each entry has the broadcast shape of the states, and is a float
+    when every argument is one.  An intermediate out of the floating-point
+    range gives inf or NaN, as float arithmetic does, without a numpy
+    warning; the callers refuse non-finite results.
     """
 
     params: ModelParams
@@ -155,7 +164,7 @@ class ValueFunction:
         """unit = p_ref/(r-mu) * y and y**beta at the normalised price y."""
         pr = self.params
         q = q_i + q_mi
-        if q <= 0.0:
+        if np.any(q <= 0.0):
             raise ZeroCapacityError("value needs positive aggregate capacity")
         y = x * (q ** (-1.0 / pr.gamma) / self.p_ref)
         return self.p_ref / (pr.r - pr.mu) * y, y ** pr.beta
@@ -164,13 +173,14 @@ class ValueFunction:
         """The branch's entries from the profit stream S = unit * q_i and the
         option term O = C * y**beta.  Both capitals lower the price P(q),
         which moves y by dy/dq = -y/(gamma q); own capital also scales S.
+        "xqi" (d(x V_x)/dq_i) serves the continuation's x**2 V_xx.
 
         S and O are formed divided by a power of two m <= max(1, q_i) and
         the sums multiplied by m: exact scalings, which keep S from
         overflowing before O cancels it at q_i near 1e308."""
         pr = self.params
         unit, y_beta = self._branch(x, q_i, q_mi)
-        m = 2.0 ** max(0, math.frexp(q_i)[1] - 1)
+        m = np.ldexp(1.0, np.maximum(0, np.frexp(q_i)[1] - 1))
         stream, option = unit * (q_i / m), self._c(q_i, q_mi) / m * y_beta
         x_vx = (stream + pr.beta * option) * m
         out = {}
@@ -182,61 +192,81 @@ class ValueFunction:
             out["xx"] = pr.beta * (pr.beta - 1.0) * option * m
         if "phi" in which:
             out["phi"] = q_i
-        if "qi" in which or "qmi" in which:
+        if {"qi", "qmi", "xqi"} & set(which):
             c_qi, c_qmi = self._c_grad(q_i, q_mi)
-            via_price = x_vx / (pr.gamma * (q_i + q_mi))
+            g_q = pr.gamma * (q_i + q_mi)
+            via_price = x_vx / g_q
             if "qi" in which:
                 out["qi"] = unit + c_qi * y_beta - via_price
             if "qmi" in which:
                 out["qmi"] = c_qmi * y_beta - via_price
+            if "xqi" in which:
+                out["xqi"] = unit * (1.0 - q_i / g_q) \
+                    + pr.beta * (c_qi * y_beta - pr.beta * option * m / g_q)
         return out
 
     def _above(self, x, q_i, q_mi, which):
-        """The continuation at one level x above the own trigger: the branch
-        at the paste point phi = phi(x, q_mi).  V = V(x, phi, q_mi) - phi +
-        q_i, V_x is the branch's and V_qi = 1, which needs no root solve.
-        V_qmi is the chain rule of the pasting identity, V_qmi + (V_qi - 1) *
-        phi_qmi of the branch at phi, with phi_qmi = -T_qmi / T_qi from the
-        own trigger's gradient.  Smooth fit (V_qi = 1 on the trigger) drops
+        """The continuation at states above the own trigger: the branch at
+        the paste point phi = phi(x, q_mi), solved for every state in one
+        call.  V = V(x, phi, q_mi) - phi + q_i, x V_x is the branch's and
+        V_qi = 1, which needs no root solve.  phi_x = 1/T_qi(phi, q_mi) from
+        the own trigger's gradient gives x**2 V_xx = x**2 V_xx(x, phi, q_mi)
+        + x/T_qi * d(x V_x)/dq_i.  V_qmi is the chain rule of the pasting
+        identity, V_qmi + (V_qi - 1) * phi_qmi of the branch at phi, with
+        phi_qmi = -T_qmi / T_qi.  Smooth fit (V_qi = 1 on the trigger) drops
         the second term; it is kept, so that the propagation check tests
         smooth fit instead of assuming it.  "phi" hands back the paste point.
         Kinds with an explicit continuation override this."""
-        if "xx" in which:
-            raise TooCloseToBoundaryError("second x-derivative is only provided below the trigger")
-        out = {"qi": 1.0}
+        out = {"qi": np.ones(np.shape(x))}
         if set(which) <= {"qi"}:
             return out
         phi = out["phi"] = self._phi(x, q_mi)
-        at = self._below(x, phi, q_mi, (*which, "qi") if "qmi" in which else which)
+        ask = set(which)
+        if "qmi" in ask:
+            ask.add("qi")
+        if "xx" in ask:
+            ask.add("xqi")
+        at = self._below(x, phi, q_mi, ask)
         if "v" in which:
             out["v"] = at["v"] - phi + q_i
         if "x" in which:
             out["x"] = at["x"]
-        if "qmi" in which:
+        if {"xx", "qmi"} & ask:
             t_qi, t_qmi = self.strategy_pair()[0].trigger_grad(phi, q_mi)
-            out["qmi"] = at["qmi"] - (at["qi"] - 1.0) * t_qmi / t_qi
+            if "xx" in which:
+                out["xx"] = at["xx"] + x / t_qi * at["xqi"]
+            if "qmi" in which:
+                out["qmi"] = at["qmi"] - (at["qi"] - 1.0) * t_qmi / t_qi
         return out
 
     def _evaluate(self, x, q_i, q_mi, which):
-        """The entries `which` (see the class docstring) at every level of x:
-        one split at the own trigger, one branch call for the levels up to
-        it, and one continuation call per level over it."""
-        if q_i + q_mi <= 0.0:
-            raise ZeroCapacityError("value needs positive aggregate capacity")
-        trig = self._own_trigger(q_i, q_mi)
-        if not isinstance(x, np.ndarray):
-            return (self._below if x <= trig else self._above)(x, q_i, q_mi, which)
-        out = {key: np.empty(x.shape) for key in which}
-        under = x <= trig
-        if under.any():
-            below = self._below(x[under], q_i, q_mi, which)
-            for key in which:
-                out[key][under] = below[key]
-        for k in np.flatnonzero(~under):
-            above = self._above(float(x.flat[k]), q_i, q_mi, which)
-            for key in which:
-                out[key].flat[k] = above[key]
-        return out
+        """The entries `which` (see the class docstring) at every state: one
+        split at the own trigger, one branch call for the states up to it
+        and one continuation call for the states over it.  When every state
+        is below, the branch broadcasts the capitals as given, so an array
+        of shock levels per capital pair costs one coefficient per pair."""
+        x, q_i, q_mi = (np.asarray(v, dtype=float) for v in (x, q_i, q_mi))
+        shape = np.broadcast_shapes(x.shape, q_i.shape, q_mi.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.any(q_i + q_mi <= 0.0):
+                raise ZeroCapacityError("value needs positive aggregate capacity")
+            under = x <= self._own_trigger(q_i, q_mi)
+            if np.all(under):
+                out = self._below(x, q_i, q_mi, which)
+            else:
+                x, q_i, q_mi, under = (np.broadcast_to(v, shape).ravel()
+                                       for v in (x, q_i, q_mi, under))
+                out = {key: np.empty(x.size) for key in which}
+                for part, mask in ((self._below, under), (self._above, ~under)):
+                    if mask.any():
+                        got = part(x[mask], q_i[mask], q_mi[mask], which)
+                        for key in which:
+                            out[key][mask] = got[key]
+                out = {key: v.reshape(shape) for key, v in out.items()}
+        if not shape:
+            return {key: float(np.reshape(v, ())) for key, v in out.items()}
+        return {key: v if np.shape(v) == shape else np.broadcast_to(v, shape).copy()
+                for key, v in out.items()}
 
     # -- generic surface ------------------------------------------------------
 
@@ -244,12 +274,11 @@ class ValueFunction:
         return self._evaluate(x, q_i, q_mi, ("v",))["v"]
 
     def partials(self, x, q_i, q_mi, which=("x", "xx", "qi", "qmi")) -> dict:
-        """Requested analytic partial derivatives at one capital pair.
-
-        x is one shock level or a numpy array of them; each entry of the
-        result has the shape of x.  "phi" also asks for the paste point:
-        phi(x, q_mi) above the own trigger, which the q-partials there are
-        evaluated at, and q_i at or below it.
+        """Requested analytic partial derivatives at states (x, q_i, q_mi),
+        floats or broadcastable arrays; each entry of the result has their
+        broadcast shape.  "phi" also asks for the paste point: phi(x, q_mi)
+        above the own trigger, which the q-partials there are evaluated at,
+        and q_i at or below it.
         """
         if isinstance(which, str):
             which = (which,)
@@ -263,17 +292,22 @@ class ValueFunction:
             out["xx"] = out["xx"] / x / x
         return {key: out[key] for key in which}
 
-    def below_branch_arrays(self, x, q_i, q_mi):
-        """(V, x V_x, x**2 V_xx) of the below-trigger branch, vectorized over
-        x.  Written in y, they stay finite where x**2 overflows."""
-        out = self._below(np.asarray(x, dtype=float), q_i, q_mi, ("v", "x", "xx"))
-        return out["v"], out["x"], out["xx"]
+    def below_branch_arrays(self, x, q_i, q_mi, which=("v", "x", "xx")):
+        """The below-trigger branch's entries `which` (keyed as in the class
+        docstring; by default V, x V_x and x**2 V_xx), in that order, at
+        broadcastable states.  Written in y, they stay finite where x**2
+        overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._below(np.asarray(x, dtype=float), np.asarray(q_i, dtype=float),
+                              np.asarray(q_mi, dtype=float), which)
+        return tuple(out[key] for key in which)
 
     def option_term(self, x, q_i, q_mi):
         """C * y**beta of the below-trigger branch; above the own trigger it
         keeps its value on the trigger."""
-        y_beta = self._branch(np.minimum(x, self._own_trigger(q_i, q_mi)), q_i, q_mi)[1]
-        return self._c(q_i, q_mi) * y_beta
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_beta = self._branch(np.minimum(x, self._own_trigger(q_i, q_mi)), q_i, q_mi)[1]
+            return self._c(q_i, q_mi) * y_beta
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +351,12 @@ class AbstainValue(ValueFunction):
         return -self.p / ((pr.r - pr.mu) * pr.beta), 0.0
 
     def _above(self, x, q_i, q_mi, which):
-        """The annuity's row: flat in x and in the opponent's capital."""
+        """The annuity: flat in x and in the opponent's capital."""
         pr = self.params
+        zero = np.zeros(np.shape(x))
         return {"v": self.p / (pr.r - pr.mu) * (pr.beta - 1.0) / pr.beta * q_i,
-                "x": 0.0, "xx": 0.0, "qi": self.p / pr.p_star, "qmi": 0.0, "phi": q_i}
+                "x": zero, "xx": zero, "qi": zero + self.p / pr.p_star, "qmi": zero,
+                "phi": q_i}
 
 
 class SoleInvestorValue(ValueFunction):
@@ -418,10 +454,11 @@ class DynamicValue(ValueFunction):
 
     def _split_until(self, f, edges):
         """Integrals of the stacked integrands f over the panels between
-        edges, splitting panels until each integrand's error gauge sum is
-        within _REL_TOL * (1 + |its integral|)."""
+        edges (one row), splitting panels until each integrand's error gauge
+        sum is within _REL_TOL * (1 + |its integral|)."""
         for _ in range(_MAX_SPLITS + 1):
-            vals, errs = _gk15_panels(f, edges)
+            vals, errs = _gk15_panels(f, edges[None, :])
+            vals, errs = vals[:, 0], errs[:, 0]
             totals = vals.sum(axis=1)
             # Each gauge as a share of its integrand's error budget.
             share = errs / (_REL_TOL * (1.0 + np.abs(totals)))[:, None]
@@ -436,9 +473,62 @@ class DynamicValue(ValueFunction):
         raise QuadratureNotConvergedError(
             f"panel errors {share.sum(axis=1).max():.3g} times the tolerance after refinement")
 
+    def _integrand(self, q_i, q_mi):
+        """B's mapped integrand and its q_mi-derivative (see _integral) for
+        the capital pairs of the 1-D arrays q_i, q_mi: f(t) takes nodes of
+        shape (pairs, panels, 15) and stacks the two integrands first."""
+        pr = self.params
+        d = self._decay
+        s0 = (q_i + q_mi)[:, None, None]
+        q_i, q_mi = q_i[:, None, None], q_mi[:, None, None]
+        scale = s0 ** (-d) / d
+        # Xbar * MR / (r-mu) = price * ((gamma-1)/gamma * q + q_mi) / (s (r-mu))
+        #                    = price * (mr_lim + mr_kink / s)
+        mr_lim = (pr.gamma - 1.0) / (pr.gamma * (pr.r - pr.mu))
+        mr_kink = q_mi / (pr.gamma * (pr.r - pr.mu))
+        kappa = 1.0 / (pr.gamma * (pr.r - pr.mu))   # d mr_kink / d q_mi
+
+        def premium(s, growth):
+            """The price p* + c/max(q, q_mi) and its q_mi-derivative.  d_*
+            are q_mi-derivatives at fixed t: s moves by s/s0 = growth, s -
+            q_mi by growth - 1 and q_mi/s by (q_i/s0)/s."""
+            q = s - q_mi
+            beyond = q > q_mi
+            m = np.where(beyond, q, q_mi)
+            prem = self.c / m
+            return pr.p_star + prem, -prem * np.where(beyond, growth - 1.0, 1.0) / m
+
+        def mapped(t):
+            with np.errstate(over="ignore"):   # an overflow is refused below
+                growth = t ** (-1.0 / d)
+                s = s0 * growth
+            # Nodes come in increasing t, so a row's first node is its largest s.
+            past = np.flatnonzero(s[:, 0, 0] == np.inf)
+            if past.size:
+                raise QuadratureNotConvergedError(
+                    f"B's nodes beyond s = {s0.flat[past[0]]:.6g} passed the floating-point range")
+            price, d_price = premium(s, growth) if self.c > 0.0 else (pr.p_star, 0.0)
+            # Temporaries are dropped as soon as they are spent, which keeps a
+            # block's working set near ten node arrays.
+            del growth
+            mr = mr_lim + mr_kink / s
+            d_margin = -d_price * mr - price * kappa * (q_i / s0) / s
+            del s
+            margin = 1.0 - price * mr
+            del mr
+            weight = price ** (-pr.beta) * scale
+            out = np.empty((2, *t.shape))
+            value = np.multiply(margin, weight, out=out[0])
+            np.multiply(d_margin - pr.beta * margin * d_price / price, weight, out=out[1])
+            out[1] -= d / s0 * value
+            return out
+
+        return mapped
+
     def _integral(self, q_i, q_mi):
         """Integrals over [q_i, inf) of B's integrand and of its
-        q_mi-derivative, in one variable t.
+        q_mi-derivative, in one variable t, for a block of capital pairs
+        (1-D arrays): two arrays of the pairs' length.
 
         With s = q + q_mi the map s = s0 * t**(-1/d), s0 = q_i + q_mi, takes
         the range onto (0, 1], as QUADPACK's QAGI does for infinite ranges but
@@ -450,78 +540,93 @@ class DynamicValue(ValueFunction):
         1, so the panels get finer toward t = 1; the kink q = q_mi, at
         t_k = (s0 / (2 q_mi))**d, is a panel edge.  The q_mi-derivative is
         taken at fixed t, where ds/dq_mi = s/s0; the kink is continuous and
-        on a panel edge, so it adds no boundary term.  An integral outside
-        the envelope is an error, not a result.
+        on a panel edge, so it adds no boundary term.
+
+        Every pair gets seven panels, the last one empty ([1, 1]) when there
+        is no kink, so the block is one _gk15_panels call and a pair's bits
+        do not depend on its block.  Only the pairs whose gauges miss the
+        tolerance are refined, each on its own (_split_until).  An integral
+        outside the envelope, or a B beyond its linear bound, is an error
+        (the first such pair's), not a result.
         """
-        pr = self.params
-        d = self._decay
         s0 = q_i + q_mi
-        scale = s0 ** (-d) / d
-        # Xbar * MR / (r-mu) = price * ((gamma-1)/gamma * q + q_mi) / (s (r-mu))
-        #                    = price * (mr_lim + mr_kink / s)
-        mr_lim = (pr.gamma - 1.0) / (pr.gamma * (pr.r - pr.mu))
-        mr_kink = q_mi / (pr.gamma * (pr.r - pr.mu))
-        kappa = 1.0 / (pr.gamma * (pr.r - pr.mu))   # d mr_kink / d q_mi
-
-        def mapped(t):
-            with np.errstate(over="ignore"):   # an overflow is refused below
-                growth = t ** (-1.0 / d)
-                s = s0 * growth
-            if s[0] == np.inf:   # nodes come in increasing t, so s[0] is the largest
-                raise QuadratureNotConvergedError(
-                    f"B's nodes beyond s = {s0:.6g} passed the floating-point range")
-            # d_* are q_mi-derivatives at fixed t: s moves by s/s0 = growth,
-            # s - q_mi by growth - 1 and q_mi/s by (q_i/s0)/s.
-            price, d_price = pr.p_star, 0.0
-            if self.c > 0.0:
-                q = s - q_mi
-                beyond = q > q_mi
-                m = np.where(beyond, q, q_mi)
-                prem = self.c / m
-                price = pr.p_star + prem
-                d_price = -prem * np.where(beyond, growth - 1.0, 1.0) / m
-            mr = mr_lim + mr_kink / s
-            margin = 1.0 - price * mr
-            weight = price ** (-pr.beta) * scale
-            d_margin = -d_price * mr - price * kappa * (q_i / s0) / s
-            value = margin * weight
-            d_value = (d_margin - pr.beta * margin * d_price / price) * weight - d / s0 * value
-            return np.stack((value, d_value))
-
-        if q_i < q_mi:
-            t_k = (s0 / (2.0 * q_mi)) ** d
-            edges = np.concatenate((_B_LAYOUT * t_k, [1.0]))
-        else:
-            edges = _B_LAYOUT
-        total, d_total = self._split_until(mapped, edges)
-        if not abs(total) <= self._tail_envelope(s0):
+        if np.any(s0 <= 0.0):
+            raise ZeroCapacityError("B needs positive aggregate capacity")
+        d = self._decay
+        t_k = np.ones(len(s0))
+        kink = q_i < q_mi
+        t_k[kink] = (s0[kink] / (2.0 * q_mi[kink])) ** d
+        edges = np.concatenate((_B_LAYOUT * t_k[:, None], np.ones((len(s0), 1))), axis=1)
+        vals, errs = _gk15_panels(self._integrand(q_i, q_mi), edges)
+        totals = vals.sum(axis=2)
+        share = errs.sum(axis=2) / (_REL_TOL * (1.0 + np.abs(totals)))
+        for k in np.flatnonzero(np.any(share > 1.0, axis=0)):
+            totals[:, k] = self._split_until(
+                self._integrand(q_i[k:k + 1], q_mi[k:k + 1]), edges[k])
+        total, d_total = totals
+        outside = np.flatnonzero(~(np.abs(total) <= self._tail_envelope(s0)))
+        if outside.size:
+            k = outside[0]
             raise QuadratureNotConvergedError(
-                f"integral {total:.6g} beyond s = {s0:.6g} exceeds its envelope")
-        return float(total), float(d_total)
+                f"integral {total[k]:.6g} beyond s = {s0[k]:.6g} exceeds its envelope")
+        bound = self.b_linear_bound(q_i, q_mi)
+        beyond = np.flatnonzero(np.abs(total) > bound * (1.0 + 1e-6) + 1e-250)
+        if beyond.size:
+            k = beyond[0]
+            raise QuadratureNotConvergedError(
+                f"|B|={abs(total[k]):.6g} violates its certified bound {bound[k]:.6g}")
+        return total, d_total
+
+    def B_block(self, q_i, q_mi) -> tuple:
+        """(B, B_qmi) at broadcastable arrays of capital pairs, each of their
+        broadcast shape, through the cache: B is certified to _REL_TOL *
+        (1 + |B|) and its q_mi-derivative alike.  The pairs are looked up
+        _LOOKUP_CHUNK at a time, so memory stays bounded however many
+        there are."""
+        q_i, q_mi = np.broadcast_arrays(np.asarray(q_i, dtype=float),
+                                        np.asarray(q_mi, dtype=float))
+        flat_qi, flat_qmi = q_i.ravel(), q_mi.ravel()
+        out = np.empty((2, flat_qi.size))
+        for start in range(0, flat_qi.size, _LOOKUP_CHUNK):
+            part = slice(start, start + _LOOKUP_CHUNK)
+            out[:, part] = self._b_lookup(flat_qi[part], flat_qmi[part])
+        return out[0].reshape(q_i.shape), out[1].reshape(q_i.shape)
+
+    def _b_lookup(self, q_i, q_mi):
+        """(B, B_qmi) at 1-D arrays of capital pairs.  Each distinct pair
+        missing from the cache is integrated once, in blocks of at most
+        _BLOCK_PAIRS pairs per quadrature pass."""
+        # The distinct pairs in order of first appearance, and each pair's.
+        index = {}
+        inverse = [index.setdefault(key, len(index))
+                   for key in zip(q_i.tolist(), q_mi.tolist())]
+        cache = self._b_cache
+        found = np.empty((2, len(index)))
+        missing = []
+        for k, key in enumerate(index):
+            hit = cache.get(key)
+            if hit is None:
+                missing.append(key)
+            else:
+                found[:, k] = hit
+        for start in range(0, len(missing), _BLOCK_PAIRS):
+            keys = missing[start:start + _BLOCK_PAIRS]
+            total, d_total = self._integral(*np.array(keys).T)
+            found[:, [index[key] for key in keys]] = -total, -d_total
+            for key, entry in zip(keys, zip((-total).tolist(), (-d_total).tolist())):
+                if len(cache) >= _B_CACHE_SIZE:
+                    cache.popitem(last=False)
+                cache[key] = entry
+        return found[:, inverse]
 
     def B(self, q_i: float, q_mi: float) -> float:
-        """Coefficient of x**beta, certified to _REL_TOL * (1 + |B|).  Its
-        q_mi-derivative, certified alike, is cached with it."""
-        key = (float(q_i), float(q_mi))
-        hit = self._b_cache.get(key)
-        if hit is not None:
-            return hit[0]
-        if q_i + q_mi <= 0.0:
-            raise ZeroCapacityError("B needs positive aggregate capacity")
-        total, d_total = self._integral(*key)
-        b = -total
-        bound = self.b_linear_bound(q_i, q_mi)
-        if abs(b) > bound * (1.0 + 1e-6) + 1e-250:
-            raise QuadratureNotConvergedError(
-                f"|B|={abs(b):.6g} violates its certified bound {bound:.6g}"
-            )
-        if len(self._b_cache) >= _B_CACHE_SIZE:
-            self._b_cache.popitem(last=False)
-        self._b_cache[key] = (b, -d_total)
-        return b
+        """Coefficient of x**beta at one capital pair: the one-pair block of
+        B_block."""
+        return float(self.B_block(q_i, q_mi)[0])
 
-    def b_linear_bound(self, q_i: float, q_mi: float) -> float:
-        """Linear growth bound |B| <= beta/(beta-1) (P/p*)^beta gamma/(beta-gamma) (q_i+q_mi)."""
+    def b_linear_bound(self, q_i, q_mi):
+        """Linear growth bound |B| <= beta/(beta-1) (P/p*)^beta gamma/(beta-gamma) (q_i+q_mi),
+        elementwise over arrays of capital pairs."""
         pr = self.params
         s = q_i + q_mi
         return pr.beta / (pr.beta - 1.0) * (s ** (-1.0 / pr.gamma) / pr.p_star) ** pr.beta \
@@ -530,14 +635,13 @@ class DynamicValue(ValueFunction):
     def _c(self, q_i, q_mi):
         """B's coefficient of x**beta, rescaled to y**beta = (x P(q)/p*)**beta."""
         pr = self.params
-        return self.B(q_i, q_mi) * (pr.p_star * (q_i + q_mi) ** (1.0 / pr.gamma)) ** pr.beta
+        return self.B_block(q_i, q_mi)[0] * (pr.p_star * (q_i + q_mi) ** (1.0 / pr.gamma)) ** pr.beta
 
     def _c_grad(self, q_i, q_mi):
         """C's gradient from B's: B_qi is B's integrand at its lower limit
         q_i, and B_qmi is integrated with B (see _integral)."""
         pr = self.params
-        self.B(q_i, q_mi)   # makes sure the pair is cached
-        b, b_qmi = self._b_cache[float(q_i), float(q_mi)]
+        b, b_qmi = self.B_block(q_i, q_mi)
         xbar = self.boundary._raw_trigger(q_i, q_mi)
         b_qi = (1.0 - xbar * pr.marginal_revenue(q_i, q_mi) / (pr.r - pr.mu)) \
             * xbar ** (-pr.beta)
@@ -570,7 +674,10 @@ class PerturbedValue:
     def partials(self, x, q_i, q_mi, which=("x", "xx", "qi", "qmi")):
         return self.base.partials(x, q_i, q_mi, which)
 
-    def below_branch_arrays(self, x, q_i, q_mi):
-        v, x_vx, x2_vxx = self.base.below_branch_arrays(x, q_i, q_mi)
+    def below_branch_arrays(self, x, q_i, q_mi, which=("v", "x", "xx")):
+        out = self.base.below_branch_arrays(x, q_i, q_mi, which)
+        if "v" not in which:
+            return out
+        k = which.index("v")
         opt = self.base.option_term(np.asarray(x, dtype=float), q_i, q_mi)
-        return v + (self.option_scale - 1.0) * opt, x_vx, x2_vxx
+        return (*out[:k], out[k] + (self.option_scale - 1.0) * opt, *out[k + 1:])

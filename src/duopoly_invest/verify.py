@@ -7,7 +7,8 @@ For a candidate value function V and a strategy pair with triggers
      on {x <= min(triggers)}                                  (pde_equality)
   2. V_qi = 1 on {x >= own trigger}                 (own_derivative_on_trigger)
   3. V_qmi = 0 between the triggers where own > opp (opp_derivative_above_trigger)
-  4. pricing equation <= 0 on {x <= opp trigger}              (pde_inequality)
+  4. pricing equation <= 0 on {min(triggers) < x <= opp trigger}
+                                                              (pde_inequality)
   5. V_qi <= 1 on {x <= min(triggers)}            (own_derivative_below_trigger)
   6. V_qmi <= 0 on {x = own trigger <= opp}         (opp_derivative_on_trigger)
 
@@ -20,7 +21,8 @@ Tolerances follow the numerical source: 1e-9 for the closed-form kinds and
 A metric that is not finite raises OverflowError instead of entering a
 verdict.
 Grids are log-spaced in the shock over [x_lo_frac, 1] * trigger and linear
-in capitals over [q_floor, 10 * q_floor + q_span].
+in capitals over [q_floor, 10 * q_floor + q_span]; each check evaluates its
+states one value call per block of capital pairs (GridSpec.pair_blocks).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .errors import UsageError
 from .mc import value_linear_bound_coeff
 from .model import ModelParams
 from .paths import generate_path
+from .values import _BLOCK_PAIRS
 
 TOL_ANALYTIC = 1e-9
 TOL_QUAD = 1e-7
@@ -57,7 +60,17 @@ class GridSpec:
         qs = np.linspace(floor, 10.0 * floor + self.q_span, self.nq).tolist()
         return [(a, b) for a in qs for b in qs if a + b > 0.0]
 
-    def x_levels(self, cap: float) -> np.ndarray:
+    def pair_blocks(self, pair):
+        """The capital pairs in blocks of at most _BLOCK_PAIRS, the size of
+        one pass of B's quadrature, as (q_i, q_mi) column arrays."""
+        q_i, q_mi = np.array(self.capital_pairs(pair)).reshape(-1, 2).T.copy()
+        for start in range(0, len(q_i), _BLOCK_PAIRS):
+            block = slice(start, start + _BLOCK_PAIRS)
+            yield q_i[block, None], q_mi[block, None]
+
+    def x_levels(self, cap):
+        """nx levels log-spaced over [x_lo_frac, 1] * cap; a column of caps
+        gives one row of levels per cap."""
         return cap * np.exp(np.linspace(np.log(self.x_lo_frac), 0.0, self.nx))
 
 
@@ -107,19 +120,26 @@ class _Worst:
         self.value, self.at = start, ()
 
     def add(self, metric, x, q_i, q_mi):
-        """Fold in the metric at one shock level x, or at each of an array."""
+        """Fold in the metric at one state (x, q_i, q_mi), or at each of
+        broadcastable arrays of states; ties keep the first state in C order."""
         if isinstance(metric, np.ndarray):
+            metric, x, q_i, q_mi = (v.ravel() for v in np.broadcast_arrays(metric, x, q_i, q_mi))
             finite = np.isfinite(metric)
             k = int(np.argmax(metric) if finite.all() else np.argmin(finite))
-            metric, x = metric[k], x[k]
+            metric, x, q_i, q_mi = metric[k], x[k], q_i[k], q_mi[k]
         metric = float(metric)
         if not math.isfinite(metric):
             raise OverflowError(f"non-finite verification metric {metric} "
-                                f"at x={float(x):.6g}, q=({q_i:.6g}, {q_mi:.6g})")
+                                f"at x={float(x):.6g}, q=({float(q_i):.6g}, {float(q_mi):.6g})")
         if metric > self.value:
-            self.value, self.at = metric, (float(x), q_i, q_mi)
+            self.value, self.at = metric, (float(x), float(q_i), float(q_mi))
 
-    def result(self, name: str, tol: float, note: str = "") -> ConditionResult:
+    def result(self, name: str, tol: float, note: str = "",
+               void: str | None = None) -> ConditionResult:
+        """The verdict; with `void`, a void one of that note when no state
+        was folded in."""
+        if void is not None and not self.at:
+            return _void(name, void)
         return ConditionResult(name, self.value, self.at, tol, self.value <= tol, note)
 
 
@@ -131,94 +151,122 @@ def _void(name: str, note: str) -> ConditionResult:
     return ConditionResult(name, worst=0.0, at=(), tol=0.0, passed=True, note=note)
 
 
-def check_pde(value_fn, pair, spec: GridSpec = GridSpec(),
-              mode: str = "equality") -> ConditionResult:
-    """Residual of the pricing equation on its region, from V, x V_x and
-    x**2 V_xx of the below-trigger branch, which stay finite at any level
-    where V does.
+def _pricing_residual(params: ModelParams, x, q_i, q_mi, v, x_vx, x2_vxx):
+    """-r V + profit + mu x V_x + sigma^2 x^2 V_xx / 2, normalised by
+    r |V| + 1."""
+    profit = x * (q_i + q_mi) ** (-1.0 / params.gamma) * q_i
+    resid = -params.r * v + profit + params.mu * x_vx + 0.5 * params.sigma ** 2 * x2_vxx
+    return resid / (params.r * np.abs(v) + 1.0)
 
-    equality: max |residual| / (r |V| + 1) on {x <= min(triggers)}
-    inequality: max positive part, same normalization, on {x <= opp trigger}
-    """
+
+def _below_grid(value_fn, pair, spec: GridSpec) -> dict:
+    """The grid below both triggers, {x <= min(triggers)}, evaluated once,
+    one branch call per block of capital pairs, for the three conditions it
+    feeds: the pricing-equation residual (pde_equality), V_qi - 1
+    (own_derivative_below_trigger) and |V| / (1 + q_i + q_mi), the
+    hypothesis of the transversality bound.  V, x V_x and x**2 V_xx of the
+    branch stay finite at any level where V does."""
     params = value_fn.params
     own, opp = pair
-    tol = _tolerance(value_fn)
-    worst = _Worst()
-    for q_i, q_mi in spec.capital_pairs(pair):
-        if mode == "equality":
-            cap = min(own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i))
-        else:
-            cap = opp.trigger(q_mi, q_i)
-        xs = spec.x_levels(cap)
+    worst = {"pde": _Worst(), "qi": _Worst(), "linear": _Worst()}
+    for q_i, q_mi in spec.pair_blocks(pair):
+        xs = spec.x_levels(np.minimum(own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i)))
         # A value out of range shows as a non-finite metric, which _Worst
         # refuses with an OverflowError.
         with np.errstate(over="ignore", invalid="ignore"):
-            v, x_vx, x2_vxx = value_fn.below_branch_arrays(xs, q_i, q_mi)
-            profit = xs * (q_i + q_mi) ** (-1.0 / params.gamma) * q_i
-            resid = (-params.r * v + profit + params.mu * x_vx
-                     + 0.5 * params.sigma ** 2 * x2_vxx)
-            metric = resid / (params.r * np.abs(v) + 1.0)
-        worst.add(np.abs(metric) if mode == "equality" else metric, xs, q_i, q_mi)
-    return worst.result("pde_equality" if mode == "equality" else "pde_inequality", tol)
+            v, x_vx, x2_vxx, v_qi = value_fn.below_branch_arrays(
+                xs, q_i, q_mi, ("v", "x", "xx", "qi"))
+            resid = _pricing_residual(params, xs, q_i, q_mi, v, x_vx, x2_vxx)
+            worst["pde"].add(np.abs(resid), xs, q_i, q_mi)
+            worst["qi"].add(v_qi - 1.0, xs, q_i, q_mi)
+            worst["linear"].add(np.abs(v) / (1.0 + q_i + q_mi), xs, q_i, q_mi)
+    return worst
 
 
-def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec()) -> list:
-    """Conditions 2, 3, 5 and 6 on and around the triggers."""
+def check_pde(value_fn, pair, spec: GridSpec = GridSpec(),
+              mode: str = "equality", grid: dict | None = None) -> ConditionResult:
+    """Residual of the pricing equation -r V + profit + mu x V_x +
+    sigma^2 x^2 V_xx / 2 on its region, normalised by r |V| + 1.
+
+    equality: max |residual| on {x <= min(triggers)}, from the branch (see
+    _below_grid; `grid` passes one already evaluated).
+    inequality: max positive part on the strip {min(triggers) < x <= opp
+    trigger}, where the own firm invests and the value is the continuation;
+    below both triggers the equality check covers it.  Its nx levels per
+    capital pair are log-spaced over the strip, capped at 1/x_lo_frac times
+    the own trigger.  Void when no capital pair has a strip.
+    """
+    tol = _tolerance(value_fn)
+    if mode == "equality":
+        grid = _below_grid(value_fn, pair, spec) if grid is None else grid
+        return grid["pde"].result("pde_equality", tol)
+    params = value_fn.params
+    own, opp = pair
+    steps = np.arange(1, spec.nx + 1) / spec.nx
+    worst = _Worst()
+    for q_i, q_mi in spec.pair_blocks(pair):
+        lo, hi = own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i)
+        strip = (lo < hi).ravel()
+        if not strip.any():
+            continue
+        q_i, q_mi, lo = q_i[strip], q_mi[strip], lo[strip]
+        hi = np.minimum(hi[strip], lo / spec.x_lo_frac)
+        xs = np.minimum(lo * (hi / lo) ** steps, hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = value_fn.partials(xs, q_i, q_mi, ("x", "xx"))
+            worst.add(_pricing_residual(params, xs, q_i, q_mi, value_fn.value(xs, q_i, q_mi),
+                                        xs * d["x"], xs * xs * d["xx"]), xs, q_i, q_mi)
+    return worst.result("pde_inequality", tol, void="void: no state between the triggers")
+
+
+def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec(),
+                     grid: dict | None = None) -> list:
+    """Conditions 2, 3, 5 and 6 on and around the triggers, one value call
+    per block of capital pairs; condition 5 reads the grid below both
+    triggers (see _below_grid; `grid` passes one already evaluated)."""
     own, opp = pair
     tol = _tolerance(value_fn)
     results = []
-    pairs = spec.capital_pairs(pair)
+    blocks = list(spec.pair_blocks(pair))
 
     # Condition 2: V_qi = 1 at and above the own trigger.
     if own.p == math.inf:
         results.append(_void("own_derivative_on_trigger", "void: own trigger infinite"))
     else:
         worst = _Worst()
-        for q_i, q_mi in pairs:
-            xb = own.trigger(q_i, q_mi)
-            for frac in (1.0, 1.25, 2.0):
-                d = value_fn.partials(frac * xb, q_i, q_mi, ("qi",))["qi"]
-                worst.add(abs(d - 1.0), frac * xb, q_i, q_mi)
+        for q_i, q_mi in blocks:
+            x = np.array([1.0, 1.25, 2.0]) * own.trigger(q_i, q_mi)
+            d = value_fn.partials(x, q_i, q_mi, ("qi",))["qi"]
+            worst.add(np.abs(d - 1.0), x, q_i, q_mi)
         results.append(worst.result("own_derivative_on_trigger", tol))
 
     # Condition 3: V_qmi = 0 where own trigger strictly dominates, between them.
-    strict_pairs = [(a, b) for a, b in pairs
-                    if own.trigger(a, b) > opp.trigger(b, a)]
-    if not strict_pairs:
-        results.append(_void("opp_derivative_above_trigger",
-                             "void: own trigger never exceeds opponent's"))
-    else:
-        worst = _Worst()
-        for q_i, q_mi in strict_pairs:
-            xb = opp.trigger(q_mi, q_i)
-            hi = own.trigger(q_i, q_mi)
-            for frac in (1.0, 1.3, 2.0, 4.0):
-                x = min(frac * xb, hi) if np.isfinite(hi) else frac * xb
-                d = value_fn.partials(x, q_i, q_mi, ("qmi",))["qmi"]
-                worst.add(abs(d), x, q_i, q_mi)
-        results.append(worst.result("opp_derivative_above_trigger", tol))
+    worst = _Worst()
+    for q_i, q_mi in blocks:
+        hi, xb = own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i)
+        strict = (hi > xb).ravel()
+        if not strict.any():
+            continue
+        q_i, q_mi, hi, xb = q_i[strict], q_mi[strict], hi[strict], xb[strict]
+        x = np.array([1.0, 1.3, 2.0, 4.0]) * xb
+        x = np.where(np.isfinite(hi), np.minimum(x, hi), x)
+        worst.add(np.abs(value_fn.partials(x, q_i, q_mi, ("qmi",))["qmi"]), x, q_i, q_mi)
+    results.append(worst.result("opp_derivative_above_trigger", tol,
+                                void="void: own trigger never exceeds opponent's"))
 
     # Condition 5: V_qi <= 1 below both triggers (boundary included).
-    worst = _Worst()
-    for q_i, q_mi in pairs:
-        xs = spec.x_levels(min(own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i)))
-        excess = value_fn.partials(xs, q_i, q_mi, ("qi",))["qi"] - 1.0
-        worst.add(excess, xs, q_i, q_mi)
-    results.append(worst.result("own_derivative_below_trigger", tol))
+    grid = _below_grid(value_fn, pair, spec) if grid is None else grid
+    results.append(grid["qi"].result("own_derivative_below_trigger", tol))
 
     # Condition 6: V_qmi <= 0 on {x = own trigger <= opp trigger}.
-    eligible = [(a, b) for a, b in pairs
-                if np.isfinite(own.trigger(a, b))
-                and own.trigger(a, b) <= opp.trigger(b, a) * (1.0 + 1e-12)]
-    if not eligible:
-        results.append(_void("opp_derivative_on_trigger", "void: no boundary states"))
-    else:
-        worst = _Worst()
-        for q_i, q_mi in eligible:
-            xb = own.trigger(q_i, q_mi)
-            worst.add(value_fn.partials(xb, q_i, q_mi, ("qmi",))["qmi"],
-                      xb, q_i, q_mi)
-        results.append(worst.result("opp_derivative_on_trigger", tol))
+    worst = _Worst()
+    for q_i, q_mi in blocks:
+        xb = own.trigger(q_i, q_mi)
+        on = (np.isfinite(xb) & (xb <= opp.trigger(q_mi, q_i) * (1.0 + 1e-12))).ravel()
+        if on.any():
+            q_i, q_mi, xb = q_i[on], q_mi[on], xb[on]
+            worst.add(value_fn.partials(xb, q_i, q_mi, ("qmi",))["qmi"], xb, q_i, q_mi)
+    results.append(worst.result("opp_derivative_on_trigger", tol, void="void: no boundary states"))
     return results
 
 
@@ -233,27 +281,22 @@ def check_derivative_propagation(value_fn, pair, spec: GridSpec = GridSpec()) ->
     """
     own, opp = pair
     tol = _tolerance(value_fn)
-    pairs = spec.capital_pairs(pair)
     worst = _Worst()
     if own.p == math.inf:
-        for q_i, q_mi in pairs:
-            xb = opp.trigger(q_mi, q_i)
-            for frac in (1.0, 1.5, 3.0):
-                d = value_fn.partials(frac * xb, q_i, q_mi, ("qmi",))["qmi"]
-                worst.add(abs(d), frac * xb, q_i, q_mi)
+        for q_i, q_mi in spec.pair_blocks(pair):
+            x = np.array([1.0, 1.5, 3.0]) * opp.trigger(q_mi, q_i)
+            worst.add(np.abs(value_fn.partials(x, q_i, q_mi, ("qmi",))["qmi"]), x, q_i, q_mi)
         return worst.result("derivative_propagation", tol,
                             note="own trigger infinite: checked V_qmi = 0 above opponent")
-    for q_i, q_mi in pairs:
-        xb = own.trigger(q_i, q_mi)
-        for frac in (1.05, 1.3, 2.0):
-            x = frac * xb
-            at = value_fn.partials(x, q_i, q_mi, ("qmi", "phi"))
-            lhs, phi = at["qmi"], at["phi"]
-            # Rounding can put x above the trigger at phi, where partials
-            # would paste again and compare the chain rule with itself.
-            rhs = value_fn.partials(min(x, own.trigger(phi, q_mi)), phi, q_mi,
-                                    ("qmi",))["qmi"]
-            worst.add(abs(lhs - rhs), x, q_i, q_mi)
+    for q_i, q_mi in spec.pair_blocks(pair):
+        x = np.array([1.05, 1.3, 2.0]) * own.trigger(q_i, q_mi)
+        at = value_fn.partials(x, q_i, q_mi, ("qmi", "phi"))
+        lhs, phi = at["qmi"], at["phi"]
+        # Rounding can put x above the trigger at phi, where partials
+        # would paste again and compare the chain rule with itself.
+        rhs = value_fn.partials(np.minimum(x, own.trigger(phi, q_mi)), phi, q_mi,
+                                ("qmi",))["qmi"]
+        worst.add(np.abs(lhs - rhs), x, q_i, q_mi)
     return worst.result("derivative_propagation", tol)
 
 
@@ -282,13 +325,14 @@ def _discounted_max_moment(params: ModelParams, t: float) -> float:
 
 def _increment_derivative(value_fn, outcomes) -> ConditionResult:
     """The opponent-increment verdict: |V_qmi| at the opponent's increments
-    along each outcome, where they lie on firm 1's trigger.  Capitals change
-    only at an outcome's knots, so the increments are read there."""
+    along the outcomes, where they lie on firm 1's trigger, gathered over
+    every outcome and evaluated in one call.  Capitals change only at an
+    outcome's knots, so the increments are read there."""
     own = value_fn.strategy_pair()[0]
     if own.p == math.inf:
         return _void("opponent_increment_derivative",
                      "void: own trigger infinite, opponent increments unrestricted")
-    worst = _Worst(0.0)
+    xs, q1s, q2s = [], [], []
     for out in outcomes:
         k2 = out.K2
         idx = np.nonzero(np.diff(k2) > 1e-12 * (1.0 + k2[1:]))[0] + 1
@@ -296,24 +340,30 @@ def _increment_derivative(value_fn, outcomes) -> ConditionResult:
             idx = np.concatenate(([0], idx))
         if len(idx) > _MAX_INCREMENTS:
             idx = idx[np.linspace(0, len(idx) - 1, _MAX_INCREMENTS).astype(int)]
-        for j in idx:
-            x = float(out.path.values[out.knots[j]])
-            q1, q2 = float(out.K1[j]), float(out.K2[j])
-            if x < own.trigger(q1, q2) * (1.0 - 1e-9):
-                continue  # opponent invests strictly inside firm 1's region
-            worst.add(abs(value_fn.partials(x, q1, q2, ("qmi",))["qmi"]), x, q1, q2)
+        xs.append(out.path.values[out.knots[idx]])
+        q1s.append(out.K1[idx])
+        q2s.append(out.K2[idx])
+    x, q1, q2 = (np.concatenate(v) for v in (xs, q1s, q2s))
+    # An opponent increment strictly inside firm 1's region is unrestricted.
+    on = ~(x < own.trigger(q1, q2) * (1.0 - 1e-9))
+    worst = _Worst(0.0)
+    if on.any():
+        x, q1, q2 = x[on], q1[on], q2[on]
+        worst.add(np.abs(value_fn.partials(x, q1, q2, ("qmi",))["qmi"]), x, q1, q2)
     return worst.result("opponent_increment_derivative", _tolerance(value_fn))
 
 
 def _side_conditions(value_fn, pair, spec: GridSpec, builder, x0: float, horizon: float,
-                     n_paths: int = 20, dt: float = 0.01, seed: int = SEED) -> tuple:
+                     n_paths: int = 20, dt: float = 0.01, seed: int = SEED,
+                     grid: dict | None = None) -> tuple:
     """Transversality, and the increment check on n_paths outcomes built to T.
 
     Q1 + Q2 <= s0 + (M_t/p_lo)**gamma (M_t: running max of the shock, p_lo:
     the lower price p of the pair's triggers), so where
     |V| <= a (1 + q_i + q_mi), e^{-rt} E|V| is at most the `at` values
     U(t) = e^{-rt} a (1 + s0 + (x0/p_lo)**gamma E[e^{gamma m_t}]) at T, 2T.
-    Passes iff that hypothesis holds on the grid below both triggers."""
+    Passes iff that hypothesis holds on the grid below both triggers (see
+    _below_grid; `grid` passes one already evaluated)."""
     if n_paths < 1:
         raise UsageError(f"the side conditions need n_paths >= 1, got {n_paths}")
     params, (own, opp) = value_fn.params, pair
@@ -322,16 +372,12 @@ def _side_conditions(value_fn, pair, spec: GridSpec, builder, x0: float, horizon
     first = next(outcomes)
     a = value_linear_bound_coeff(params, [b for b in pair if b.p < math.inf][0])
     p_lo = min(b.p for b in pair)
-    worst = _Worst()
-    for q_i, q_mi in spec.capital_pairs(pair):
-        xs = spec.x_levels(min(own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = value_fn.below_branch_arrays(xs, q_i, q_mi)[0]
-            worst.add(np.abs(v) / (a * (1.0 + q_i + q_mi)), xs, q_i, q_mi)
+    grid = _below_grid(value_fn, pair, spec) if grid is None else grid
+    worst = grid["linear"].value / a
     u = [a * (math.exp(-params.r * t) * (1.0 + first.initial(1) + first.initial(2))
               + (x0 / p_lo) ** params.gamma * _discounted_max_moment(params, t))
          for t in (horizon, 2.0 * horizon)]
-    tv = ConditionResult("transversality", worst.value, tuple(u), 1.0, worst.value <= 1.0,
+    tv = ConditionResult("transversality", worst, tuple(u), 1.0, worst <= 1.0,
                          note=f"e^-rT E|V| <= {u[0]:.3e} at T, {u[1]:.3e} at 2T")
     return tv, _increment_derivative(value_fn, itertools.chain([first], outcomes))
 
@@ -352,12 +398,13 @@ def run_verification(value_fn, pair=None, spec: GridSpec = GridSpec(),
                                 grid={"nx": spec.nx, "nq": spec.nq,
                                       "x_lo_frac": spec.x_lo_frac,
                                       "q_span": spec.q_span})
-    report.add(check_pde(value_fn, pair, spec, mode="equality"))
+    grid = _below_grid(value_fn, pair, spec)
+    report.add(check_pde(value_fn, pair, spec, mode="equality", grid=grid))
     report.add(check_pde(value_fn, pair, spec, mode="inequality"))
-    for res in check_smooth_fit(value_fn, pair, spec):
+    for res in check_smooth_fit(value_fn, pair, spec, grid=grid):
         report.add(res)
     report.add(check_derivative_propagation(value_fn, pair, spec))
     if simulation is not None:
-        for res in _side_conditions(value_fn, pair, spec, **simulation):
+        for res in _side_conditions(value_fn, pair, spec, grid=grid, **simulation):
             report.add(res)
     return report

@@ -159,6 +159,21 @@ def test_tail_bound_coefficient(golden, cp):
     assert value_linear_bound_coeff(golden, dyn) > 0.0
 
 
+def test_tail_bound_coefficient_reads_p_and_c(golden, cp):
+    """The coefficient depends on the trigger's (p, c), not on its class:
+    (p*, 0) as a dynamic boundary with c = 0 and as the constant price p*
+    give one coefficient, every c > 0 the capital-dependent one, and the
+    never-invest boundary the constant-price one at p*."""
+    at_p_star = value_linear_bound_coeff(golden, cp)
+    assert value_linear_bound_coeff(golden, DynamicBoundary(golden, 0.0)) == at_p_star
+    assert value_linear_bound_coeff(golden, InfiniteBoundary(golden)) == at_p_star
+    assert at_p_star == pytest.approx(5.85, abs=0.01)
+    dynamic = [value_linear_bound_coeff(golden, DynamicBoundary(golden, c)) for c in (0.5, 1.0)]
+    assert dynamic[0] == dynamic[1] == pytest.approx(68.05, abs=0.01)
+    higher = ConstantPriceBoundary(golden, 1.2 * golden.p_star)
+    assert value_linear_bound_coeff(golden, higher) != at_p_star
+
+
 def test_dt_refinement_stability(golden, cp):
     """Halving dt moves the estimate by less than the noise + 1% band."""
     fn = AbstainValue(golden, golden.p_star)

@@ -12,6 +12,7 @@ from duopoly_invest.values import (
     DynamicValue,
     PerturbedValue,
     SoleInvestorValue,
+    ValueFunction,
 )
 
 GOLDEN_STATE_VALUE = 0.7818953180863912  # p*/(r-mu) * (1/2 - (1/2)**beta / beta)
@@ -454,15 +455,18 @@ def test_perturbed_dynamic_option_term_held_above_trigger(golden):
         assert shift == pytest.approx(0.01 * on, abs=1e-13)
 
 
-def _count_panels(monkeypatch):
-    """Record the number of panels of every _gk15_panels call."""
+def _count_panels(monkeypatch, rows=None):
+    """Record the number of panels per row of every _gk15_panels call, and
+    in `rows` the number of rows (capital pairs) of each call."""
     import duopoly_invest.values as values
 
     panels = []
     real = values._gk15_panels
 
     def counting(f, edges):
-        panels.append(len(edges) - 1)
+        panels.append(edges.shape[-1] - 1)
+        if rows is not None:
+            rows.append(edges.shape[0])
         return real(f, edges)
 
     monkeypatch.setattr(values, "_gk15_panels", counting)
@@ -471,7 +475,8 @@ def _count_panels(monkeypatch):
 
 def test_b_miss_integrates_one_call_of_a_few_panels(golden, monkeypatch):
     """A default B miss is one vectorized call over the fixed layout: six
-    panels, plus one below the kink when q_i < q_mi."""
+    panels, plus one below the kink when q_i < q_mi and an empty one in its
+    place otherwise, so that every pair has seven."""
     panels = _count_panels(monkeypatch)
     for c in (0.0, 0.5, 1.0, 2.0):
         fn = DynamicValue(golden, c)
@@ -479,7 +484,7 @@ def test_b_miss_integrates_one_call_of_a_few_panels(golden, monkeypatch):
         for q_i in (fn.q_floor + 0.05, q_mi, q_mi * 2.0 ** 16):
             panels.clear()
             fn.B(q_i, q_mi)
-            assert len(panels) == 1 and panels[0] <= 8, (c, q_i, panels)
+            assert panels == [7], (c, q_i, panels)
 
 
 def test_b_strict_tolerance_splits_panels(golden, monkeypatch):
@@ -532,3 +537,199 @@ def test_b_tail_outside_envelope_raises(golden):
     fn._tail_envelope = lambda s: 1e-30
     with pytest.raises(QuadratureNotConvergedError, match="envelope"):
         fn.B(1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# B over blocks of capital pairs, and values at arrays of states
+# ---------------------------------------------------------------------------
+
+def _b_pairs(fn, rng, n):
+    """Capital pairs below, at and past the kink q_i = q_mi."""
+    pairs = []
+    for k in range(n):
+        q_mi = fn.q_floor + rng.uniform(0.05, 6.0)
+        q_i = (fn.q_floor + rng.uniform(0.0, 1.0) * (q_mi - fn.q_floor), q_mi,
+               q_mi * rng.uniform(1.0, 1e4))[k % 3]
+        pairs.append((q_i, q_mi))
+    return pairs
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
+def test_b_block_bits_do_not_depend_on_the_block(golden, c):
+    """A pair's B and B_qmi are bit-identical integrated alone and at any
+    position of random blocks, of one quadrature pass or several."""
+    rng = np.random.default_rng(43)
+    pairs = _b_pairs(DynamicValue(golden, c), rng, 75)
+    alone = []
+    for q in pairs:
+        fn = DynamicValue(golden, c)
+        alone.append((fn.B(*q), fn._b_cache[q][1]))
+    for size in (2, 7, 33, 75):
+        for _ in range(3):
+            pick = rng.choice(len(pairs), size=size, replace=False)
+            q_i, q_mi = np.array([pairs[k] for k in pick]).T
+            b, b_qmi = DynamicValue(golden, c).B_block(q_i, q_mi)
+            for j, k in enumerate(pick):
+                assert (b[j], b_qmi[j]) == alone[k], (c, size, pairs[k])
+
+
+def test_b_block_integrates_each_distinct_pair_once(golden, monkeypatch):
+    """Duplicates in a block, and pairs already cached, are not integrated
+    again; every entry is the pair's B, in the shape of the arguments."""
+    import duopoly_invest.values as values
+
+    integrated = []
+    real = values.DynamicValue._integral
+    monkeypatch.setattr(values.DynamicValue, "_integral", lambda self, q_i, q_mi: (
+        integrated.extend(zip(q_i.tolist(), q_mi.tolist())) or real(self, q_i, q_mi)))
+    fn = DynamicValue(golden, 0.5)
+    pairs = _b_pairs(fn, np.random.default_rng(47), 40)
+    fn.B(*pairs[0])
+    rows = [pairs[k % 40] for k in range(120)]
+    q_i, q_mi = np.array(rows).reshape(10, 12, 2).transpose(2, 0, 1)
+    b, b_qmi = fn.B_block(q_i, q_mi)
+    assert sorted(integrated) == sorted(pairs)
+    assert b.shape == b_qmi.shape == (10, 12)
+    fresh = DynamicValue(golden, 0.5)
+    for (q, got) in zip(rows, b.ravel()):
+        assert got == fresh.B(*q)
+
+
+def test_b_strict_tolerance_splits_only_the_rows_that_miss_it(golden, monkeypatch):
+    """With a tolerance the fixed layout misses for some pairs, exactly the
+    pairs that split alone go through split refinement, each on its own,
+    and every pair keeps its bits."""
+    import duopoly_invest.values as values
+
+    monkeypatch.setattr(values, "_REL_TOL", 1e-13)
+    split_rows = []
+    real = values.DynamicValue._split_until
+    monkeypatch.setattr(values.DynamicValue, "_split_until",
+                        lambda self, f, edges: split_rows.append(edges) or real(self, f, edges))
+    qf = DynamicValue(golden, 1.0).q_floor
+    pairs = [(1.0, 1.0), (2.5, 0.9), (0.8, 1.5), (5.0, 5.0), (qf, qf), (20.0, 1.0), (qf, 4.0)]
+    alone, splits = [], []
+    for q in pairs:
+        split_rows.clear()
+        alone.append(DynamicValue(golden, 1.0).B(*q))
+        splits.append(len(split_rows))
+    assert 0 < sum(splits) < len(pairs), splits
+    split_rows.clear()
+    q_i, q_mi = np.array(pairs).T
+    b, _ = DynamicValue(golden, 1.0).B_block(q_i, q_mi)
+    assert len(split_rows) == sum(splits)
+    assert all(edges.ndim == 1 for edges in split_rows)   # one row at a time
+    assert b.tolist() == alone
+
+
+def test_b_block_errors_match_the_pair_alone(golden):
+    """An envelope failure and a floating-point-range failure inside a
+    block raise the error of the failing pair alone."""
+    good = [(1.0, 1.2), (2.0, 0.7), (0.9, 3.1)]
+
+    def error(fn, pairs):
+        with pytest.raises(QuadratureNotConvergedError) as info:
+            fn.B_block(*np.array(pairs).T)
+        return str(info.value)
+
+    far = DynamicValue(golden, 0.0)
+    assert error(far, good + [(1e290, 1e290)] + good) == error(DynamicValue(golden, 0.0),
+                                                               [(1e290, 1e290)])
+    assert "floating-point range" in error(far, [(1e290, 1e290)])
+
+    def tight(fn):
+        real = fn._tail_envelope
+        fn._tail_envelope = lambda s: np.where(s > 5.0, 1e-30, real(s))
+        return fn
+
+    in_block = error(tight(DynamicValue(golden, 1.0)), good + [(4.0, 2.5)] + good)
+    assert in_block == error(tight(DynamicValue(golden, 1.0)), [(4.0, 2.5)])
+    assert "envelope" in in_block
+
+
+def test_b_block_through_a_small_cache(golden, monkeypatch):
+    """A 12-pair block through a cache of 5 returns every pair's B and
+    B_qmi and leaves the last 5 pairs it integrated."""
+    import duopoly_invest.values as values
+
+    monkeypatch.setattr(values, "_B_CACHE_SIZE", 5)
+    fn = DynamicValue(golden, 0.5)
+    pairs = _b_pairs(fn, np.random.default_rng(53), 12)
+    b, b_qmi = fn.B_block(*np.array(pairs).T)
+    assert list(fn._b_cache) == pairs[-5:]
+    for k, q in enumerate(pairs):
+        fresh = DynamicValue(golden, 0.5)
+        assert (b[k], b_qmi[k]) == (fresh.B(*q), fresh._b_cache[q][1])
+
+
+def test_b_block_memory_is_bounded(golden, monkeypatch):
+    """10,000 distinct pairs go through B_block in bounded memory: cache
+    lookups a chunk at a time and quadrature a block at a time.  The cache
+    is capped at one block, so that its entries do not count."""
+    import tracemalloc
+
+    import duopoly_invest.values as values
+
+    monkeypatch.setattr(values, "_B_CACHE_SIZE", values._BLOCK_PAIRS)
+    fn = DynamicValue(golden, 0.5)
+    rng = np.random.default_rng(59)
+    q_i, q_mi = fn.q_floor + rng.uniform(0.0, 6.0, (2, 10_000))
+    tracemalloc.start()
+    try:
+        b, _ = fn.B_block(q_i, q_mi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
+    assert np.all(np.isfinite(b))
+
+
+def _state_arrays(fn, rng):
+    """States below, on and above the own trigger at random capital pairs,
+    as an (n, 5) array of shock levels against (n, 1) capitals."""
+    own, opp = fn.strategy_pair()
+    floor = max(b.q_floor for b in (own, opp))
+    q_i, q_mi = floor + rng.uniform(0.05, 3.0, (2, 8, 1))
+    q_i[0] = q_mi[0]   # one pair on the kink
+    cap = fn._own_trigger(q_i, q_mi) if isinstance(fn, ValueFunction) \
+        else fn.base._own_trigger(q_i, q_mi)
+    return cap * np.array([0.05, 0.6, 1.0, 1.3, 2.5]), q_i, q_mi
+
+
+def test_array_states_match_scalar_calls(golden):
+    """value and partials at broadcastable arrays of states equal the
+    per-state scalar calls within 1e-15 relative, for every kind, below, on
+    and above the trigger; x**2 V_xx above the trigger included."""
+    rng = np.random.default_rng(61)
+    kinds = [DynamicValue(golden, c) for c in (0.0, 0.5, 1.0)] + [
+        AbstainValue(golden, golden.p_star), SoleInvestorValue(golden, 1.2 * golden.p_star),
+        PerturbedValue(DynamicValue(golden, 0.5), 1.01)]
+    keys = ("x", "xx", "qi", "qmi", "phi")
+    for fn in kinds:
+        xs, q_i, q_mi = _state_arrays(fn, rng)
+        vals = fn.value(xs, q_i, q_mi)
+        arr = fn.partials(xs, q_i, q_mi, keys)
+        assert vals.shape == xs.shape and all(v.shape == xs.shape for v in arr.values())
+        for (r, k), x in np.ndenumerate(xs):
+            state = (float(x), float(q_i[r, 0]), float(q_mi[r, 0]))
+            v = fn.value(*state)
+            assert abs(vals[r, k] - v) <= 1e-15 * (1.0 + abs(v)), (fn.kind, state)
+            for key, d in fn.partials(*state, keys).items():
+                assert isinstance(d, float)
+                assert abs(arr[key][r, k] - d) <= 1e-15 * (1.0 + abs(d)), (fn.kind, key, state)
+
+
+def test_second_derivative_above_trigger_matches_differences(golden):
+    """Above the own trigger x**2 V_xx comes from the chain rule through
+    phi_x = 1/T_qi; it matches a central second difference of the value."""
+    for fn in (SoleInvestorValue(golden, 1.1 * golden.p_star), DynamicValue(golden, 0.5),
+               DynamicValue(golden, 1.0)):
+        own = fn.strategy_pair()[0]
+        for q_i, q_mi in ((own.q_floor + 0.3, own.q_floor + 1.1), (own.q_floor + 1.4, own.q_floor + 0.2)):
+            for frac in (1.2, 2.0):
+                x = frac * own.trigger(q_i, q_mi)
+                h = 1e-3 * x
+                fd = (fn.value(x + h, q_i, q_mi) - 2.0 * fn.value(x, q_i, q_mi)
+                      + fn.value(x - h, q_i, q_mi)) / h ** 2
+                got = fn.partials(x, q_i, q_mi, "xx")["xx"]
+                assert got == pytest.approx(fd, rel=1e-5, abs=1e-9), (fn.kind, q_i, q_mi, frac)

@@ -106,14 +106,15 @@ def test_propagation_solves_phi_once_per_point(golden, monkeypatch, c):
     """Each propagation point solves for the paste point once, inside V_qmi
     above the trigger, which hands it back for the branch's side.  The
     branch's side is evaluated at or below its own trigger, so rounding
-    never pastes it again."""
+    never pastes it again.  A call solves every point of its array of
+    shock levels, so the points are counted, not the calls."""
     fn = DynamicValue(golden, c)
     solve, calls = DynamicBoundary.base_capacity, []
     monkeypatch.setattr(DynamicBoundary, "base_capacity",
                         lambda self, x, q_mi: calls.append(x) or solve(self, x, q_mi))
     res = check_derivative_propagation(fn, fn.strategy_pair(), SPEC)
     assert res.passed, res.worst
-    assert len(calls) == 3 * len(SPEC.capital_pairs(fn.strategy_pair()))
+    assert sum(np.size(x) for x in calls) == 3 * len(SPEC.capital_pairs(fn.strategy_pair()))
 
 
 def _criterion4_sim(params, c, seed=53, n_paths=80):
@@ -277,3 +278,62 @@ def test_worst_refuses_non_finite_metric(bad):
         with pytest.raises(OverflowError, match="non-finite"):
             worst.add(metric, x, 1.0, 2.0)
         assert worst.value == -math.inf
+
+
+def test_pde_inequality_checks_the_strip_between_the_triggers(golden):
+    """Against a 2 p* constant-price opponent the c = 0.5 trigger is the
+    lower one, and the strip between the triggers holds the pasted
+    continuation.  The check's residual there matches one built from
+    central differences of the value (x V_x and x**2 V_xx).  The value is
+    the symmetric pair's, not one for this pair, and the check fails."""
+    fn = DynamicValue(golden, 0.5)
+    pair = (fn.boundary, ConstantPriceBoundary(golden, 2.0 * golden.p_star))
+    res = check_pde(fn, pair, SPEC, mode="inequality")
+    assert res.note == "" and not res.passed
+    x, q_i, q_mi = res.at
+    assert fn.boundary.trigger(q_i, q_mi) < x <= pair[1].trigger(q_mi, q_i)
+
+    def value(level):
+        return fn.value(level, q_i, q_mi)
+
+    h = 1e-3 * x
+    v = value(x)
+    x_vx = x * (value(x + h) - value(x - h)) / (2.0 * h)
+    x2_vxx = x * x * (value(x + h) - 2.0 * v + value(x - h)) / h ** 2
+    profit = golden.profit_flow(x, q_i, q_mi)
+    resid = (-golden.r * v + profit + golden.mu * x_vx
+             + 0.5 * golden.sigma ** 2 * x2_vxx) / (golden.r * abs(v) + 1.0)
+    assert res.worst == pytest.approx(resid, rel=1e-5)
+
+
+def _default_kinds(golden):
+    return [DynamicValue(golden, c) for c in (0.0, 0.5, 1.0)] + [
+        AbstainValue(golden, golden.p_star), SoleInvestorValue(golden, 1.2 * golden.p_star),
+        PerturbedValue(DynamicValue(golden, 0.5), 1.01)]
+
+
+def test_pde_inequality_void_on_the_default_reports(golden):
+    """The six default reports have no state between the triggers: their
+    pairs are symmetric, or the own trigger is infinite."""
+    for fn in _default_kinds(golden):
+        res = check_pde(fn, fn.strategy_pair(), SPEC, mode="inequality")
+        assert res.passed and res.note == "void: no state between the triggers", fn.kind
+
+
+def test_report_evaluates_the_below_grid_once(golden, monkeypatch):
+    """pde_equality, own_derivative_below_trigger and the transversality
+    hypothesis read one evaluation of the grid below both triggers: one
+    branch call per block of capital pairs."""
+    import duopoly_invest.verify as verify
+
+    for fn, sim in (_criterion4_sim(golden, 0.5, n_paths=2), _abstain_sim(golden)):
+        calls = []
+        target = fn.base if isinstance(fn, PerturbedValue) else fn
+        real = type(target).below_branch_arrays
+        monkeypatch.setattr(type(target), "below_branch_arrays",
+                            lambda self, *a, **k: calls.append(a) or real(self, *a, **k))
+        run_verification(fn, spec=SPEC, simulation=sim)
+        monkeypatch.undo()
+        blocks = list(SPEC.pair_blocks(fn.strategy_pair()))
+        assert len(calls) == len(blocks) == -(-len(SPEC.capital_pairs(fn.strategy_pair()))
+                                               // verify._BLOCK_PAIRS)
