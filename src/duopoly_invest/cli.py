@@ -195,9 +195,10 @@ def cmd_value(args) -> int:
     fn = _value_fn(config, params)
     rows = []
     for x, q1, q2 in _states(config):
-        value, partials = fn.value(x, q1, q2), fn.partials(x, q1, q2, ("x", "qi", "qmi"))
-        _finite_row([value, *partials.values()], (x, q1, q2))
-        rows.append({"x": x, "q_i": q1, "q_mi": q2, "value": value, "partials": partials})
+        at = fn.evaluate(x, q1, q2, ("v", "x", "qi", "qmi"))
+        partials = {"x": at["x"] / x, "qi": at["qi"], "qmi": at["qmi"]}
+        _finite_row([at["v"], *partials.values()], (x, q1, q2))
+        rows.append({"x": x, "q_i": q1, "q_mi": q2, "value": at["v"], "partials": partials})
     _write_out(json.dumps(rows, sort_keys=True, indent=2), args.out)
     return 0
 

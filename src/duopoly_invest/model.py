@@ -57,21 +57,16 @@ class ModelParams:
     p_star: float
     mu_gamma: float
 
-    def inverse_demand(self, q_total: float) -> float:
-        """Market price per unit of shock: P(q_total) = q_total**(-1/gamma)."""
-        if q_total <= 0.0:
-            raise ZeroCapacityError(
-                f"inverse demand needs positive aggregate capacity, got {q_total}"
-            )
+    def inverse_demand(self, q_total):
+        """Market price per unit of shock: P(q_total) = q_total**(-1/gamma),
+        elementwise over arrays."""
+        if np.any(q_total <= 0.0):
+            raise ZeroCapacityError("inverse demand needs positive aggregate capacity")
         return q_total ** (-1.0 / self.gamma)
 
-    def profit_flow(self, x: float, q_i: float, q_mi: float) -> float:
-        """Operating profit rate x * P(q_i + q_mi) * q_i."""
-        if q_i == 0.0:
-            # 0 * P may hit P at zero capacity; profit is identically zero.
-            if q_i + q_mi <= 0.0:
-                raise ZeroCapacityError("state has zero aggregate capacity")
-            return 0.0
+    def profit_flow(self, x, q_i, q_mi):
+        """Operating profit rate x * P(q_i + q_mi) * q_i, elementwise over
+        arrays; zero where own capital is zero and x * P is finite."""
         return x * self.inverse_demand(q_i + q_mi) * q_i
 
     def marginal_revenue(self, q_i: float, q_mi: float) -> float:

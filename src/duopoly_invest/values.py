@@ -35,7 +35,7 @@ continue by the smooth-pasting recursion
 
 which is evaluated directly against the below-trigger branch (never by
 re-dispatching, so floating-point ties at the trigger cannot recurse), with
-one root solve for phi per state however many partials are asked for.
+one root solve for phi per state however many entries are asked for.
 
 DynamicValue's B is an improper integral over [q_i, inf).  It is evaluated as
 one integral over t in (0, 1], where s = q + q_mi = (q_i + q_mi) * t**(-1/d),
@@ -134,16 +134,17 @@ class ValueFunction:
     coefficient _c and its gradient _c_grad = (dC/dq_i, dC/dq_mi), each
     elementwise over arrays of capital pairs.
 
-    Every evaluation takes states (x, q_i, q_mi) as floats or broadcastable
-    numpy arrays.  _evaluate splits them once at the own trigger: the branch
-    (_below) takes every state up to it in one call, and the continuation
-    (_above) every state over it in another.  Both return all requested
-    entries at once, keyed "v" (V), "x" (x V_x), "xx" (x**2 V_xx), "qi",
-    "qmi" and "phi" (the paste point); partials divides the x-derivatives by
-    x last.  Each entry has the broadcast shape of the states, and is a float
-    when every argument is one.  An intermediate out of the floating-point
-    range gives inf or NaN, as float arithmetic does, without a numpy
-    warning; the callers refuse non-finite results.
+    evaluate is the one way into a value: it takes states (x, q_i, q_mi) as
+    floats or broadcastable numpy arrays and returns the entries asked for,
+    keyed "v" (V), "x" (x V_x), "xx" (x**2 V_xx), "qi", "qmi" and "phi"
+    (the paste point).  It splits the states once at the own trigger: the
+    branch (_below) takes every state up to it in one call, and the
+    continuation (_above) every state over it in another.  value and
+    partials read it; partials divides the x-derivatives by x last.  Each
+    entry has the broadcast shape of the states, and is a float when every
+    argument is one.  An intermediate out of the floating-point range gives
+    inf or NaN, as float arithmetic does, without a numpy warning; the
+    callers refuse non-finite results.
     """
 
     params: ModelParams
@@ -169,11 +170,13 @@ class ValueFunction:
         y = x * (q ** (-1.0 / pr.gamma) / self.p_ref)
         return self.p_ref / (pr.r - pr.mu) * y, y ** pr.beta
 
-    def _below(self, x, q_i, q_mi, which):
-        """The branch's entries from the profit stream S = unit * q_i and the
-        option term O = C * y**beta.  Both capitals lower the price P(q),
-        which moves y by dy/dq = -y/(gamma q); own capital also scales S.
-        "xqi" (d(x V_x)/dq_i) serves the continuation's x**2 V_xx.
+    def _below(self, x, q_i, q_mi):
+        """Every entry of the branch in one pass, from the profit stream
+        S = unit * q_i and the option term O = C * y**beta.  Both capitals
+        lower the price P(q), which moves y by dy/dq = -y/(gamma q); own
+        capital also scales S.  "xqi" (d(x V_x)/dq_i) serves the
+        continuation's x**2 V_xx.  Written in y, the entries stay finite
+        where x**2 overflows.
 
         S and O are formed divided by a power of two m <= max(1, q_i) and
         the sums multiplied by m: exact scalings, which keep S from
@@ -183,68 +186,51 @@ class ValueFunction:
         m = np.ldexp(1.0, np.maximum(0, np.frexp(q_i)[1] - 1))
         stream, option = unit * (q_i / m), self._c(q_i, q_mi) / m * y_beta
         x_vx = (stream + pr.beta * option) * m
-        out = {}
-        if "v" in which:
-            out["v"] = (stream + option) * m
-        if "x" in which:
-            out["x"] = x_vx
-        if "xx" in which:
-            out["xx"] = pr.beta * (pr.beta - 1.0) * option * m
-        if "phi" in which:
-            out["phi"] = q_i
-        if {"qi", "qmi", "xqi"} & set(which):
-            c_qi, c_qmi = self._c_grad(q_i, q_mi)
-            g_q = pr.gamma * (q_i + q_mi)
-            via_price = x_vx / g_q
-            if "qi" in which:
-                out["qi"] = unit + c_qi * y_beta - via_price
-            if "qmi" in which:
-                out["qmi"] = c_qmi * y_beta - via_price
-            if "xqi" in which:
-                out["xqi"] = unit * (1.0 - q_i / g_q) \
-                    + pr.beta * (c_qi * y_beta - pr.beta * option * m / g_q)
-        return out
+        c_qi, c_qmi = self._c_grad(q_i, q_mi)
+        g_q = pr.gamma * (q_i + q_mi)
+        via_price = x_vx / g_q
+        return {"v": (stream + option) * m, "x": x_vx,
+                "xx": pr.beta * (pr.beta - 1.0) * option * m,
+                "qi": unit + c_qi * y_beta - via_price,
+                "qmi": c_qmi * y_beta - via_price,
+                "xqi": unit * (1.0 - q_i / g_q)
+                + pr.beta * (c_qi * y_beta - pr.beta * option * m / g_q),
+                "phi": q_i}
 
     def _above(self, x, q_i, q_mi, which):
         """The continuation at states above the own trigger: the branch at
         the paste point phi = phi(x, q_mi), solved for every state in one
         call.  V = V(x, phi, q_mi) - phi + q_i, x V_x is the branch's and
-        V_qi = 1, which needs no root solve.  phi_x = 1/T_qi(phi, q_mi) from
-        the own trigger's gradient gives x**2 V_xx = x**2 V_xx(x, phi, q_mi)
-        + x/T_qi * d(x V_x)/dq_i.  V_qmi is the chain rule of the pasting
-        identity, V_qmi + (V_qi - 1) * phi_qmi of the branch at phi, with
-        phi_qmi = -T_qmi / T_qi.  Smooth fit (V_qi = 1 on the trigger) drops
-        the second term; it is kept, so that the propagation check tests
-        smooth fit instead of assuming it.  "phi" hands back the paste point.
-        Kinds with an explicit continuation override this."""
-        out = {"qi": np.ones(np.shape(x))}
+        V_qi = 1, so `which` asking for V_qi alone needs no root solve.
+        phi_x = 1/T_qi(phi, q_mi) from the own trigger's gradient gives
+        x**2 V_xx = x**2 V_xx(x, phi, q_mi) + x/T_qi * d(x V_x)/dq_i.  V_qmi
+        is the chain rule of the pasting identity, V_qmi + (V_qi - 1) *
+        phi_qmi of the branch at phi, with phi_qmi = -T_qmi / T_qi.  Smooth
+        fit (V_qi = 1 on the trigger) drops the second term; it is kept, so
+        that the propagation check tests smooth fit instead of assuming it.
+        "phi" hands back the paste point.  Kinds with an explicit
+        continuation override this."""
+        ones = np.ones(np.shape(x))
         if set(which) <= {"qi"}:
-            return out
-        phi = out["phi"] = self._phi(x, q_mi)
-        ask = set(which)
-        if "qmi" in ask:
-            ask.add("qi")
-        if "xx" in ask:
-            ask.add("xqi")
-        at = self._below(x, phi, q_mi, ask)
-        if "v" in which:
-            out["v"] = at["v"] - phi + q_i
-        if "x" in which:
-            out["x"] = at["x"]
-        if {"xx", "qmi"} & ask:
-            t_qi, t_qmi = self.strategy_pair()[0].trigger_grad(phi, q_mi)
-            if "xx" in which:
-                out["xx"] = at["xx"] + x / t_qi * at["xqi"]
-            if "qmi" in which:
-                out["qmi"] = at["qmi"] - (at["qi"] - 1.0) * t_qmi / t_qi
-        return out
+            return {"qi": ones}
+        phi = self._phi(x, q_mi)
+        at = self._below(x, phi, q_mi)
+        t_qi, t_qmi = self.strategy_pair()[0].trigger_grad(phi, q_mi)
+        return {"v": at["v"] - phi + q_i, "x": at["x"],
+                "xx": at["xx"] + x / t_qi * at["xqi"], "qi": ones,
+                "qmi": at["qmi"] - (at["qi"] - 1.0) * t_qmi / t_qi, "phi": phi}
 
-    def _evaluate(self, x, q_i, q_mi, which):
+    # -- generic surface ------------------------------------------------------
+
+    def evaluate(self, x, q_i, q_mi, which) -> dict:
         """The entries `which` (see the class docstring) at every state: one
         split at the own trigger, one branch call for the states up to it
         and one continuation call for the states over it.  When every state
         is below, the branch broadcasts the capitals as given, so an array
         of shock levels per capital pair costs one coefficient per pair."""
+        for key in which:
+            if key not in ("v", "x", "xx", "qi", "qmi", "phi"):
+                raise ValueError(f"unknown entry {key!r}")
         x, q_i, q_mi = (np.asarray(v, dtype=float) for v in (x, q_i, q_mi))
         shape = np.broadcast_shapes(x.shape, q_i.shape, q_mi.shape)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -252,55 +238,41 @@ class ValueFunction:
                 raise ZeroCapacityError("value needs positive aggregate capacity")
             under = x <= self._own_trigger(q_i, q_mi)
             if np.all(under):
-                out = self._below(x, q_i, q_mi, which)
+                out = self._below(x, q_i, q_mi)
             else:
                 x, q_i, q_mi, under = (np.broadcast_to(v, shape).ravel()
                                        for v in (x, q_i, q_mi, under))
                 out = {key: np.empty(x.size) for key in which}
-                for part, mask in ((self._below, under), (self._above, ~under)):
+                for mask, part in ((under, self._below),
+                                   (~under, lambda *s: self._above(*s, which))):
                     if mask.any():
-                        got = part(x[mask], q_i[mask], q_mi[mask], which)
+                        got = part(x[mask], q_i[mask], q_mi[mask])
                         for key in which:
                             out[key][mask] = got[key]
                 out = {key: v.reshape(shape) for key, v in out.items()}
         if not shape:
-            return {key: float(np.reshape(v, ())) for key, v in out.items()}
-        return {key: v if np.shape(v) == shape else np.broadcast_to(v, shape).copy()
-                for key, v in out.items()}
-
-    # -- generic surface ------------------------------------------------------
+            return {key: float(np.reshape(out[key], ())) for key in which}
+        return {key: out[key] if np.shape(out[key]) == shape
+                else np.broadcast_to(out[key], shape).copy() for key in which}
 
     def value(self, x, q_i, q_mi):
-        return self._evaluate(x, q_i, q_mi, ("v",))["v"]
+        return self.evaluate(x, q_i, q_mi, ("v",))["v"]
 
     def partials(self, x, q_i, q_mi, which=("x", "xx", "qi", "qmi")) -> dict:
-        """Requested analytic partial derivatives at states (x, q_i, q_mi),
-        floats or broadcastable arrays; each entry of the result has their
-        broadcast shape.  "phi" also asks for the paste point: phi(x, q_mi)
-        above the own trigger, which the q-partials there are evaluated at,
-        and q_i at or below it.
-        """
+        """The entries `which` of evaluate other than "v", with V_x and V_xx
+        in place of x V_x and x**2 V_xx.  "phi" is the paste point:
+        phi(x, q_mi) above the own trigger, which the q-partials there are
+        evaluated at, and q_i at or below it."""
         if isinstance(which, str):
             which = (which,)
-        for key in which:
-            if key not in ("x", "xx", "qi", "qmi", "phi"):
-                raise ValueError(f"unknown partial {key!r}")
-        out = self._evaluate(x, q_i, q_mi, which)
+        if "v" in which:
+            raise ValueError("unknown partial 'v'")
+        out = self.evaluate(x, q_i, q_mi, which)
         if "x" in which:
             out["x"] = out["x"] / x
         if "xx" in which:
             out["xx"] = out["xx"] / x / x
-        return {key: out[key] for key in which}
-
-    def below_branch_arrays(self, x, q_i, q_mi, which=("v", "x", "xx")):
-        """The below-trigger branch's entries `which` (keyed as in the class
-        docstring; by default V, x V_x and x**2 V_xx), in that order, at
-        broadcastable states.  Written in y, they stay finite where x**2
-        overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._below(np.asarray(x, dtype=float), np.asarray(q_i, dtype=float),
-                              np.asarray(q_mi, dtype=float), which)
-        return tuple(out[key] for key in which)
+        return out
 
     def option_term(self, x, q_i, q_mi):
         """C * y**beta of the below-trigger branch; above the own trigger it
@@ -651,11 +623,12 @@ class DynamicValue(ValueFunction):
         return (b_qi + via_s) * scale, (b_qmi + via_s) * scale
 
 
-class PerturbedValue:
-    """Negative-control candidate: the option term is scaled in the value
-    channel only, while every reported derivative stays that of the base
-    function.  The resulting value/derivative mismatch violates the pricing
-    equation, which residual checks must flag.
+class PerturbedValue(ValueFunction):
+    """Negative-control candidate: evaluate scales the option term in the
+    value entry only, adding (option_scale - 1) * option_term to "v", while
+    every derivative entry stays that of the base function.  The resulting
+    value/derivative mismatch violates the pricing equation, which residual
+    checks must flag.
     """
 
     def __init__(self, base: ValueFunction, option_scale: float):
@@ -667,17 +640,8 @@ class PerturbedValue:
     def strategy_pair(self):
         return self.base.strategy_pair()
 
-    def value(self, x, q_i, q_mi):
-        return self.base.value(x, q_i, q_mi) \
-            + (self.option_scale - 1.0) * self.base.option_term(x, q_i, q_mi)
-
-    def partials(self, x, q_i, q_mi, which=("x", "xx", "qi", "qmi")):
-        return self.base.partials(x, q_i, q_mi, which)
-
-    def below_branch_arrays(self, x, q_i, q_mi, which=("v", "x", "xx")):
-        out = self.base.below_branch_arrays(x, q_i, q_mi, which)
-        if "v" not in which:
-            return out
-        k = which.index("v")
-        opt = self.base.option_term(np.asarray(x, dtype=float), q_i, q_mi)
-        return (*out[:k], out[k] + (self.option_scale - 1.0) * opt, *out[k + 1:])
+    def evaluate(self, x, q_i, q_mi, which) -> dict:
+        out = self.base.evaluate(x, q_i, q_mi, which)
+        if "v" in which:
+            out["v"] = out["v"] + (self.option_scale - 1.0) * self.base.option_term(x, q_i, q_mi)
+        return out

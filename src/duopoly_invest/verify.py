@@ -154,18 +154,18 @@ def _void(name: str, note: str) -> ConditionResult:
 def _pricing_residual(params: ModelParams, x, q_i, q_mi, v, x_vx, x2_vxx):
     """-r V + profit + mu x V_x + sigma^2 x^2 V_xx / 2, normalised by
     r |V| + 1."""
-    profit = x * (q_i + q_mi) ** (-1.0 / params.gamma) * q_i
-    resid = -params.r * v + profit + params.mu * x_vx + 0.5 * params.sigma ** 2 * x2_vxx
+    resid = (-params.r * v + params.profit_flow(x, q_i, q_mi) + params.mu * x_vx
+             + 0.5 * params.sigma ** 2 * x2_vxx)
     return resid / (params.r * np.abs(v) + 1.0)
 
 
 def _below_grid(value_fn, pair, spec: GridSpec) -> dict:
     """The grid below both triggers, {x <= min(triggers)}, evaluated once,
-    one branch call per block of capital pairs, for the three conditions it
+    one evaluate call per block of capital pairs, for the three conditions it
     feeds: the pricing-equation residual (pde_equality), V_qi - 1
     (own_derivative_below_trigger) and |V| / (1 + q_i + q_mi), the
-    hypothesis of the transversality bound.  V, x V_x and x**2 V_xx of the
-    branch stay finite at any level where V does."""
+    hypothesis of the transversality bound.  V, x V_x and x**2 V_xx stay
+    finite at any level where V does."""
     params = value_fn.params
     own, opp = pair
     worst = {"pde": _Worst(), "qi": _Worst(), "linear": _Worst()}
@@ -174,12 +174,11 @@ def _below_grid(value_fn, pair, spec: GridSpec) -> dict:
         # A value out of range shows as a non-finite metric, which _Worst
         # refuses with an OverflowError.
         with np.errstate(over="ignore", invalid="ignore"):
-            v, x_vx, x2_vxx, v_qi = value_fn.below_branch_arrays(
-                xs, q_i, q_mi, ("v", "x", "xx", "qi"))
-            resid = _pricing_residual(params, xs, q_i, q_mi, v, x_vx, x2_vxx)
+            at = value_fn.evaluate(xs, q_i, q_mi, ("v", "x", "xx", "qi"))
+            resid = _pricing_residual(params, xs, q_i, q_mi, at["v"], at["x"], at["xx"])
             worst["pde"].add(np.abs(resid), xs, q_i, q_mi)
-            worst["qi"].add(v_qi - 1.0, xs, q_i, q_mi)
-            worst["linear"].add(np.abs(v) / (1.0 + q_i + q_mi), xs, q_i, q_mi)
+            worst["qi"].add(at["qi"] - 1.0, xs, q_i, q_mi)
+            worst["linear"].add(np.abs(at["v"]) / (1.0 + q_i + q_mi), xs, q_i, q_mi)
     return worst
 
 
@@ -213,9 +212,9 @@ def check_pde(value_fn, pair, spec: GridSpec = GridSpec(),
         hi = np.minimum(hi[strip], lo / spec.x_lo_frac)
         xs = np.minimum(lo * (hi / lo) ** steps, hi)
         with np.errstate(over="ignore", invalid="ignore"):
-            d = value_fn.partials(xs, q_i, q_mi, ("x", "xx"))
-            worst.add(_pricing_residual(params, xs, q_i, q_mi, value_fn.value(xs, q_i, q_mi),
-                                        xs * d["x"], xs * xs * d["xx"]), xs, q_i, q_mi)
+            at = value_fn.evaluate(xs, q_i, q_mi, ("v", "x", "xx"))
+            worst.add(_pricing_residual(params, xs, q_i, q_mi, at["v"], at["x"], at["xx"]),
+                      xs, q_i, q_mi)
     return worst.result("pde_inequality", tol, void="void: no state between the triggers")
 
 
@@ -236,7 +235,7 @@ def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec(),
         worst = _Worst()
         for q_i, q_mi in blocks:
             x = np.array([1.0, 1.25, 2.0]) * own.trigger(q_i, q_mi)
-            d = value_fn.partials(x, q_i, q_mi, ("qi",))["qi"]
+            d = value_fn.evaluate(x, q_i, q_mi, ("qi",))["qi"]
             worst.add(np.abs(d - 1.0), x, q_i, q_mi)
         results.append(worst.result("own_derivative_on_trigger", tol))
 
@@ -250,7 +249,7 @@ def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec(),
         q_i, q_mi, hi, xb = q_i[strict], q_mi[strict], hi[strict], xb[strict]
         x = np.array([1.0, 1.3, 2.0, 4.0]) * xb
         x = np.where(np.isfinite(hi), np.minimum(x, hi), x)
-        worst.add(np.abs(value_fn.partials(x, q_i, q_mi, ("qmi",))["qmi"]), x, q_i, q_mi)
+        worst.add(np.abs(value_fn.evaluate(x, q_i, q_mi, ("qmi",))["qmi"]), x, q_i, q_mi)
     results.append(worst.result("opp_derivative_above_trigger", tol,
                                 void="void: own trigger never exceeds opponent's"))
 
@@ -265,7 +264,7 @@ def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec(),
         on = (np.isfinite(xb) & (xb <= opp.trigger(q_mi, q_i) * (1.0 + 1e-12))).ravel()
         if on.any():
             q_i, q_mi, xb = q_i[on], q_mi[on], xb[on]
-            worst.add(value_fn.partials(xb, q_i, q_mi, ("qmi",))["qmi"], xb, q_i, q_mi)
+            worst.add(value_fn.evaluate(xb, q_i, q_mi, ("qmi",))["qmi"], xb, q_i, q_mi)
     results.append(worst.result("opp_derivative_on_trigger", tol, void="void: no boundary states"))
     return results
 
@@ -285,16 +284,16 @@ def check_derivative_propagation(value_fn, pair, spec: GridSpec = GridSpec()) ->
     if own.p == math.inf:
         for q_i, q_mi in spec.pair_blocks(pair):
             x = np.array([1.0, 1.5, 3.0]) * opp.trigger(q_mi, q_i)
-            worst.add(np.abs(value_fn.partials(x, q_i, q_mi, ("qmi",))["qmi"]), x, q_i, q_mi)
+            worst.add(np.abs(value_fn.evaluate(x, q_i, q_mi, ("qmi",))["qmi"]), x, q_i, q_mi)
         return worst.result("derivative_propagation", tol,
                             note="own trigger infinite: checked V_qmi = 0 above opponent")
     for q_i, q_mi in spec.pair_blocks(pair):
         x = np.array([1.05, 1.3, 2.0]) * own.trigger(q_i, q_mi)
-        at = value_fn.partials(x, q_i, q_mi, ("qmi", "phi"))
+        at = value_fn.evaluate(x, q_i, q_mi, ("qmi", "phi"))
         lhs, phi = at["qmi"], at["phi"]
-        # Rounding can put x above the trigger at phi, where partials
+        # Rounding can put x above the trigger at phi, where evaluate
         # would paste again and compare the chain rule with itself.
-        rhs = value_fn.partials(np.minimum(x, own.trigger(phi, q_mi)), phi, q_mi,
+        rhs = value_fn.evaluate(np.minimum(x, own.trigger(phi, q_mi)), phi, q_mi,
                                 ("qmi",))["qmi"]
         worst.add(np.abs(lhs - rhs), x, q_i, q_mi)
     return worst.result("derivative_propagation", tol)
@@ -349,7 +348,7 @@ def _increment_derivative(value_fn, outcomes) -> ConditionResult:
     worst = _Worst(0.0)
     if on.any():
         x, q1, q2 = x[on], q1[on], q2[on]
-        worst.add(np.abs(value_fn.partials(x, q1, q2, ("qmi",))["qmi"]), x, q1, q2)
+        worst.add(np.abs(value_fn.evaluate(x, q1, q2, ("qmi",))["qmi"]), x, q1, q2)
     return worst.result("opponent_increment_derivative", _tolerance(value_fn))
 
 

@@ -77,6 +77,29 @@ def test_profit_flow_examples(golden):
     assert golden.profit_flow(1.0, 1.0, 0.0) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_profit_flow_elementwise(golden):
+    """Array calls equal scalar calls element by element, up to numpy's
+    vectorized power, which may differ from the scalar one in the last bit;
+    zero own capital gives exactly zero, and a zero aggregate anywhere is
+    refused."""
+    ulps = 4 * np.finfo(float).eps
+    x = np.array([0.3, 1.0, 2.5, 7.0])
+    q_i = np.array([0.0, 0.4, 1.0, 3.0])
+    q_mi = np.array([1.0, 0.0, 2.0, 0.5])
+    flows = golden.profit_flow(x, q_i, q_mi)
+    prices = golden.inverse_demand(q_i + q_mi)
+    for k in range(len(x)):
+        one = golden.profit_flow(float(x[k]), float(q_i[k]), float(q_mi[k]))
+        assert abs(flows[k] - one) <= ulps * abs(one)
+        price = golden.inverse_demand(float(q_i[k] + q_mi[k]))
+        assert abs(prices[k] - price) <= ulps * price
+    assert flows[0] == 0.0
+    with pytest.raises(ZeroCapacityError):
+        golden.profit_flow(x, q_i, np.array([1.0, 0.0, 2.0, -3.0]))
+    with pytest.raises(ZeroCapacityError):
+        golden.profit_flow(1.0, 0.0, 0.0)
+
+
 def test_beta_monotone_in_sigma_and_mu():
     r = 1.3
     for mu in (-0.5, 0.0, 0.2):

@@ -292,6 +292,26 @@ def test_even_split_consistent(golden, cp):
         assert np.all(np.diff(sp.capital(firm)) >= 0.0)
 
 
+def test_even_split_averages_investor_and_abstainer(golden):
+    """With equal initial capitals, firm 1's payoff under the even split of
+    a constant-price pair is, path by path, the mean of its payoff as the
+    sole investor and as the abstainer: at a fixed aggregate, profit and
+    cost are linear in the own share.  The x0 = 5 paths jump at t = 0."""
+    worst = 0.0
+    for scale in (0.9, 1.0, 1.2):
+        cp = ConstantPriceBoundary(golden, scale * golden.p_star)
+        for x0 in (0.3, 1.5, 5.0):
+            for j in range(40):
+                path = generate_path(golden, x0, 2e-3, 4.0, 17, j)
+                split = payoff(golden, build_aggregate_split((cp, cp), path, 1.0, 1.0,
+                                                             (0.5, 0.5)), 1)
+                sole = payoff(golden, build_joint_outcome(cp, cp, path, 1.0, 1.0), 1)
+                abstain = payoff(golden, build_abstain_outcome((cp, cp), path, 1.0, 1.0, 1), 1)
+                gap = abs(split - 0.5 * (sole + abstain)) / (1.0 + abs(split))
+                worst = max(worst, gap)
+    assert worst <= 1e-13
+
+
 def test_invalid_split_rejected(golden, cp):
     path = _path(golden, T=0.1)
     for weights in ((-0.1, 1.1), (0.7, 0.7), (1.0,)):

@@ -417,16 +417,21 @@ def test_array_partials_match_scalar(golden):
 
 
 def test_perturbed_below_branch_matches_loop(golden):
-    """The vectorized option term of every kind reproduces the per-level loop."""
+    """The negative control's evaluate adds 0.01 times the option term to
+    the value entry of every kind, as the per-level loop does: on the
+    branch below the trigger, and on the continuation above it, where the
+    option term is held at its value on the trigger.  Every other entry is
+    the base's."""
+    keys = ("v", "x", "xx", "qi", "qmi", "phi")
     for fn, q_i, q_mi, xs in _array_cases(golden):
         base = fn.base if isinstance(fn, PerturbedValue) else fn
         bad = PerturbedValue(base, 1.01)
-        levels = np.append(xs, 1.6 * xs[-1])   # above the trigger y is capped at 1
-        v, vx, vxx = bad.below_branch_arrays(levels, q_i, q_mi)
-        b, bx, bxx = base.below_branch_arrays(levels, q_i, q_mi)
-        loop = b + 0.01 * np.array([base.option_term(x, q_i, q_mi) for x in levels])
-        assert np.all(np.abs(v - loop) <= _ULPS * np.abs(loop)), base.kind
-        assert np.array_equal(vx, bx) and np.array_equal(vxx, bxx)
+        levels = np.append(xs, 1.6 * xs[-1])
+        got, want = bad.evaluate(levels, q_i, q_mi, keys), base.evaluate(levels, q_i, q_mi, keys)
+        loop = want["v"] + 0.01 * np.array([base.option_term(x, q_i, q_mi) for x in levels])
+        assert np.all(np.abs(got["v"] - loop) <= _ULPS * np.abs(loop)), base.kind
+        for key in keys[1:]:
+            assert np.array_equal(got[key], want[key]), (base.kind, key)
 
 
 def test_perturbed_value_channel_only(golden):

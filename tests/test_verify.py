@@ -249,6 +249,65 @@ def test_opponent_increment_derivative(golden):
     assert res.worst < 1e-6
 
 
+def _checked_increments(fn, outcomes, monkeypatch):
+    """The states (x, q_1, q_2) at which the increment check evaluates V_qmi,
+    and its verdict."""
+    import duopoly_invest.verify as verify
+
+    states, real = [], type(fn).evaluate
+
+    def captured(self, x, q_i, q_mi, which):
+        states.append(np.stack(np.broadcast_arrays(x, q_i, q_mi), axis=-1))
+        return real(self, x, q_i, q_mi, which)
+
+    monkeypatch.setattr(type(fn), "evaluate", captured)
+    res = verify._increment_derivative(fn, outcomes)
+    monkeypatch.undo()
+    return np.concatenate(states), res
+
+
+def _increment_indices(out):
+    """Grid-knot indices of the opponent's increments after t = 0."""
+    k2 = out.K2
+    return np.nonzero(np.diff(k2) > 1e-12 * (1.0 + k2[1:]))[0] + 1
+
+
+def test_increment_check_reads_the_opening_jump(golden, monkeypatch):
+    """Started above the symmetric trigger, the opponent jumps at t = 0, and
+    the check evaluates V_qmi at the state after that jump."""
+    fn = DynamicValue(golden, 1.0)
+    dyn = fn.boundary
+    q1 = dyn.q_floor + 0.2
+    q2 = q1 + 0.2
+    x0 = 1.5 * dyn.trigger(q2, q2)
+    out = build_symmetric_outcome((dyn, dyn), generate_path(golden, x0, 0.01, 1.0, 7), q1, q2)
+    assert out.K2[0] > q2
+    states, res = _checked_increments(fn, [out], monkeypatch)
+    jump = [x0, out.K1[0], out.K2[0]]
+    assert any(np.array_equal(state, jump) for state in states)
+    assert len(states) == len(_increment_indices(out)) + 1 and res.passed
+
+
+def test_increment_check_subsamples_long_paths(golden, monkeypatch):
+    """A path with more increments than _MAX_INCREMENTS is checked at exactly
+    that many of them, its first and last increments among them."""
+    import duopoly_invest.verify as verify
+
+    fn = DynamicValue(golden, 1.0)
+    dyn = fn.boundary
+    q1 = dyn.q_floor + 0.2
+    q2 = q1 + 0.2
+    path = generate_path(golden, 0.9 * dyn.trigger(q2, q2), 1e-4, 20.0, 7, 1)
+    out = build_symmetric_outcome((dyn, dyn), path, q1, q2)
+    idx = _increment_indices(out)
+    assert len(idx) > verify._MAX_INCREMENTS and out.K2[0] == q2
+    states, res = _checked_increments(fn, [out], monkeypatch)
+    assert len(states) == verify._MAX_INCREMENTS and res.passed
+    for k in (idx[0], idx[-1]):
+        state = [path.values[out.knots[k]], out.K1[k], out.K2[k]]
+        assert any(np.array_equal(row, state) for row in states)
+
+
 def test_full_report_json_shape(golden):
     fn = AbstainValue(golden, golden.p_star)
     rep = run_verification(fn, spec=SPEC)
@@ -323,15 +382,19 @@ def test_pde_inequality_void_on_the_default_reports(golden):
 def test_report_evaluates_the_below_grid_once(golden, monkeypatch):
     """pde_equality, own_derivative_below_trigger and the transversality
     hypothesis read one evaluation of the grid below both triggers: one
-    branch call per block of capital pairs."""
+    evaluate call for V, x V_x, x**2 V_xx and V_qi per block of capital
+    pairs."""
     import duopoly_invest.verify as verify
 
     for fn, sim in (_criterion4_sim(golden, 0.5, n_paths=2), _abstain_sim(golden)):
-        calls = []
-        target = fn.base if isinstance(fn, PerturbedValue) else fn
-        real = type(target).below_branch_arrays
-        monkeypatch.setattr(type(target), "below_branch_arrays",
-                            lambda self, *a, **k: calls.append(a) or real(self, *a, **k))
+        calls, real = [], type(fn).evaluate
+
+        def counted(self, x, q_i, q_mi, which):
+            if tuple(which) == ("v", "x", "xx", "qi"):
+                calls.append(which)
+            return real(self, x, q_i, q_mi, which)
+
+        monkeypatch.setattr(type(fn), "evaluate", counted)
         run_verification(fn, spec=SPEC, simulation=sim)
         monkeypatch.undo()
         blocks = list(SPEC.pair_blocks(fn.strategy_pair()))
