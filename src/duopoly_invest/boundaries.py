@@ -173,9 +173,11 @@ class Boundary:
         """Smallest own capital (>= q_floor) keeping the trigger at or above
         x, a float at one point or elementwise over arrays: the closed form
         max(0, (x/p)**gamma - q_mi) for c = 0, otherwise _inverse at each
-        point.  The builders pass the running-max records of a path, a few
-        dozen points, where a loop of the scalar solver is faster than the
-        same iteration vectorized."""
+        point.  The builders pass running-max records of a path: the
+        one-mover outcomes all of them, a few dozen points, and the
+        symmetric builder only those before psi crosses the opponent's
+        stock, a few or none.  At these sizes a loop of the scalar solver is
+        faster than the same iteration vectorized."""
         if self.c == 0.0:
             phi = (x / self.p) ** self.params.gamma - q_mi
             return np.maximum(0.0, phi) if isinstance(phi, np.ndarray) else max(0.0, float(phi))

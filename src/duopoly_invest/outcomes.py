@@ -160,6 +160,11 @@ def build_symmetric_outcome(boundary_pair, path: ShockPath, q1_0: float,
     the running maximum M of X sets a record: the records are the knots, and
     the roots are solved there only, Q_i(t) = q_i v min(phi_i(M_t, q_mi),
     psi(M_t)).
+
+    The trigger rises in both capitals, so the minimum is phi_i where
+    psi <= q_mi and psi elsewhere, and it is at most psi.  psi is solved at
+    every record; phi_i only at the records where q_i < psi < q_mi, the
+    only ones at which the minimum can move firm i's capital.
     """
     b1, b2 = boundary_pair
     if not (isinstance(b1, DynamicBoundary) and isinstance(b2, DynamicBoundary)
@@ -171,11 +176,14 @@ def build_symmetric_outcome(boundary_pair, path: ShockPath, q1_0: float,
     rec = _records(path.values)
     x = path.values[rec]
     psi = np.asarray(b1.symmetric_base_capacity(x))
-    phi1 = b1.base_capacity(x, q2_0)
-    phi2 = b2.base_capacity(x, q1_0)
-    K1 = np.maximum(q1_0, running_sup(np.minimum(phi1, psi)))
-    K2 = np.maximum(q2_0, running_sup(np.minimum(phi2, psi)))
-    return Outcome(path, K1, K2, q1_0, q2_0, construction="symmetric", knots=rec)
+    caps = []
+    for b, q_own, q_opp in ((b1, q1_0, q2_0), (b2, q2_0, q1_0)):
+        cap = psi.copy()
+        solve = (psi > q_own) & (psi < q_opp)
+        if solve.any():
+            cap[solve] = np.minimum(b.base_capacity(x[solve], q_opp), psi[solve])
+        caps.append(np.maximum(q_own, running_sup(cap)))
+    return Outcome(path, *caps, q1_0, q2_0, construction="symmetric", knots=rec)
 
 
 def build_aggregate_split(boundary_pair, path: ShockPath, q1_0: float, q2_0: float,
@@ -306,17 +314,21 @@ def catch_up_report(boundary: DynamicBoundary, outcome: Outcome) -> dict:
 
     tau is the first grid index at which the symmetric base capacity reaches
     the larger initial stock.  Before tau the larger firm must not invest;
-    from tau on both capitals must coincide.  Both read the knots: psi
-    increases in x, so it first reaches q_hi at a running-max record, which
-    is a knot, and capitals change only at knots.
+    from tau on both capitals must coincide.  psi(x) >= q_hi exactly when
+    x >= trigger(q_hi, q_hi), or everywhere when q_hi is at the floor, so
+    tau needs no root solve.  Both read the knots: the shock first reaches
+    that level at a running-max record, which is a knot, and capitals
+    change only at knots.
     """
     q_hi = max(outcome.q1_0, outcome.q2_0)
     larger = 1 if outcome.q1_0 >= outcome.q2_0 else 2
     n = len(outcome.path.values)
     knots = outcome.knots
-    psi = np.asarray(boundary.symmetric_base_capacity(outcome.path.values[knots]))
-    reached = np.nonzero(psi >= q_hi)[0]
-    tau = int(knots[reached[0]]) if len(reached) else n
+    if q_hi <= boundary.q_floor:
+        tau = int(knots[0])
+    else:
+        reached = np.nonzero(outcome.path.values[knots] >= boundary.trigger(q_hi, q_hi))[0]
+        tau = int(knots[reached[0]]) if len(reached) else n
     k_big = outcome.knot_capital(larger)
     after = knots >= tau
     before_ok = bool(np.all(k_big[~after] == k_big[0]))

@@ -130,9 +130,10 @@ def _gk15_panels(f, edges):
 
 class ValueFunction:
     """Shared evaluation of every kind (see the module docstring).  A kind
-    supplies p_ref, its strategy pair (own boundary first), the option
-    coefficient _c and its gradient _c_grad = (dC/dq_i, dC/dq_mi), each
-    elementwise over arrays of capital pairs.
+    supplies p_ref, its strategy pair (own boundary first) and _coef, which
+    gives the option coefficient and its gradient (C, dC/dq_i, dC/dq_mi)
+    together, elementwise over arrays of capital pairs, so that a
+    quadrature-backed C is looked up once per branch pass.
 
     evaluate is the one way into a value: it takes states (x, q_i, q_mi) as
     floats or broadcastable numpy arrays and returns the entries asked for,
@@ -156,7 +157,7 @@ class ValueFunction:
     def _phi(self, x, q_mi):
         return self.strategy_pair()[0].base_capacity(x, q_mi)
 
-    def _c(self, q_i, q_mi):
+    def _coef(self, q_i, q_mi):
         raise NotImplementedError
 
     # -- the below-trigger branch ---------------------------------------------
@@ -183,10 +184,10 @@ class ValueFunction:
         overflowing before O cancels it at q_i near 1e308."""
         pr = self.params
         unit, y_beta = self._branch(x, q_i, q_mi)
+        c, c_qi, c_qmi = self._coef(q_i, q_mi)
         m = np.ldexp(1.0, np.maximum(0, np.frexp(q_i)[1] - 1))
-        stream, option = unit * (q_i / m), self._c(q_i, q_mi) / m * y_beta
+        stream, option = unit * (q_i / m), c / m * y_beta
         x_vx = (stream + pr.beta * option) * m
-        c_qi, c_qmi = self._c_grad(q_i, q_mi)
         g_q = pr.gamma * (q_i + q_mi)
         via_price = x_vx / g_q
         return {"v": (stream + option) * m, "x": x_vx,
@@ -279,7 +280,7 @@ class ValueFunction:
         keeps its value on the trigger."""
         with np.errstate(over="ignore", invalid="ignore"):
             y_beta = self._branch(np.minimum(x, self._own_trigger(q_i, q_mi)), q_i, q_mi)[1]
-            return self._c(q_i, q_mi) * y_beta
+            return self._coef(q_i, q_mi)[0] * y_beta
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +314,11 @@ class AbstainValue(ValueFunction):
     def _own_trigger(self, q_i, q_mi):
         return self.opponent_boundary.trigger(q_i, q_mi)
 
-    def _c(self, q_i, q_mi):
+    def _coef(self, q_i, q_mi):
         pr = self.params
         # Divided before the product, which would overflow near q_i = 1e308.
-        return -self.p / ((pr.r - pr.mu) * pr.beta) * q_i
-
-    def _c_grad(self, q_i, q_mi):
-        pr = self.params
-        return -self.p / ((pr.r - pr.mu) * pr.beta), 0.0
+        slope = -self.p / ((pr.r - pr.mu) * pr.beta)
+        return slope * q_i, slope, 0.0
 
     def _above(self, x, q_i, q_mi, which):
         """The annuity: flat in x and in the opponent's capital."""
@@ -357,10 +355,8 @@ class SoleInvestorValue(ValueFunction):
     def _btil(self, q_i, q_mi):
         return self.coef * (self.k_own * q_i + self.k_opp * q_mi)
 
-    _c = _btil
-
-    def _c_grad(self, q_i, q_mi):
-        return self.coef * self.k_own, self.coef * self.k_opp
+    def _coef(self, q_i, q_mi):
+        return self._btil(q_i, q_mi), self.coef * self.k_own, self.coef * self.k_opp
 
 
 # ---------------------------------------------------------------------------
@@ -604,14 +600,11 @@ class DynamicValue(ValueFunction):
         return pr.beta / (pr.beta - 1.0) * (s ** (-1.0 / pr.gamma) / pr.p_star) ** pr.beta \
             * pr.gamma / (pr.beta - pr.gamma) * s
 
-    def _c(self, q_i, q_mi):
-        """B's coefficient of x**beta, rescaled to y**beta = (x P(q)/p*)**beta."""
-        pr = self.params
-        return self.B_block(q_i, q_mi)[0] * (pr.p_star * (q_i + q_mi) ** (1.0 / pr.gamma)) ** pr.beta
-
-    def _c_grad(self, q_i, q_mi):
-        """C's gradient from B's: B_qi is B's integrand at its lower limit
-        q_i, and B_qmi is integrated with B (see _integral)."""
+    def _coef(self, q_i, q_mi):
+        """C = B rescaled from x**beta to y**beta = (x P(q)/p*)**beta, and its
+        gradient from B's, all from one B_block lookup: B_qi is B's
+        integrand at its lower limit q_i, and B_qmi is integrated with B
+        (see _integral)."""
         pr = self.params
         b, b_qmi = self.B_block(q_i, q_mi)
         xbar = self.boundary._raw_trigger(q_i, q_mi)
@@ -620,7 +613,7 @@ class DynamicValue(ValueFunction):
         s = q_i + q_mi
         via_s = b * pr.beta / (pr.gamma * s)   # (p_star * s**(1/gamma))**beta's share
         scale = (pr.p_star * s ** (1.0 / pr.gamma)) ** pr.beta
-        return (b_qi + via_s) * scale, (b_qmi + via_s) * scale
+        return b * scale, (b_qi + via_s) * scale, (b_qmi + via_s) * scale
 
 
 class PerturbedValue(ValueFunction):

@@ -22,7 +22,9 @@ A metric that is not finite raises OverflowError instead of entering a
 verdict.
 Grids are log-spaced in the shock over [x_lo_frac, 1] * trigger and linear
 in capitals over [q_floor, 10 * q_floor + q_span]; each check evaluates its
-states one value call per block of capital pairs (GridSpec.pair_blocks).
+states one value call per block of _CHECK_PAIRS capital pairs
+(GridSpec.pair_blocks), which B's quadrature integrates in passes of
+values._BLOCK_PAIRS.
 """
 
 from __future__ import annotations
@@ -42,6 +44,12 @@ from .values import _BLOCK_PAIRS
 
 TOL_ANALYTIC = 1e-9
 TOL_QUAD = 1e-7
+# Capital pairs per value call of a check: four of B's quadrature passes.
+# Each call pays a fixed cost (triggers, the split at the own trigger, the
+# cache lookup), which larger blocks spread thinner.  Past four passes a
+# report gains a few percent at most, while the block's temporaries add
+# about 0.5 MiB of peak memory per doubling.
+_CHECK_PAIRS = 4 * _BLOCK_PAIRS
 # Opponent increments checked per simulated path, evenly subsampled.
 _MAX_INCREMENTS = 60
 # Default simulation seed of the opponent-increment check.
@@ -61,11 +69,14 @@ class GridSpec:
         return [(a, b) for a in qs for b in qs if a + b > 0.0]
 
     def pair_blocks(self, pair):
-        """The capital pairs in blocks of at most _BLOCK_PAIRS, the size of
-        one pass of B's quadrature, as (q_i, q_mi) column arrays."""
+        """The capital pairs in blocks of at most _CHECK_PAIRS, as (q_i, q_mi)
+        column arrays: one value call per block, whose missing B values
+        take four passes of B's quadrature.  The blocks keep the pairs'
+        order, so a check's first worst state is the one a pair-by-pair
+        loop would find."""
         q_i, q_mi = np.array(self.capital_pairs(pair)).reshape(-1, 2).T.copy()
-        for start in range(0, len(q_i), _BLOCK_PAIRS):
-            block = slice(start, start + _BLOCK_PAIRS)
+        for start in range(0, len(q_i), _CHECK_PAIRS):
+            block = slice(start, start + _CHECK_PAIRS)
             yield q_i[block, None], q_mi[block, None]
 
     def x_levels(self, cap):

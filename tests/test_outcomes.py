@@ -239,6 +239,98 @@ def test_record_builders_match_reference_bisection(golden, c):
             assert check_consistency(out, dyn, firm).max_deviation < 1e-9
 
 
+def _firm_cases(params, dyn, n_paths, seed):
+    """Random paths with initial capitals q1 < q2, q1 = q2 and q1 > q2."""
+    rng = np.random.default_rng(seed)
+    qf = dyn.q_floor
+    cases = []
+    for j in range(n_paths):
+        path = generate_path(params, rng.uniform(0.5, 8.0), 0.01, 2.0, seed, j)
+        lo, hi = np.sort(qf + rng.uniform(0.0, 1.0, 2))
+        cases += [(path, lo, hi), (path, lo, lo), (path, hi, lo)]
+    return cases
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0])
+def test_symmetric_builder_equals_full_roots_at_the_knots(golden, c):
+    """The builder solves phi only where it can move a capital, yet its
+    knot capitals equal max(q_0, running_sup(min(phi, psi))) from both
+    roots at every knot, bit for bit, except at the knot where psi first
+    reaches the opponent's initial stock; there phi and psi agree to their
+    root tolerance and either may be the minimum."""
+    dyn = DynamicBoundary(golden, c)
+    crossings = 0
+    for path, q1, q2 in _firm_cases(golden, dyn, 40, 61):
+        out = build_symmetric_outcome((dyn, dyn), path, q1, q2)
+        x = path.values[out.knots]
+        psi = dyn.symmetric_base_capacity(x)
+        for k, q_own, q_opp in ((out.K1, q1, q2), (out.K2, q2, q1)):
+            ref = np.maximum(q_own, running_sup(np.minimum(dyn.base_capacity(x, q_opp), psi)))
+            differ = np.flatnonzero(k != ref)
+            crossing = np.flatnonzero(psi >= q_opp)[:1]
+            crossings += len(crossing)
+            assert set(differ) <= set(crossing), (q_own, q_opp, differ, crossing)
+            assert np.all(np.abs(k - ref) <= 1e-12 * (1.0 + ref))
+    assert crossings > 100   # most paths cross, so the exception is exercised
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0])
+def test_symmetric_builder_solves_phi_only_where_it_can_move_a_capital(
+        golden, monkeypatch, c):
+    """phi_i is solved only at records where q_i < psi < q_mi: where
+    psi >= q_mi the minimum is psi, and where psi <= q_i it cannot lift
+    q_i.  So it is solved at records where psi < q_mi only, never for a
+    firm whose stock is at least the opponent's, and a call solves every
+    point of its array, so the points are counted, not the calls."""
+    dyn = DynamicBoundary(golden, c)
+    solve, calls = boundaries.Boundary.base_capacity, []
+    monkeypatch.setattr(boundaries.Boundary, "base_capacity",
+                        lambda self, x, q_mi: calls.append((x, q_mi)) or solve(self, x, q_mi))
+    solved = 0
+    for path, q1, q2 in _firm_cases(golden, dyn, 20, 62):
+        calls.clear()
+        out = build_symmetric_outcome((dyn, dyn), path, q1, q2)
+        x = path.values[out.knots]
+        psi = dyn.symmetric_base_capacity(x)
+        want = {q_opp: x[(psi > q_own) & (psi < q_opp)]
+                for q_own, q_opp in ((q1, q2), (q2, q1)) if q_own < q_opp}
+        got = {q_mi: got_x for got_x, q_mi in calls}
+        assert len(got) == len(calls)
+        assert got.keys() == {q for q, v in want.items() if v.size}
+        for q_mi, got_x in got.items():
+            assert np.array_equal(got_x, want[q_mi])
+            assert np.all(dyn.symmetric_base_capacity(got_x) < q_mi)
+        solved += sum(np.size(v) for v, _ in calls)
+    assert solved > 0
+
+
+def test_catch_up_report_solves_no_root(golden, monkeypatch):
+    """catch_up_report reads tau from the trigger on the diagonal, with no
+    root solve, and on 200 criterion-8 paths gets the tau of psi: the first
+    knot with psi(X) >= the larger initial stock."""
+    dyn = DynamicBoundary(golden, 1.0)
+    qf = dyn.q_floor
+    q1, q2 = qf, 1.3 * qf
+    outcomes = [build_symmetric_outcome((dyn, dyn), generate_path(golden, 5.0, 1e-3, 3.0, 808, j),
+                                        q1, q2) for j in range(200)]
+
+    def refused(*args):
+        raise AssertionError("catch_up_report solved a root")
+
+    interior = 0
+    for out in outcomes:
+        psi = dyn.symmetric_base_capacity(out.path.values[out.knots])
+        reached = np.flatnonzero(psi >= q2)
+        want = int(out.knots[reached[0]]) if len(reached) else len(out.path.values)
+        with monkeypatch.context() as m:
+            for name in ("_inverse", "base_capacity", "symmetric_base_capacity"):
+                m.setattr(boundaries.Boundary, name, refused)
+            rep = catch_up_report(dyn, out)
+        assert rep["tau_index"] == want
+        interior += want < len(out.path.values)
+    assert interior > 100
+
+
 def test_catch_up_roots_take_at_most_12_newton_sweeps(golden, monkeypatch):
     """Cost guard: on catch-up paths (c = 1, x0 = 5, q = (q_floor,
     1.3 q_floor), dt = 1e-3, T = 3) no root needs more than 12 Newton

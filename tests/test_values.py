@@ -240,16 +240,36 @@ def test_closed_form_values_homogeneous_of_degree_one(golden, scale):
 
 
 def test_c_grad_matches_central_difference(golden):
-    """The analytic gradient of the option coefficient C, which the
-    closed-form q-partials use, against a central difference of C."""
+    """The analytic gradient of the option coefficient C, which _coef gives
+    with C and the closed-form q-partials use, against a central difference
+    of C."""
     h = 1e-4
     for fn in (AbstainValue(golden, 1.1 * golden.p_star),
                SoleInvestorValue(golden, 1.2 * golden.p_star)):
+        c = lambda q_i, q_mi: fn._coef(q_i, q_mi)[0]
         for q_i, q_mi in ((1.0, 1.0), (0.3, 2.2), (1.7, 0.4)):
-            fd = ((fn._c(q_i + h, q_mi) - fn._c(q_i - h, q_mi)) / (2.0 * h),
-                  (fn._c(q_i, q_mi + h) - fn._c(q_i, q_mi - h)) / (2.0 * h))
-            for got, want in zip(fn._c_grad(q_i, q_mi), fd):
+            fd = ((c(q_i + h, q_mi) - c(q_i - h, q_mi)) / (2.0 * h),
+                  (c(q_i, q_mi + h) - c(q_i, q_mi - h)) / (2.0 * h))
+            for got, want in zip(fn._coef(q_i, q_mi)[1:], fd):
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-10), fn.kind
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0])
+def test_below_evaluate_looks_b_up_once(golden, monkeypatch, c):
+    """One evaluate of a block of states below the trigger asks B_block
+    once, for C and its gradient together, whichever entries it returns
+    and whether or not the block's B values are cached."""
+    fn = DynamicValue(golden, c)
+    q = np.linspace(fn.q_floor, fn.q_floor + 3.0, 7)
+    q_i, q_mi = (v.ravel()[:, None] for v in np.meshgrid(q, q))
+    x = fn.boundary.trigger(q_i, q_mi) * np.array([0.1, 0.5, 1.0])
+    real, calls = DynamicValue.B_block, []
+    monkeypatch.setattr(DynamicValue, "B_block",
+                        lambda self, a, b: calls.append(np.size(a)) or real(self, a, b))
+    for which in (("v", "x", "xx", "qi", "qmi", "phi"), ("qmi",), ("v",)):
+        calls.clear()
+        fn.evaluate(x, q_i, q_mi, which)
+        assert calls == [len(q_i)], which
 
 
 # ---------------------------------------------------------------------------

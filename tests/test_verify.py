@@ -382,8 +382,8 @@ def test_pde_inequality_void_on_the_default_reports(golden):
 def test_report_evaluates_the_below_grid_once(golden, monkeypatch):
     """pde_equality, own_derivative_below_trigger and the transversality
     hypothesis read one evaluation of the grid below both triggers: one
-    evaluate call for V, x V_x, x**2 V_xx and V_qi per block of capital
-    pairs."""
+    evaluate call for V, x V_x, x**2 V_xx and V_qi per block of
+    _CHECK_PAIRS capital pairs."""
     import duopoly_invest.verify as verify
 
     for fn, sim in (_criterion4_sim(golden, 0.5, n_paths=2), _abstain_sim(golden)):
@@ -399,4 +399,4 @@ def test_report_evaluates_the_below_grid_once(golden, monkeypatch):
         monkeypatch.undo()
         blocks = list(SPEC.pair_blocks(fn.strategy_pair()))
         assert len(calls) == len(blocks) == -(-len(SPEC.capital_pairs(fn.strategy_pair()))
-                                               // verify._BLOCK_PAIRS)
+                                               // verify._CHECK_PAIRS)
