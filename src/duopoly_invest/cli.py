@@ -92,13 +92,16 @@ def _number(raw, what: str, rule: str = "", valid=lambda v: True, integer: bool 
     return int(value) if integer else value
 
 
-def _path_count(text: str) -> int:
-    """--paths and --dump-count: a whole number of at least one (the mean of
-    no paths is NaN, and a dump of none writes nothing)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _whole(minimum: int):
+    """An argparse type: a whole number of at least `minimum`.  --paths needs
+    two (one path has no standard error), --dump-count one (a dump of none
+    writes nothing) and --seed zero (numpy seeds are non-negative)."""
+    def whole(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return whole
 
 
 def _params_block(config: dict) -> ModelParams:
@@ -389,13 +392,13 @@ def build_parser() -> _Parser:
     p.add_argument("--params", required=True, help="params JSON file")
     p.add_argument("--strategy", required=True, help="strategy JSON file")
     p.add_argument("--state", required=True, help="x,q1,q2")
-    p.add_argument("--paths", type=_path_count, default=10000)
+    p.add_argument("--paths", type=_whole(2), default=10000)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--horizon", type=float, default=20.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_whole(0), default=0)
     p.add_argument("--dump-outcomes", default=None, metavar="PREFIX",
                    help="write t,x,q1,q2 CSVs for the first --dump-count paths")
-    p.add_argument("--dump-count", type=_path_count, default=1)
+    p.add_argument("--dump-count", type=_whole(1), default=1)
     common(p)
     p.set_defaults(fn=cmd_simulate)
 
@@ -415,10 +418,10 @@ def build_parser() -> _Parser:
     p.add_argument("--equilibrium", required=True)
     p.add_argument("--deviant", required=True)
     p.add_argument("--state", required=True)
-    p.add_argument("--paths", type=_path_count, default=10000)
+    p.add_argument("--paths", type=_whole(2), default=10000)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--horizon", type=float, default=20.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_whole(0), default=0)
     common(p)
     p.set_defaults(fn=cmd_deviation)
     return parser

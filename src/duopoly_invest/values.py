@@ -140,12 +140,11 @@ class ValueFunction:
     keyed "v" (V), "x" (x V_x), "xx" (x**2 V_xx), "qi", "qmi" and "phi"
     (the paste point).  It splits the states once at the own trigger: the
     branch (_below) takes every state up to it in one call, and the
-    continuation (_above) every state over it in another.  value and
-    partials read it; partials divides the x-derivatives by x last.  Each
-    entry has the broadcast shape of the states, and is a float when every
-    argument is one.  An intermediate out of the floating-point range gives
-    inf or NaN, as float arithmetic does, without a numpy warning; the
-    callers refuse non-finite results.
+    continuation (_above) every state over it in another.  value reads its
+    "v".  Each entry has the broadcast shape of the states, and is a float
+    when every argument is one.  An intermediate out of the floating-point
+    range gives inf or NaN, as float arithmetic does, without a numpy
+    warning; the callers refuse non-finite results.
     """
 
     params: ModelParams
@@ -258,22 +257,6 @@ class ValueFunction:
 
     def value(self, x, q_i, q_mi):
         return self.evaluate(x, q_i, q_mi, ("v",))["v"]
-
-    def partials(self, x, q_i, q_mi, which=("x", "xx", "qi", "qmi")) -> dict:
-        """The entries `which` of evaluate other than "v", with V_x and V_xx
-        in place of x V_x and x**2 V_xx.  "phi" is the paste point:
-        phi(x, q_mi) above the own trigger, which the q-partials there are
-        evaluated at, and q_i at or below it."""
-        if isinstance(which, str):
-            which = (which,)
-        if "v" in which:
-            raise ValueError("unknown partial 'v'")
-        out = self.evaluate(x, q_i, q_mi, which)
-        if "x" in which:
-            out["x"] = out["x"] / x
-        if "xx" in which:
-            out["xx"] = out["xx"] / x / x
-        return out
 
     def option_term(self, x, q_i, q_mi):
         """C * y**beta of the below-trigger branch; above the own trigger it

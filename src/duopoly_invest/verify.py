@@ -21,10 +21,11 @@ Tolerances follow the numerical source: 1e-9 for the closed-form kinds and
 A metric that is not finite raises OverflowError instead of entering a
 verdict.
 Grids are log-spaced in the shock over [x_lo_frac, 1] * trigger and linear
-in capitals over [q_floor, 10 * q_floor + q_span]; each check evaluates its
-states one value call per block of _CHECK_PAIRS capital pairs
-(GridSpec.pair_blocks), which B's quadrature integrates in passes of
-values._BLOCK_PAIRS.
+in capitals over [q_floor, 10 * q_floor + q_span].  One walk per report
+goes over the blocks of _CHECK_PAIRS capital pairs (GridSpec.pair_blocks)
+and computes the triggers once per block; each grid condition evaluates
+its states in a block with one value call, whose missing B values B's
+quadrature integrates in passes of values._BLOCK_PAIRS.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -70,10 +71,10 @@ class GridSpec:
 
     def pair_blocks(self, pair):
         """The capital pairs in blocks of at most _CHECK_PAIRS, as (q_i, q_mi)
-        column arrays: one value call per block, whose missing B values
-        take four passes of B's quadrature.  The blocks keep the pairs'
-        order, so a check's first worst state is the one a pair-by-pair
-        loop would find."""
+        column arrays: one value call per condition and block, whose missing
+        B values take four passes of B's quadrature.  The blocks keep the
+        pairs' order, so a check's first worst state is the one a
+        pair-by-pair loop would find."""
         q_i, q_mi = np.array(self.capital_pairs(pair)).reshape(-1, 2).T.copy()
         for start in range(0, len(q_i), _CHECK_PAIRS):
             block = slice(start, start + _CHECK_PAIRS)
@@ -170,144 +171,112 @@ def _pricing_residual(params: ModelParams, x, q_i, q_mi, v, x_vx, x2_vxx):
     return resid / (params.r * np.abs(v) + 1.0)
 
 
-def _below_grid(value_fn, pair, spec: GridSpec) -> dict:
-    """The grid below both triggers, {x <= min(triggers)}, evaluated once,
-    one evaluate call per block of capital pairs, for the three conditions it
-    feeds: the pricing-equation residual (pde_equality), V_qi - 1
-    (own_derivative_below_trigger) and |V| / (1 + q_i + q_mi), the
-    hypothesis of the transversality bound.  V, x V_x and x**2 V_xx stay
-    finite at any level where V does."""
-    params = value_fn.params
-    own, opp = pair
-    worst = {"pde": _Worst(), "qi": _Worst(), "linear": _Worst()}
+def _grid_conditions(value_fn, pair, spec: GridSpec) -> tuple:
+    """Conditions 1-6 and the propagation identity, as ConditionResults by
+    name, and the largest |V| / (1 + q_i + q_mi) below both triggers, the
+    hypothesis of the transversality bound, from one walk over the capital
+    pair blocks that computes both triggers once per block.  Each condition
+    evaluates its own states in a block:
+
+    - below both triggers, {x <= min(triggers)}, one evaluate call gives V,
+      x V_x, x**2 V_xx and V_qi for conditions 1 and 5 and the hypothesis;
+      V, x V_x and x**2 V_xx stay finite at any level where V does;
+    - condition 4 takes nx levels per capital pair log-spaced over the strip
+      {min(triggers) < x <= opp trigger}, where the own firm invests and the
+      value is the continuation, capped at 1/x_lo_frac times the own
+      trigger; void when no capital pair has a strip;
+    - the propagation identity: above the own trigger V_qmi(x, q_i, q_mi)
+      equals the branch's V_qmi(x, phi(x, q_mi), q_mi).  The continuation
+      hands back the paste point it solved, so each point solves phi once.
+      With an infinite own trigger the region is empty and the check falls
+      back to condition 3's content (V_qmi = 0 above the opponent trigger).
+    """
+    params, (own, opp) = value_fn.params, pair
+    infinite = own.p == math.inf
+    names = ("pde_equality", "pde_inequality", "own_derivative_on_trigger",
+             "opp_derivative_above_trigger", "own_derivative_below_trigger",
+             "opp_derivative_on_trigger", "derivative_propagation")
+    worst = {name: _Worst() for name in names}
+    linear = _Worst()
+    steps = np.arange(1, spec.nx + 1) / spec.nx
     for q_i, q_mi in spec.pair_blocks(pair):
-        xs = spec.x_levels(np.minimum(own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i)))
+        t_own, t_opp = own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i)
         # A value out of range shows as a non-finite metric, which _Worst
         # refuses with an OverflowError.
         with np.errstate(over="ignore", invalid="ignore"):
+            # Conditions 1 and 5 and the hypothesis, below both triggers.
+            xs = spec.x_levels(np.minimum(t_own, t_opp))
             at = value_fn.evaluate(xs, q_i, q_mi, ("v", "x", "xx", "qi"))
             resid = _pricing_residual(params, xs, q_i, q_mi, at["v"], at["x"], at["xx"])
-            worst["pde"].add(np.abs(resid), xs, q_i, q_mi)
-            worst["qi"].add(at["qi"] - 1.0, xs, q_i, q_mi)
-            worst["linear"].add(np.abs(at["v"]) / (1.0 + q_i + q_mi), xs, q_i, q_mi)
-    return worst
+            worst["pde_equality"].add(np.abs(resid), xs, q_i, q_mi)
+            worst["own_derivative_below_trigger"].add(at["qi"] - 1.0, xs, q_i, q_mi)
+            linear.add(np.abs(at["v"]) / (1.0 + q_i + q_mi), xs, q_i, q_mi)
 
+            # Condition 4: pricing equation <= 0 on the strip between them.
+            strip = (t_own < t_opp).ravel()
+            if strip.any():
+                qs_i, qs_mi, lo = q_i[strip], q_mi[strip], t_own[strip]
+                hi = np.minimum(t_opp[strip], lo / spec.x_lo_frac)
+                xs = np.minimum(lo * (hi / lo) ** steps, hi)
+                at = value_fn.evaluate(xs, qs_i, qs_mi, ("v", "x", "xx"))
+                worst["pde_inequality"].add(
+                    _pricing_residual(params, xs, qs_i, qs_mi, at["v"], at["x"], at["xx"]),
+                    xs, qs_i, qs_mi)
 
-def check_pde(value_fn, pair, spec: GridSpec = GridSpec(),
-              mode: str = "equality", grid: dict | None = None) -> ConditionResult:
-    """Residual of the pricing equation -r V + profit + mu x V_x +
-    sigma^2 x^2 V_xx / 2 on its region, normalised by r |V| + 1.
-
-    equality: max |residual| on {x <= min(triggers)}, from the branch (see
-    _below_grid; `grid` passes one already evaluated).
-    inequality: max positive part on the strip {min(triggers) < x <= opp
-    trigger}, where the own firm invests and the value is the continuation;
-    below both triggers the equality check covers it.  Its nx levels per
-    capital pair are log-spaced over the strip, capped at 1/x_lo_frac times
-    the own trigger.  Void when no capital pair has a strip.
-    """
-    tol = _tolerance(value_fn)
-    if mode == "equality":
-        grid = _below_grid(value_fn, pair, spec) if grid is None else grid
-        return grid["pde"].result("pde_equality", tol)
-    params = value_fn.params
-    own, opp = pair
-    steps = np.arange(1, spec.nx + 1) / spec.nx
-    worst = _Worst()
-    for q_i, q_mi in spec.pair_blocks(pair):
-        lo, hi = own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i)
-        strip = (lo < hi).ravel()
-        if not strip.any():
-            continue
-        q_i, q_mi, lo = q_i[strip], q_mi[strip], lo[strip]
-        hi = np.minimum(hi[strip], lo / spec.x_lo_frac)
-        xs = np.minimum(lo * (hi / lo) ** steps, hi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            at = value_fn.evaluate(xs, q_i, q_mi, ("v", "x", "xx"))
-            worst.add(_pricing_residual(params, xs, q_i, q_mi, at["v"], at["x"], at["xx"]),
-                      xs, q_i, q_mi)
-    return worst.result("pde_inequality", tol, void="void: no state between the triggers")
-
-
-def check_smooth_fit(value_fn, pair, spec: GridSpec = GridSpec(),
-                     grid: dict | None = None) -> list:
-    """Conditions 2, 3, 5 and 6 on and around the triggers, one value call
-    per block of capital pairs; condition 5 reads the grid below both
-    triggers (see _below_grid; `grid` passes one already evaluated)."""
-    own, opp = pair
-    tol = _tolerance(value_fn)
-    results = []
-    blocks = list(spec.pair_blocks(pair))
-
-    # Condition 2: V_qi = 1 at and above the own trigger.
-    if own.p == math.inf:
-        results.append(_void("own_derivative_on_trigger", "void: own trigger infinite"))
-    else:
-        worst = _Worst()
-        for q_i, q_mi in blocks:
-            x = np.array([1.0, 1.25, 2.0]) * own.trigger(q_i, q_mi)
+        # Condition 2: V_qi = 1 at and above the own trigger.
+        if not infinite:
+            x = np.array([1.0, 1.25, 2.0]) * t_own
             d = value_fn.evaluate(x, q_i, q_mi, ("qi",))["qi"]
-            worst.add(np.abs(d - 1.0), x, q_i, q_mi)
-        results.append(worst.result("own_derivative_on_trigger", tol))
+            worst["own_derivative_on_trigger"].add(np.abs(d - 1.0), x, q_i, q_mi)
 
-    # Condition 3: V_qmi = 0 where own trigger strictly dominates, between them.
-    worst = _Worst()
-    for q_i, q_mi in blocks:
-        hi, xb = own.trigger(q_i, q_mi), opp.trigger(q_mi, q_i)
-        strict = (hi > xb).ravel()
-        if not strict.any():
-            continue
-        q_i, q_mi, hi, xb = q_i[strict], q_mi[strict], hi[strict], xb[strict]
-        x = np.array([1.0, 1.3, 2.0, 4.0]) * xb
-        x = np.where(np.isfinite(hi), np.minimum(x, hi), x)
-        worst.add(np.abs(value_fn.evaluate(x, q_i, q_mi, ("qmi",))["qmi"]), x, q_i, q_mi)
-    results.append(worst.result("opp_derivative_above_trigger", tol,
-                                void="void: own trigger never exceeds opponent's"))
+        # Condition 3: V_qmi = 0 where own trigger strictly dominates, between them.
+        strict = (t_own > t_opp).ravel()
+        if strict.any():
+            qs_i, qs_mi, hi, xb = q_i[strict], q_mi[strict], t_own[strict], t_opp[strict]
+            x = np.array([1.0, 1.3, 2.0, 4.0]) * xb
+            x = np.where(np.isfinite(hi), np.minimum(x, hi), x)
+            worst["opp_derivative_above_trigger"].add(
+                np.abs(value_fn.evaluate(x, qs_i, qs_mi, ("qmi",))["qmi"]), x, qs_i, qs_mi)
 
-    # Condition 5: V_qi <= 1 below both triggers (boundary included).
-    grid = _below_grid(value_fn, pair, spec) if grid is None else grid
-    results.append(grid["qi"].result("own_derivative_below_trigger", tol))
-
-    # Condition 6: V_qmi <= 0 on {x = own trigger <= opp trigger}.
-    worst = _Worst()
-    for q_i, q_mi in blocks:
-        xb = own.trigger(q_i, q_mi)
-        on = (np.isfinite(xb) & (xb <= opp.trigger(q_mi, q_i) * (1.0 + 1e-12))).ravel()
+        # Condition 6: V_qmi <= 0 on {x = own trigger <= opp trigger}.
+        on = (np.isfinite(t_own) & (t_own <= t_opp * (1.0 + 1e-12))).ravel()
         if on.any():
-            q_i, q_mi, xb = q_i[on], q_mi[on], xb[on]
-            worst.add(value_fn.evaluate(xb, q_i, q_mi, ("qmi",))["qmi"], xb, q_i, q_mi)
-    results.append(worst.result("opp_derivative_on_trigger", tol, void="void: no boundary states"))
-    return results
+            qs_i, qs_mi, xb = q_i[on], q_mi[on], t_own[on]
+            worst["opp_derivative_on_trigger"].add(
+                value_fn.evaluate(xb, qs_i, qs_mi, ("qmi",))["qmi"], xb, qs_i, qs_mi)
 
+        # The propagation identity above the own trigger.
+        if infinite:
+            x = np.array([1.0, 1.5, 3.0]) * t_opp
+            diff = value_fn.evaluate(x, q_i, q_mi, ("qmi",))["qmi"]
+        else:
+            x = np.array([1.05, 1.3, 2.0]) * t_own
+            at = value_fn.evaluate(x, q_i, q_mi, ("qmi", "phi"))
+            phi = at["phi"]
+            # Rounding can put x above the trigger at phi, where evaluate
+            # would paste again and compare the chain rule with itself.
+            diff = at["qmi"] - value_fn.evaluate(np.minimum(x, own.trigger(phi, q_mi)), phi,
+                                                 q_mi, ("qmi",))["qmi"]
+        worst["derivative_propagation"].add(np.abs(diff), x, q_i, q_mi)
 
-def check_derivative_propagation(value_fn, pair, spec: GridSpec = GridSpec()) -> ConditionResult:
-    """Above the own trigger the opponent-derivative must propagate down to
-    the paste point: V_qmi(x, q_i, q_mi) equals the branch's
-    V_qmi(x, phi(x, q_mi), q_mi).  The continuation hands back the paste
-    point it solved, so each point solves phi once.
-
-    With an infinite own trigger the region is empty and the check falls back
-    to condition 3's content (V_qmi = 0 above the opponent trigger).
-    """
-    own, opp = pair
     tol = _tolerance(value_fn)
-    worst = _Worst()
-    if own.p == math.inf:
-        for q_i, q_mi in spec.pair_blocks(pair):
-            x = np.array([1.0, 1.5, 3.0]) * opp.trigger(q_mi, q_i)
-            worst.add(np.abs(value_fn.evaluate(x, q_i, q_mi, ("qmi",))["qmi"]), x, q_i, q_mi)
-        return worst.result("derivative_propagation", tol,
-                            note="own trigger infinite: checked V_qmi = 0 above opponent")
-    for q_i, q_mi in spec.pair_blocks(pair):
-        x = np.array([1.05, 1.3, 2.0]) * own.trigger(q_i, q_mi)
-        at = value_fn.evaluate(x, q_i, q_mi, ("qmi", "phi"))
-        lhs, phi = at["qmi"], at["phi"]
-        # Rounding can put x above the trigger at phi, where evaluate
-        # would paste again and compare the chain rule with itself.
-        rhs = value_fn.evaluate(np.minimum(x, own.trigger(phi, q_mi)), phi, q_mi,
-                                ("qmi",))["qmi"]
-        worst.add(np.abs(lhs - rhs), x, q_i, q_mi)
-    return worst.result("derivative_propagation", tol)
+    voids = {"pde_inequality": "void: no state between the triggers",
+             "opp_derivative_above_trigger": "void: own trigger never exceeds opponent's",
+             "opp_derivative_on_trigger": "void: no boundary states"}
+    results = {name: w.result(name, tol, void=voids.get(name)) for name, w in worst.items()}
+    if infinite:
+        results["own_derivative_on_trigger"] = _void("own_derivative_on_trigger",
+                                                     "void: own trigger infinite")
+        results["derivative_propagation"].note = \
+            "own trigger infinite: checked V_qmi = 0 above opponent"
+    return results, linear.value
+
+
+def check_pde(value_fn, pair, spec: GridSpec = GridSpec()) -> ConditionResult:
+    """Condition 1, the pricing equation -r V + profit + mu x V_x +
+    sigma^2 x^2 V_xx / 2 = 0 below both triggers: the max |residual|,
+    normalised by r |V| + 1, as the report's pde_equality."""
+    return _grid_conditions(value_fn, pair, spec)[0]["pde_equality"]
 
 
 def _norm_cdf(z: float) -> float:
@@ -363,27 +332,26 @@ def _increment_derivative(value_fn, outcomes) -> ConditionResult:
     return worst.result("opponent_increment_derivative", _tolerance(value_fn))
 
 
-def _side_conditions(value_fn, pair, spec: GridSpec, builder, x0: float, horizon: float,
-                     n_paths: int = 20, dt: float = 0.01, seed: int = SEED,
-                     grid: dict | None = None) -> tuple:
+def _side_conditions(value_fn, pair, linear: float, builder, x0: float, horizon: float,
+                     n_paths: int = 20, dt: float = 0.01, seed: int = SEED) -> tuple:
     """Transversality, and the increment check on n_paths outcomes built to T.
 
     Q1 + Q2 <= s0 + (M_t/p_lo)**gamma (M_t: running max of the shock, p_lo:
     the lower price p of the pair's triggers), so where
     |V| <= a (1 + q_i + q_mi), e^{-rt} E|V| is at most the `at` values
     U(t) = e^{-rt} a (1 + s0 + (x0/p_lo)**gamma E[e^{gamma m_t}]) at T, 2T.
-    Passes iff that hypothesis holds on the grid below both triggers (see
-    _below_grid; `grid` passes one already evaluated)."""
+    Passes iff that hypothesis holds on the grid below both triggers:
+    `linear` is the largest |V| / (1 + q_i + q_mi) there (see
+    _grid_conditions)."""
     if n_paths < 1:
         raise UsageError(f"the side conditions need n_paths >= 1, got {n_paths}")
-    params, (own, opp) = value_fn.params, pair
+    params = value_fn.params
     outcomes = (builder(generate_path(params, x0, dt, horizon, seed, j))
                 for j in range(n_paths))
     first = next(outcomes)
     a = value_linear_bound_coeff(params, [b for b in pair if b.p < math.inf][0])
     p_lo = min(b.p for b in pair)
-    grid = _below_grid(value_fn, pair, spec) if grid is None else grid
-    worst = grid["linear"].value / a
+    worst = linear / a
     u = [a * (math.exp(-params.r * t) * (1.0 + first.initial(1) + first.initial(2))
               + (x0 / p_lo) ** params.gamma * _discounted_max_moment(params, t))
          for t in (horizon, 2.0 * horizon)]
@@ -404,17 +372,9 @@ def run_verification(value_fn, pair=None, spec: GridSpec = GridSpec(),
     """
     if pair is None:
         pair = value_fn.strategy_pair()
-    report = VerificationReport(kind=getattr(value_fn, "kind", "?"),
-                                grid={"nx": spec.nx, "nq": spec.nq,
-                                      "x_lo_frac": spec.x_lo_frac,
-                                      "q_span": spec.q_span})
-    grid = _below_grid(value_fn, pair, spec)
-    report.add(check_pde(value_fn, pair, spec, mode="equality", grid=grid))
-    report.add(check_pde(value_fn, pair, spec, mode="inequality"))
-    for res in check_smooth_fit(value_fn, pair, spec, grid=grid):
-        report.add(res)
-    report.add(check_derivative_propagation(value_fn, pair, spec))
+    conditions, linear = _grid_conditions(value_fn, pair, spec)
+    report = VerificationReport(getattr(value_fn, "kind", "?"), conditions, asdict(spec))
     if simulation is not None:
-        for res in _side_conditions(value_fn, pair, spec, grid=grid, **simulation):
+        for res in _side_conditions(value_fn, pair, linear, **simulation):
             report.add(res)
     return report

@@ -24,7 +24,7 @@ from duopoly_invest.outcomes import (
 )
 from duopoly_invest.paths import running_sup
 from duopoly_invest.values import AbstainValue, DynamicValue, PerturbedValue, SoleInvestorValue
-from duopoly_invest.verify import GridSpec, check_pde, check_smooth_fit, run_verification
+from duopoly_invest.verify import GridSpec, check_pde, run_verification
 
 pytestmark = pytest.mark.slow
 
@@ -141,10 +141,8 @@ def test_criterion_04_verification_reports(golden):
                                                 if not v.passed]))
 
     # negative controls must fail their targeted conditions
-    bad5 = check_smooth_fit(AbstainValue(golden, 1.1 * golden.p_star),
-                            AbstainValue(golden, 1.1 * golden.p_star).strategy_pair(),
-                            spec)
-    cond5 = {r.name: r for r in bad5}["own_derivative_below_trigger"]
+    bad5 = run_verification(AbstainValue(golden, 1.1 * golden.p_star), spec=spec)
+    cond5 = bad5.conditions["own_derivative_below_trigger"]
     if cond5.passed:
         failures.append(("negative control p=1.1p*", ["condition 5 not flagged"]))
     perturbed = PerturbedValue(DynamicValue(golden, 0.5), 1.01)

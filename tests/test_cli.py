@@ -16,6 +16,15 @@ from duopoly_invest.boundaries import ConstantPriceBoundary
 GOLDEN_BLOCK = {"r": 1.0, "mu": 0.0, "sigma": math.sqrt(2.0), "gamma": 1.5}
 
 
+def _strict_json(text: str):
+    """json.loads that refuses NaN and Infinity: Python writes them, but they
+    are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.fixture()
 def golden_config(tmp_path):
     cfg = tmp_path / "params.json"
@@ -25,7 +34,7 @@ def golden_config(tmp_path):
 
 def test_derive_golden(golden_config, capsys):
     assert main(["derive", "--config", str(golden_config)]) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _strict_json(capsys.readouterr().out)
     assert out["beta"] == pytest.approx(1.6180340, abs=1e-7)
     assert out["p_star"] == pytest.approx(2.6180340, abs=1e-7)
 
@@ -58,7 +67,7 @@ def test_value_command(tmp_path, capsys):
         "states": [[x, 1.0, 1.0]],
     }))
     assert main(["value", "--config", str(cfg)]) == 0
-    rows = json.loads(capsys.readouterr().out)
+    rows = _strict_json(capsys.readouterr().out)
     assert rows[0]["value"] == pytest.approx(0.7818953180863912, rel=1e-12)
     assert "qi" in rows[0]["partials"]
 
@@ -72,7 +81,7 @@ def test_verify_command_all_pass(tmp_path):
     }))
     out = tmp_path / "report.json"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
+    report = _strict_json(out.read_text())
     assert report["all_pass"] is True
     for entry in report["conditions"].values():
         assert set(entry) >= {"worst", "at", "pass"}
@@ -88,7 +97,7 @@ def test_simulate_command_matches_api(tmp_path, capsys):
     assert main(["simulate", "--params", str(params_file), "--strategy", str(strat),
                  "--state", "2.0,1.0,1.0", "--paths", "200", "--dt", "0.01",
                  "--horizon", "5.0", "--seed", "9"]) == 0
-    got = json.loads(capsys.readouterr().out)
+    got = _strict_json(capsys.readouterr().out)
 
     cp = ConstantPriceBoundary(pp, pp.p_star)
     builder = lambda path: build_abstain_outcome((cp, cp), path, 1.0, 1.0, 1)
@@ -178,13 +187,13 @@ def test_console_entrypoint_subprocess(golden_config):
         [sys.executable, "-m", "duopoly_invest", "derive", "--config", str(golden_config)],
         capture_output=True, text=True)
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["beta"] == pytest.approx(1.6180340, abs=1e-7)
+    assert _strict_json(proc.stdout)["beta"] == pytest.approx(1.6180340, abs=1e-7)
 
 
 def test_npv_command(golden_config, capsys):
     pp = derive_params(**GOLDEN_BLOCK)
     assert main(["npv", "--config", str(golden_config), "--p", str(pp.p_star)]) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _strict_json(capsys.readouterr().out)
     assert out["npv_per_unit"] == 0.0
 
 
@@ -229,7 +238,7 @@ def test_verify_tiny_capitals_report_finite_metrics(tmp_path):
     cfg.write_text(json.dumps({**_ABSTAIN, "grid": {"nx": 1, "nq": 2, "q_span": 1e-311}}))
     out = tmp_path / "report.json"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
+    report = _strict_json(out.read_text())
     assert report["all_pass"] is True
     assert all(math.isfinite(c["worst"]) for c in report["conditions"].values())
 
@@ -265,7 +274,7 @@ def test_verify_huge_capitals_report_finite_metrics(tmp_path, kind, q_span):
                                "grid": {"nx": 3, "nq": 3, "q_span": q_span}}))
     out = tmp_path / "report.json"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
+    report = _strict_json(out.read_text())
     assert report["all_pass"] is True
     assert all(math.isfinite(c["worst"]) for c in report["conditions"].values())
 
@@ -278,8 +287,10 @@ def test_verify_huge_capitals_report_finite_metrics(tmp_path, kind, q_span):
     ("simulate", {"kind": "constant_price", "p": 2.6}, "-2"),
     ("simulate", {"kind": "constant_price", "p": 2.6}, "0"),
     ("deviation", {"kind": "constant_price", "p": 2.6}, "0"),
+    ("simulate", {"kind": "constant_price", "p": 2.6}, "1"),
+    ("deviation", {"kind": "constant_price", "p": 2.6}, "1"),
 ], ids=["weights-text", "weights-one", "simulate-paths-negative", "simulate-paths-zero",
-        "deviation-paths-zero"])
+        "deviation-paths-zero", "simulate-paths-one", "deviation-paths-one"])
 def test_malformed_run_input_exit_64(tmp_path, capsys, command, strategy, paths):
     params_file = tmp_path / "params.json"
     params_file.write_text(json.dumps(GOLDEN_BLOCK))
@@ -320,12 +331,15 @@ def test_non_finite_output_row_exit_3(tmp_path, capsys, command, config):
     ("simulate", ["--dump-count", "-3"], EXIT_USAGE),
     ("npv", ["--p", "nan"], EXIT_USAGE),
     ("npv", ["--p", "-1"], EXIT_USAGE),
+    ("simulate", ["--seed", "-1"], EXIT_USAGE),
+    ("deviation", ["--seed", "-1"], EXIT_USAGE),
 ], ids=["simulate-dt-nan", "simulate-horizon-nan", "deviation-dt-nan",
-        "deviation-horizon-nan", "dump-count-negative", "npv-p-nan", "npv-p-negative"])
+        "deviation-horizon-nan", "dump-count-negative", "npv-p-nan", "npv-p-negative",
+        "simulate-seed-negative", "deviation-seed-negative"])
 def test_numeric_flag_exit_codes(tmp_path, capsys, command, flags, code):
     """Non-finite run lengths are a domain error, like --dt 0; a negative
-    dump count and a price threshold that is not a positive number are
-    usage errors.  Nothing reaches stdout."""
+    dump count or seed and a price threshold that is not a positive number
+    are usage errors.  Nothing reaches stdout."""
     params_file = tmp_path / "params.json"
     params_file.write_text(json.dumps(GOLDEN_BLOCK))
     strat = tmp_path / "strategy.json"
@@ -424,3 +438,5 @@ def test_config_fuzz_exits_with_documented_codes(tmp_path, capsys, data):
     code = main(argv)
     assert code in (0, 2, 3, 64)
     assert "Traceback" not in capsys.readouterr().err
+    if code == 0 and command != "sweep":
+        _strict_json((tmp_path / "out").read_text())

@@ -19,9 +19,7 @@ from duopoly_invest.verify import (
     GridSpec,
     _discounted_max_moment,
     _Worst,
-    check_derivative_propagation,
     check_pde,
-    check_smooth_fit,
     run_verification,
 )
 
@@ -34,7 +32,11 @@ def golden():
 
 
 def _smooth_results(value_fn, spec=SPEC):
-    return {r.name: r for r in check_smooth_fit(value_fn, value_fn.strategy_pair(), spec)}
+    """Conditions 2, 3, 5 and 6 of the report."""
+    names = ("own_derivative_on_trigger", "opp_derivative_above_trigger",
+             "own_derivative_below_trigger", "opp_derivative_on_trigger")
+    conditions = run_verification(value_fn, spec=spec).conditions
+    return {name: conditions[name] for name in names}
 
 
 def test_pde_analytic_zero(golden):
@@ -86,9 +88,9 @@ def test_condition5_edge_margin(golden):
     fn = DynamicValue(golden, 1.0)
     qf = fn.q_floor
     xb = fn.boundary.trigger(qf, qf)
-    d_at = fn.partials(xb, qf, qf, ("qi",))["qi"]
+    d_at = fn.evaluate(xb, qf, qf, ("qi",))["qi"]
     assert d_at == pytest.approx(1.0, abs=1e-14)
-    d_in = fn.partials(0.995 * xb, qf, qf, ("qi",))["qi"]
+    d_in = fn.evaluate(0.995 * xb, qf, qf, ("qi",))["qi"]
     assert d_in <= 1.0 + 1e-9
     assert d_in > 1.0 - 5e-4
 
@@ -97,7 +99,7 @@ def test_propagation_identity(golden):
     for fn in (SoleInvestorValue(golden, 1.2 * golden.p_star),
                DynamicValue(golden, 0.5),
                AbstainValue(golden, golden.p_star)):
-        res = check_derivative_propagation(fn, fn.strategy_pair(), SPEC)
+        res = run_verification(fn, spec=SPEC).conditions["derivative_propagation"]
         assert res.passed, (fn.kind, res.worst)
 
 
@@ -106,13 +108,14 @@ def test_propagation_solves_phi_once_per_point(golden, monkeypatch, c):
     """Each propagation point solves for the paste point once, inside V_qmi
     above the trigger, which hands it back for the branch's side.  The
     branch's side is evaluated at or below its own trigger, so rounding
-    never pastes it again.  A call solves every point of its array of
-    shock levels, so the points are counted, not the calls."""
+    never pastes it again, and no other condition of the report solves phi
+    on a symmetric pair.  A call solves every point of its array of shock
+    levels, so the points are counted, not the calls."""
     fn = DynamicValue(golden, c)
     solve, calls = DynamicBoundary.base_capacity, []
     monkeypatch.setattr(DynamicBoundary, "base_capacity",
                         lambda self, x, q_mi: calls.append(x) or solve(self, x, q_mi))
-    res = check_derivative_propagation(fn, fn.strategy_pair(), SPEC)
+    res = run_verification(fn, spec=SPEC).conditions["derivative_propagation"]
     assert res.passed, res.worst
     assert sum(np.size(x) for x in calls) == 3 * len(SPEC.capital_pairs(fn.strategy_pair()))
 
@@ -347,7 +350,7 @@ def test_pde_inequality_checks_the_strip_between_the_triggers(golden):
     the symmetric pair's, not one for this pair, and the check fails."""
     fn = DynamicValue(golden, 0.5)
     pair = (fn.boundary, ConstantPriceBoundary(golden, 2.0 * golden.p_star))
-    res = check_pde(fn, pair, SPEC, mode="inequality")
+    res = run_verification(fn, pair, SPEC).conditions["pde_inequality"]
     assert res.note == "" and not res.passed
     x, q_i, q_mi = res.at
     assert fn.boundary.trigger(q_i, q_mi) < x <= pair[1].trigger(q_mi, q_i)
@@ -375,7 +378,7 @@ def test_pde_inequality_void_on_the_default_reports(golden):
     """The six default reports have no state between the triggers: their
     pairs are symmetric, or the own trigger is infinite."""
     for fn in _default_kinds(golden):
-        res = check_pde(fn, fn.strategy_pair(), SPEC, mode="inequality")
+        res = run_verification(fn, spec=SPEC).conditions["pde_inequality"]
         assert res.passed and res.note == "void: no state between the triggers", fn.kind
 
 
@@ -400,3 +403,16 @@ def test_report_evaluates_the_below_grid_once(golden, monkeypatch):
         blocks = list(SPEC.pair_blocks(fn.strategy_pair()))
         assert len(calls) == len(blocks) == -(-len(SPEC.capital_pairs(fn.strategy_pair()))
                                                // verify._CHECK_PAIRS)
+
+
+def test_report_walks_the_pair_blocks_once(golden, monkeypatch):
+    """One report walks the capital pair blocks once: every grid condition,
+    the propagation identity and the transversality hypothesis read the
+    same walk."""
+    walks, real = [], GridSpec.pair_blocks
+    monkeypatch.setattr(GridSpec, "pair_blocks",
+                        lambda self, pair: walks.append(pair) or real(self, pair))
+    for fn, sim in (_criterion4_sim(golden, 0.5, n_paths=2), _abstain_sim(golden)):
+        walks.clear()
+        rep = run_verification(fn, spec=SPEC, simulation=sim)
+        assert len(walks) == 1 and "transversality" in rep.conditions, fn.kind
