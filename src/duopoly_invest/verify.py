@@ -25,7 +25,8 @@ in capitals over [q_floor, 10 * q_floor + q_span].  One walk per report
 goes over the blocks of _CHECK_PAIRS capital pairs (GridSpec.pair_blocks)
 and computes the triggers once per block; each grid condition evaluates
 its states in a block with one value call, whose missing B values B's
-quadrature integrates in passes of values._BLOCK_PAIRS.
+quadrature integrates in two 64-pair passes (values._BLOCK_PAIRS), and
+whose paste points above the own trigger take one vectorized root pass.
 """
 
 from __future__ import annotations
@@ -45,12 +46,12 @@ from .values import _BLOCK_PAIRS
 
 TOL_ANALYTIC = 1e-9
 TOL_QUAD = 1e-7
-# Capital pairs per value call of a check: four of B's quadrature passes.
+# Capital pairs per value call of a check: two of B's quadrature passes.
 # Each call pays a fixed cost (triggers, the split at the own trigger, the
-# cache lookup), which larger blocks spread thinner.  Past four passes a
+# cache lookup), which larger blocks spread thinner.  Past 128 pairs a
 # report gains a few percent at most, while the block's temporaries add
 # about 0.5 MiB of peak memory per doubling.
-_CHECK_PAIRS = 4 * _BLOCK_PAIRS
+_CHECK_PAIRS = 2 * _BLOCK_PAIRS
 # Opponent increments checked per simulated path, evenly subsampled.
 _MAX_INCREMENTS = 60
 # Default simulation seed of the opponent-increment check.
@@ -72,7 +73,7 @@ class GridSpec:
     def pair_blocks(self, pair):
         """The capital pairs in blocks of at most _CHECK_PAIRS, as (q_i, q_mi)
         column arrays: one value call per condition and block, whose missing
-        B values take four passes of B's quadrature.  The blocks keep the
+        B values take two passes of B's quadrature.  The blocks keep the
         pairs' order, so a check's first worst state is the one a
         pair-by-pair loop would find."""
         q_i, q_mi = np.array(self.capital_pairs(pair)).reshape(-1, 2).T.copy()
@@ -305,24 +306,36 @@ def _discounted_max_moment(params: ModelParams, t: float) -> float:
 def _increment_derivative(value_fn, outcomes) -> ConditionResult:
     """The opponent-increment verdict: |V_qmi| at the opponent's increments
     along the outcomes, where they lie on firm 1's trigger, gathered over
-    every outcome and evaluated in one call.  Capitals change only at an
-    outcome's knots, so the increments are read there."""
+    every outcome in one pass and evaluated in one call.  Capitals change
+    only at an outcome's knots, so the increments are read there: at a
+    path's first knot against the opponent's initial stock, at every other
+    against the knot before."""
     own = value_fn.strategy_pair()[0]
     if own.p == math.inf:
         return _void("opponent_increment_derivative",
                      "void: own trigger infinite, opponent increments unrestricted")
-    xs, q1s, q2s = [], [], []
-    for out in outcomes:
-        k2 = out.K2
-        idx = np.nonzero(np.diff(k2) > 1e-12 * (1.0 + k2[1:]))[0] + 1
-        if k2[0] > out.initial(2) + 1e-12:
-            idx = np.concatenate(([0], idx))
-        if len(idx) > _MAX_INCREMENTS:
-            idx = idx[np.linspace(0, len(idx) - 1, _MAX_INCREMENTS).astype(int)]
-        xs.append(out.path.values[out.knots[idx]])
-        q1s.append(out.K1[idx])
-        q2s.append(out.K2[idx])
-    x, q1, q2 = (np.concatenate(v) for v in (xs, q1s, q2s))
+    # Each outcome is dropped once read: only its knots' states are kept.
+    xs, q1s, q2s, q2_0 = zip(*((out.path.values[out.knots], out.K1, out.K2, out.initial(2))
+                               for out in outcomes))
+    x, q1, q2 = (np.concatenate(parts) for parts in (xs, q1s, q2s))
+    sizes = np.array([len(k) for k in q2s])
+    starts = np.cumsum(sizes) - sizes
+    jump = np.empty(len(q2), dtype=bool)
+    jump[1:] = np.diff(q2) > 1e-12 * (1.0 + q2[1:])
+    jump[starts] = q2[starts] > np.array(q2_0) + 1e-12
+    idx = np.flatnonzero(jump)
+    # Paths with more than _MAX_INCREMENTS increments keep that many, evenly
+    # spaced over the path's own list.
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    counts = np.bincount(owner[idx], minlength=len(sizes))
+    long = np.flatnonzero(counts > _MAX_INCREMENTS)
+    if long.size:
+        first = np.cumsum(counts) - counts
+        keep = np.repeat(counts <= _MAX_INCREMENTS, counts)
+        picks = np.linspace(0, counts[long] - 1, _MAX_INCREMENTS).astype(int)
+        keep[(first[long] + picks).ravel()] = True
+        idx = idx[keep]
+    x, q1, q2 = x[idx], q1[idx], q2[idx]
     # An opponent increment strictly inside firm 1's region is unrestricted.
     on = ~(x < own.trigger(q1, q2) * (1.0 - 1e-9))
     worst = _Worst(0.0)

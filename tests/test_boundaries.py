@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duopoly_invest import boundaries
 from duopoly_invest.boundaries import (
+    _ARRAY_ROOTS,
     Boundary,
     ConstantPriceBoundary,
     DynamicBoundary,
@@ -108,6 +110,97 @@ def test_newton_base_capacity_matches_bisection(golden):
             assert got[4] < q_mi < got[8]
 
 
+def _loop(b, xs, q_mi, k):
+    """The scalar solver at each point, the reference for the vectorized pass."""
+    q_mis = np.broadcast_to(q_mi, np.shape(xs))
+    return np.array([b._inverse(x, w, k) for x, w in zip(xs.tolist(), q_mis.tolist())])
+
+
+def test_vectorized_roots_match_scalar_loop_and_bisection(golden):
+    """An array of at least _ARRAY_ROOTS levels goes through the vectorized
+    Newton pass, which agrees with the scalar solver within 2e-15 relative
+    and with the reference bisection within 1e-12 * max(1, q): at the floor,
+    just above the floor trigger, on both sides of the kink q = q_mi, far
+    above the trigger, and for psi (k = 2).  At q_mi = q_floor the root is
+    ill-conditioned (see test_newton_base_capacity_matches_bisection), so
+    there it must reproduce x instead."""
+    for c in (0.5, 1.0, 2.0):
+        b = DynamicBoundary(golden, c)
+        qf = b.q_floor
+        for q_mi in (qf, qf + 0.3, qf + 1.0, 3.0):
+            t_floor = b.trigger(qf, q_mi)
+            xs = np.concatenate((_levels(b, q_mi),
+                                 t_floor * np.exp(np.linspace(0.02, 6.0, _ARRAY_ROOTS))))
+            got = b.base_capacity(xs, q_mi)
+            assert got[0] == got[1] == qf
+            if q_mi == qf:
+                up = xs > t_floor
+                assert np.all(np.abs(b.trigger(got[up], q_mi) / xs[up] - 1.0) <= 1e-15)
+                continue
+            one, ref = _loop(b, xs, q_mi, 1), _reference_base_capacity(b, xs, q_mi)
+            assert np.all(np.abs(got - one) <= 2e-15 * one), (c, q_mi)
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, ref)), (c, q_mi)
+            assert got[4] < q_mi < got[8]
+        t_floor = b.trigger(qf, qf)
+        xs = t_floor * np.concatenate((
+            [0.5, 1.0, 1.0 + 1e-15, 1.0 + 1e-9, 1e3],
+            np.exp(np.linspace(0.01, 5.0, _ARRAY_ROOTS))))
+        got = b.symmetric_base_capacity(xs)
+        one, ref = _loop(b, xs, 0.0, 2), _reference_base_capacity(b, xs)
+        assert got[0] == got[1] == qf
+        assert np.all(np.abs(got - one) <= 2e-15 * one), c
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, ref)), c
+
+
+def test_small_arrays_loop_the_scalar_solver(golden, monkeypatch):
+    """Below _ARRAY_ROOTS points an array is a loop of the scalar solver,
+    bit for bit, and never reaches the vectorized pass."""
+    def refused(*args):
+        raise AssertionError("the vectorized pass ran below _ARRAY_ROOTS points")
+
+    monkeypatch.setattr(Boundary, "_inverse_array", refused)
+    b = DynamicBoundary(golden, 1.0)
+    q_mi = b.q_floor + 0.7
+    xs = b.trigger(b.q_floor, q_mi) * np.exp(np.linspace(0.0, 4.0, _ARRAY_ROOTS - 1))
+    for n in (1, 7, _ARRAY_ROOTS - 1):
+        assert np.array_equal(b.base_capacity(xs[:n], q_mi), _loop(b, xs[:n], q_mi, 1))
+        assert np.array_equal(b.symmetric_base_capacity(xs[:n]), _loop(b, xs[:n], 0.0, 2))
+
+
+def test_vectorized_roots_raise_past_the_iteration_cap(golden, monkeypatch):
+    """Like the scalar solver, the vectorized pass refuses a root that is
+    not converged within _NEWTON_MAX_ITER sweeps."""
+    from duopoly_invest.errors import RootBracketError
+
+    monkeypatch.setattr(boundaries, "_NEWTON_MAX_ITER", 1)
+    b = DynamicBoundary(golden, 1.0)
+    xs = b.trigger(b.q_floor, b.q_floor) * np.exp(np.linspace(0.5, 4.0, _ARRAY_ROOTS))
+    with pytest.raises(RootBracketError):
+        b.symmetric_base_capacity(xs)
+    with pytest.raises(RootBracketError):
+        b._inverse(float(xs[-1]), 0.0, 2)
+
+
+def test_evaluate_solves_many_paste_points_in_one_pass(golden, monkeypatch):
+    """One evaluate of at least _ARRAY_ROOTS states above the own trigger
+    solves every paste point in one base_capacity call, with no scalar
+    solve."""
+    from duopoly_invest.values import DynamicValue
+
+    fn = DynamicValue(golden, 0.5)
+    rng = np.random.default_rng(67)
+    q_i, q_mi = fn.q_floor + rng.uniform(0.05, 4.0, (2, _ARRAY_ROOTS))
+    xs = fn.boundary.trigger(q_i, q_mi) * rng.uniform(1.05, 3.0, _ARRAY_ROOTS)
+    calls = {"base_capacity": 0, "_inverse": 0}
+    for name in calls:
+        real = getattr(Boundary, name)
+        monkeypatch.setattr(Boundary, name, lambda self, *a, real=real, name=name: (
+            calls.__setitem__(name, calls[name] + 1) or real(self, *a)))
+    phi = fn.evaluate(xs, q_i, q_mi, ("qmi", "phi"))["phi"]
+    assert calls == {"base_capacity": 1, "_inverse": 0}
+    assert np.all(np.abs(fn.boundary.trigger(phi, q_mi) / xs - 1.0) <= 1e-15)
+
+
 _KINDS = {
     "constant_price": lambda pr: ConstantPriceBoundary(pr, pr.p_star),
     "infinite": InfiniteBoundary,
@@ -161,12 +254,14 @@ def test_base_capacity_at_tiny_premium(golden):
     for frac in (1.05, 1.3, 2.0):
         for q_mi in (qf, 2.0 * qf, 1.0):
             x = frac * b.trigger(qf, q_mi)
-            for q in (b.base_capacity(x, q_mi), b.base_capacity(np.array([x]), q_mi)[0]):
+            for q in (b.base_capacity(x, q_mi), b.base_capacity(np.array([x]), q_mi)[0],
+                      *b.base_capacity(np.full(_ARRAY_ROOTS, x), q_mi)):
                 assert qf <= q
                 assert abs(b._raw_trigger(q, q_mi) / x - 1.0) <= 1e-11, (frac, q_mi)
         x = frac * b.trigger(qf, qf)
-        q = b.symmetric_base_capacity(x)
-        assert abs(b._raw_trigger(q, q) / x - 1.0) <= 1e-11, frac
+        for q in (b.symmetric_base_capacity(x),
+                  *b.symmetric_base_capacity(np.full(_ARRAY_ROOTS, x))):
+            assert abs(b._raw_trigger(q, q) / x - 1.0) <= 1e-11, frac
 
 
 def test_trigger_grad_matches_central_difference(golden):

@@ -586,20 +586,49 @@ def _b_pairs(fn, rng, n):
 @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
 def test_b_block_bits_do_not_depend_on_the_block(golden, c):
     """A pair's B and B_qmi are bit-identical integrated alone and at any
-    position of random blocks, of one quadrature pass or several."""
+    position of random blocks, of one quadrature pass or several, at and
+    around the pass size."""
+    import duopoly_invest.values as values
+
     rng = np.random.default_rng(43)
-    pairs = _b_pairs(DynamicValue(golden, c), rng, 75)
+    n = values._BLOCK_PAIRS
+    pairs = _b_pairs(DynamicValue(golden, c), rng, 2 * n + 2)
     alone = []
     for q in pairs:
         fn = DynamicValue(golden, c)
         alone.append((fn.B(*q), fn._b_cache[q][1]))
-    for size in (2, 7, 33, 75):
+    for size in (1, 2, 7, 33, 75, n - 1, n, n + 1, 2 * n + 1):
         for _ in range(3):
             pick = rng.choice(len(pairs), size=size, replace=False)
             q_i, q_mi = np.array([pairs[k] for k in pick]).T
             b, b_qmi = DynamicValue(golden, c).B_block(q_i, q_mi)
             for j, k in enumerate(pick):
                 assert (b[j], b_qmi[j]) == alone[k], (c, size, pairs[k])
+
+
+def test_gk15_fused_sums_match_separate_sums(golden):
+    """_gk15_panels forms the Kronrod integrals and error gauges from one
+    matrix product; they match the node sets weighted and summed on their
+    own, (vals * w).sum(-1), within 4 ulps of the sums of the absolute
+    terms (the integrands change sign inside node sets, so the sums
+    themselves can cancel)."""
+    import duopoly_invest.values as values
+
+    rng = np.random.default_rng(71)
+    for c in (0.0, 0.5, 1.0, 2.0):
+        fn = DynamicValue(golden, c)
+        q_i, q_mi = fn.q_floor + rng.uniform(0.05, 6.0, (2, 64))
+        q_i[::3] = q_mi[::3] * rng.uniform(1.0, 1e4, len(q_i[::3]))
+        f = fn._integrand(q_i, q_mi)
+        edges = np.broadcast_to(values._B_LAYOUT, (64, 7)).copy()
+        k15, gauge = values._gk15_panels(f, edges)
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+        vals = f((edges[:, :-1] + half)[..., None] + half[..., None] * values._GK_NODES)
+        k_sep, g_sep, k_abs, g_abs = ((v * w).sum(axis=-1) * half for v, w in (
+            (vals, values._GK_WEIGHTS), (vals, values._G7_WEIGHTS),
+            (np.abs(vals), values._GK_WEIGHTS), (np.abs(vals), values._G7_WEIGHTS)))
+        assert np.all(np.abs(k15 - k_sep) <= 4 * np.spacing(k_abs)), c
+        assert np.all(np.abs(gauge - np.abs(k_sep - g_sep)) <= 4 * np.spacing(k_abs + g_abs)), c
 
 
 def test_b_block_integrates_each_distinct_pair_once(golden, monkeypatch):
@@ -693,8 +722,9 @@ def test_b_block_through_a_small_cache(golden, monkeypatch):
 
 def test_b_block_memory_is_bounded(golden, monkeypatch):
     """10,000 distinct pairs go through B_block in bounded memory: cache
-    lookups a chunk at a time and quadrature a block at a time.  The cache
-    is capped at one block, so that its entries do not count."""
+    lookups a chunk at a time and quadrature a block of _BLOCK_PAIRS at a
+    time.  The cache is capped at one block, so that its entries do not
+    count."""
     import tracemalloc
 
     import duopoly_invest.values as values
