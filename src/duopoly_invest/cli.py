@@ -51,6 +51,12 @@ EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
 EXIT_USAGE = 64
 
+# Value kinds by config name: the class and the field of its level.
+_VALUE_KINDS = {"abstain": (AbstainValue, "p"), "sole_investor": (SoleInvestorValue, "p"),
+                "dynamic_c": (DynamicValue, "c")}
+# A sweep also takes constant_price, the abstainer against a constant price.
+_SWEEP_KINDS = {**_VALUE_KINDS, "constant_price": _VALUE_KINDS["abstain"]}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -121,20 +127,23 @@ def _boundary(block, params: ModelParams):
                                for k, v in block.items()}, params)
 
 
+def _kind(table: dict, kind, what: str) -> tuple:
+    """The (class, level field) of a value kind, or UsageError."""
+    if isinstance(kind, str) and kind in table:
+        return table[kind]
+    raise UsageError(f"unknown {what} kind: {kind!r}")
+
+
 def _value_fn(config: dict, params: ModelParams):
+    """The value function of the config's "value" block; a price level p
+    defaults to p_star, a premium c has no default."""
     block = config.get("value")
     if not isinstance(block, dict) or "kind" not in block:
         raise UsageError('config needs a "value" block with a "kind"')
-    kind = block["kind"]
-    if kind == "abstain":
-        return AbstainValue(params, _number(block.get("p", params.p_star), "value.p"))
-    if kind == "sole_investor":
-        return SoleInvestorValue(params, _number(block.get("p", params.p_star), "value.p"))
-    if kind == "dynamic_c":
-        if "c" not in block:
-            raise UsageError('value kind dynamic_c needs field "c"')
-        return DynamicValue(params, _number(block["c"], "value.c"))
-    raise UsageError(f"unknown value kind: {kind!r}")
+    make, level = _kind(_VALUE_KINDS, block["kind"], "value")
+    if level == "c" and "c" not in block:
+        raise UsageError(f'value kind {block["kind"]} needs field "c"')
+    return make(params, _number(block.get(level, params.p_star), f"value.{level}"))
 
 
 def _state(row) -> tuple:
@@ -198,7 +207,7 @@ def cmd_value(args) -> int:
     fn = _value_fn(config, params)
     rows = []
     for x, q1, q2 in _states(config):
-        at = fn.evaluate(x, q1, q2, ("v", "x", "qi", "qmi"))
+        at = fn.evaluate(x, q1, q2)
         partials = {"x": at["x"] / x, "qi": at["qi"], "qmi": at["qmi"]}
         _finite_row([at["v"], *partials.values()], (x, q1, q2))
         rows.append({"x": x, "q_i": q1, "q_mi": q2, "value": at["v"], "partials": partials})
@@ -243,8 +252,8 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _builder_for(strategy: dict, params: ModelParams, q1: float, q2: float):
-    """Outcome builder from a strategy block.
+def _builder_for(strategy: dict, boundary, params: ModelParams, q1: float, q2: float):
+    """Outcome builder from a strategy block and its parsed boundary.
 
     The block is a boundary JSON plus optional fields:
       construction: abstain | symmetric | split | joint   (default inferred)
@@ -252,7 +261,6 @@ def _builder_for(strategy: dict, params: ModelParams, q1: float, q2: float):
       weights: [w1, w2]             (split)
       opponent: boundary block      (joint; defaults to the own block)
     """
-    boundary = _boundary(strategy, params)
     construction = strategy.get("construction")
     if construction is None:
         construction = "symmetric" if strategy.get("kind") == "dynamic_c" else "abstain"
@@ -279,8 +287,8 @@ def cmd_simulate(args) -> int:
     params = _params_block(_load_json(args.params))
     strategy = _load_json(args.strategy)
     x0, q1, q2 = _state(args.state.split(","))
-    builder = _builder_for(strategy, params, q1, q2)
     boundary = _boundary(strategy, params)
+    builder = _builder_for(strategy, boundary, params, q1, q2)
     firm = _number(strategy.get("firm", 1), "firm", " (1 or 2)", lambda v: v in (1, 2),
                    integer=True)
     if args.dump_outcomes:
@@ -306,6 +314,7 @@ def cmd_sweep(args) -> int:
         raise UsageError('config needs a "sweep" block with a "kind"')
     states = _states(config)
     kind = sweep["kind"]
+    make, level_col = _kind(_SWEEP_KINDS, kind, "sweep")
 
     def levels(key: str) -> list:
         raw = sweep.get(key, [])
@@ -313,15 +322,7 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"sweep.{key} must be a JSON list of numbers, got {raw!r}")
         return [_number(v, f"sweep.{key} entry") for v in raw]
 
-    if kind == "dynamic_c":
-        fns = [(lvl, DynamicValue(params, lvl)) for lvl in levels("c_values")]
-        level_col = "c"
-    elif kind in ("abstain", "sole_investor", "constant_price"):
-        make = SoleInvestorValue if kind == "sole_investor" else AbstainValue
-        fns = [(lvl, make(params, lvl)) for lvl in levels("p_values")]
-        level_col = "p"
-    else:
-        raise UsageError(f"unknown sweep kind: {kind!r}")
+    fns = [(lvl, make(params, lvl)) for lvl in levels(f"{level_col}_values")]
     if not fns:
         raise UsageError("sweep needs a nonempty list of levels")
 
@@ -369,61 +370,39 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="duopoly-invest",
                      description="Closed-loop capacity-investment duopoly laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
+    for name, fn, text in (
+            ("derive", cmd_derive, "derive beta, p_star, mu_gamma from primitives"),
+            ("value", cmd_value, "evaluate a value function at states"),
+            ("verify", cmd_verify, "run the verification-condition report"),
+            ("simulate", cmd_simulate, "Monte Carlo payoff of an outcome construction"),
+            ("sweep", cmd_sweep, "value sweep over thresholds; CSV output"),
+            ("npv", cmd_npv, "marginal NPV of investing at threshold p"),
+            ("deviation", cmd_deviation, "payoff gap of a deviant strategy")):
+        parsers[name] = sub.add_parser(name, help=text)
+        parsers[name].set_defaults(fn=fn)
+    for name in ("derive", "value", "verify", "sweep", "npv"):
+        parsers[name].add_argument("--config", required=True)
+    parsers["npv"].add_argument("--p", type=float, required=True)
 
-    def common(p):
+    sim, dev = parsers["simulate"], parsers["deviation"]
+    sim.add_argument("--params", required=True, help="params JSON file")
+    sim.add_argument("--strategy", required=True, help="strategy JSON file")
+    for flag in ("--params", "--equilibrium", "--deviant"):
+        dev.add_argument(flag, required=True)
+    # The state and path flags that both Monte Carlo commands take.
+    for p, state_help in ((sim, "x,q1,q2"), (dev, None)):
+        p.add_argument("--state", required=True, help=state_help)
+        p.add_argument("--paths", type=_whole(2), default=10000)
+        p.add_argument("--dt", type=float, default=1e-3)
+        p.add_argument("--horizon", type=float, default=20.0)
+        p.add_argument("--seed", type=_whole(0), default=0)
+    sim.add_argument("--dump-outcomes", default=None, metavar="PREFIX",
+                     help="write t,x,q1,q2 CSVs for the first --dump-count paths")
+    sim.add_argument("--dump-count", type=_whole(1), default=1)
+
+    for p in parsers.values():
         p.add_argument("--out", default=None, help="output file (default stdout)")
-
-    p = sub.add_parser("derive", help="derive beta, p_star, mu_gamma from primitives")
-    p.add_argument("--config", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_derive)
-
-    p = sub.add_parser("value", help="evaluate a value function at states")
-    p.add_argument("--config", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_value)
-
-    p = sub.add_parser("verify", help="run the verification-condition report")
-    p.add_argument("--config", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("simulate", help="Monte Carlo payoff of an outcome construction")
-    p.add_argument("--params", required=True, help="params JSON file")
-    p.add_argument("--strategy", required=True, help="strategy JSON file")
-    p.add_argument("--state", required=True, help="x,q1,q2")
-    p.add_argument("--paths", type=_whole(2), default=10000)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--horizon", type=float, default=20.0)
-    p.add_argument("--seed", type=_whole(0), default=0)
-    p.add_argument("--dump-outcomes", default=None, metavar="PREFIX",
-                   help="write t,x,q1,q2 CSVs for the first --dump-count paths")
-    p.add_argument("--dump-count", type=_whole(1), default=1)
-    common(p)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("sweep", help="value sweep over thresholds; CSV output")
-    p.add_argument("--config", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("npv", help="marginal NPV of investing at threshold p")
-    p.add_argument("--config", required=True)
-    p.add_argument("--p", type=float, required=True)
-    common(p)
-    p.set_defaults(fn=cmd_npv)
-
-    p = sub.add_parser("deviation", help="payoff gap of a deviant strategy")
-    p.add_argument("--params", required=True)
-    p.add_argument("--equilibrium", required=True)
-    p.add_argument("--deviant", required=True)
-    p.add_argument("--state", required=True)
-    p.add_argument("--paths", type=_whole(2), default=10000)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--horizon", type=float, default=20.0)
-    p.add_argument("--seed", type=_whole(0), default=0)
-    common(p)
-    p.set_defaults(fn=cmd_deviation)
     return parser
 
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from .boundaries import (
     Boundary,
-    DynamicBoundary,
     _reference_base_capacity,
     require_same_constant_price,
 )
@@ -165,11 +164,15 @@ def build_symmetric_outcome(boundary_pair, path: ShockPath, q1_0: float,
     psi <= q_mi and psi elsewhere, and it is at most psi.  psi is solved at
     every record; phi_i only at the records where q_i < psi < q_mi, the
     only ones at which the minimum can move firm i's capital.
+
+    The pair must be one trigger (p_star, c) for both firms, read from its
+    parameters: a constant price p_star is (p_star, 0) and builds as
+    DynamicBoundary(0) does.  Any other pair is a KindMismatchError.
     """
     b1, b2 = boundary_pair
-    if not (isinstance(b1, DynamicBoundary) and isinstance(b2, DynamicBoundary)
-            and b1.c == b2.c):
-        raise KindMismatchError("symmetric outcome needs a matched dynamic_c pair")
+    if not (b1.p == b2.p == b1.params.p_star and b1.c == b2.c):
+        raise KindMismatchError("symmetric outcome needs a matched pair (p_star, c), "
+                                f"got ({b1.p}, {b1.c}) and ({b2.p}, {b2.c})")
     floor = b1.q_floor
     if min(q1_0, q2_0) < floor - 1e-12 * max(1.0, floor):
         raise BelowFloorError(f"initial capitals must be at least {floor}")
@@ -309,7 +312,7 @@ def check_consistency(outcome: Outcome, boundary: Boundary, firm: int) -> Consis
                              support_violations=violations, band=band)
 
 
-def catch_up_report(boundary: DynamicBoundary, outcome: Outcome) -> dict:
+def catch_up_report(boundary: Boundary, outcome: Outcome) -> dict:
     """Structural diagnostics of the symmetric outcome on one path.
 
     tau is the first grid index at which the symmetric base capacity reaches

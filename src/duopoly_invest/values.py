@@ -35,7 +35,7 @@ continue by the smooth-pasting recursion
 
 which is evaluated directly against the below-trigger branch (never by
 re-dispatching, so floating-point ties at the trigger cannot recurse), with
-one root solve for phi per state however many entries are asked for.
+one root solve for phi per state.
 
 DynamicValue's B is an improper integral over [q_i, inf).  It is evaluated as
 one integral over t in (0, 1], where s = q + q_mi = (q_i + q_mi) * t**(-1/d),
@@ -117,6 +117,8 @@ _LOOKUP_CHUNK = 2048
 # rounds.
 _REL_TOL = 1e-10
 _MAX_SPLITS = 8
+# The entries evaluate returns (see ValueFunction).
+_ENTRIES = ("v", "x", "xx", "qi", "qmi", "phi")
 
 
 def _gk15_panels(f, edges):
@@ -147,15 +149,16 @@ class ValueFunction:
     quadrature-backed C is looked up once per branch pass.
 
     evaluate is the one way into a value: it takes states (x, q_i, q_mi) as
-    floats or broadcastable numpy arrays and returns the entries asked for,
-    keyed "v" (V), "x" (x V_x), "xx" (x**2 V_xx), "qi", "qmi" and "phi"
-    (the paste point).  It splits the states once at the own trigger: the
-    branch (_below) takes every state up to it in one call, and the
-    continuation (_above) every state over it in another.  value reads its
-    "v".  Each entry has the broadcast shape of the states, and is a float
-    when every argument is one.  An intermediate out of the floating-point
-    range gives inf or NaN, as float arithmetic does, without a numpy
-    warning; the callers refuse non-finite results.
+    floats or broadcastable numpy arrays and returns every entry, keyed "v"
+    (V), "x" (x V_x), "xx" (x**2 V_xx), "qi", "qmi" and "phi" (the paste
+    point).  It splits the states once at the own trigger: the branch
+    (_below) forms every entry of the states up to it in one pass, and the
+    continuation (_above) those of the states over it from one root solve
+    per state.  value reads its "v".  Each entry has the broadcast shape of
+    the states, and is a float when every argument is one.  An
+    intermediate out of the floating-point range gives inf or NaN, as
+    float arithmetic does, without a numpy warning; the callers refuse
+    non-finite results.
     """
 
     params: ModelParams
@@ -208,40 +211,33 @@ class ValueFunction:
                 + pr.beta * (c_qi * y_beta - pr.beta * option * m / g_q),
                 "phi": q_i}
 
-    def _above(self, x, q_i, q_mi, which):
+    def _above(self, x, q_i, q_mi):
         """The continuation at states above the own trigger: the branch at
         the paste point phi = phi(x, q_mi), solved for every state in one
         call.  V = V(x, phi, q_mi) - phi + q_i, x V_x is the branch's and
-        V_qi = 1, so `which` asking for V_qi alone needs no root solve.
-        phi_x = 1/T_qi(phi, q_mi) from the own trigger's gradient gives
-        x**2 V_xx = x**2 V_xx(x, phi, q_mi) + x/T_qi * d(x V_x)/dq_i.  V_qmi
-        is the chain rule of the pasting identity, V_qmi + (V_qi - 1) *
-        phi_qmi of the branch at phi, with phi_qmi = -T_qmi / T_qi.  Smooth
+        V_qi = 1.  phi_x = 1/T_qi(phi, q_mi) from the own trigger's gradient
+        gives x**2 V_xx = x**2 V_xx(x, phi, q_mi) + x/T_qi * d(x V_x)/dq_i.
+        V_qmi is the chain rule of the pasting identity, V_qmi + (V_qi - 1)
+        * phi_qmi of the branch at phi, with phi_qmi = -T_qmi / T_qi.  Smooth
         fit (V_qi = 1 on the trigger) drops the second term; it is kept, so
         that the propagation check tests smooth fit instead of assuming it.
         "phi" hands back the paste point.  Kinds with an explicit
         continuation override this."""
-        ones = np.ones(np.shape(x))
-        if set(which) <= {"qi"}:
-            return {"qi": ones}
         phi = self._phi(x, q_mi)
         at = self._below(x, phi, q_mi)
         t_qi, t_qmi = self.strategy_pair()[0].trigger_grad(phi, q_mi)
         return {"v": at["v"] - phi + q_i, "x": at["x"],
-                "xx": at["xx"] + x / t_qi * at["xqi"], "qi": ones,
+                "xx": at["xx"] + x / t_qi * at["xqi"], "qi": np.ones(np.shape(x)),
                 "qmi": at["qmi"] - (at["qi"] - 1.0) * t_qmi / t_qi, "phi": phi}
 
     # -- generic surface ------------------------------------------------------
 
-    def evaluate(self, x, q_i, q_mi, which) -> dict:
-        """The entries `which` (see the class docstring) at every state: one
-        split at the own trigger, one branch call for the states up to it
-        and one continuation call for the states over it.  When every state
-        is below, the branch broadcasts the capitals as given, so an array
-        of shock levels per capital pair costs one coefficient per pair."""
-        for key in which:
-            if key not in ("v", "x", "xx", "qi", "qmi", "phi"):
-                raise ValueError(f"unknown entry {key!r}")
+    def evaluate(self, x, q_i, q_mi) -> dict:
+        """Every entry (see the class docstring) at every state: one split
+        at the own trigger, one branch call for the states up to it and one
+        continuation call for the states over it.  When every state is
+        below, the branch broadcasts the capitals as given, so an array of
+        shock levels per capital pair costs one coefficient per pair."""
         x, q_i, q_mi = (np.asarray(v, dtype=float) for v in (x, q_i, q_mi))
         shape = np.broadcast_shapes(x.shape, q_i.shape, q_mi.shape)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -253,21 +249,20 @@ class ValueFunction:
             else:
                 x, q_i, q_mi, under = (np.broadcast_to(v, shape).ravel()
                                        for v in (x, q_i, q_mi, under))
-                out = {key: np.empty(x.size) for key in which}
-                for mask, part in ((under, self._below),
-                                   (~under, lambda *s: self._above(*s, which))):
+                out = {key: np.empty(x.size) for key in _ENTRIES}
+                for mask, part in ((under, self._below), (~under, self._above)):
                     if mask.any():
                         got = part(x[mask], q_i[mask], q_mi[mask])
-                        for key in which:
+                        for key in _ENTRIES:
                             out[key][mask] = got[key]
                 out = {key: v.reshape(shape) for key, v in out.items()}
         if not shape:
-            return {key: float(np.reshape(out[key], ())) for key in which}
+            return {key: float(np.reshape(out[key], ())) for key in _ENTRIES}
         return {key: out[key] if np.shape(out[key]) == shape
-                else np.broadcast_to(out[key], shape).copy() for key in which}
+                else np.broadcast_to(out[key], shape).copy() for key in _ENTRIES}
 
     def value(self, x, q_i, q_mi):
-        return self.evaluate(x, q_i, q_mi, ("v",))["v"]
+        return self.evaluate(x, q_i, q_mi)["v"]
 
     def option_term(self, x, q_i, q_mi):
         """C * y**beta of the below-trigger branch; above the own trigger it
@@ -314,7 +309,7 @@ class AbstainValue(ValueFunction):
         slope = -self.p / ((pr.r - pr.mu) * pr.beta)
         return slope * q_i, slope, 0.0
 
-    def _above(self, x, q_i, q_mi, which):
+    def _above(self, x, q_i, q_mi):
         """The annuity: flat in x and in the opponent's capital."""
         pr = self.params
         zero = np.zeros(np.shape(x))
@@ -623,8 +618,7 @@ class PerturbedValue(ValueFunction):
     def strategy_pair(self):
         return self.base.strategy_pair()
 
-    def evaluate(self, x, q_i, q_mi, which) -> dict:
-        out = self.base.evaluate(x, q_i, q_mi, which)
-        if "v" in which:
-            out["v"] = out["v"] + (self.option_scale - 1.0) * self.base.option_term(x, q_i, q_mi)
+    def evaluate(self, x, q_i, q_mi) -> dict:
+        out = self.base.evaluate(x, q_i, q_mi)
+        out["v"] = out["v"] + (self.option_scale - 1.0) * self.base.option_term(x, q_i, q_mi)
         return out

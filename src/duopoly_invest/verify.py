@@ -23,10 +23,11 @@ verdict.
 Grids are log-spaced in the shock over [x_lo_frac, 1] * trigger and linear
 in capitals over [q_floor, 10 * q_floor + q_span].  One walk per report
 goes over the blocks of _CHECK_PAIRS capital pairs (GridSpec.pair_blocks)
-and computes the triggers once per block; each grid condition evaluates
-its states in a block with one value call, whose missing B values B's
-quadrature integrates in two 64-pair passes (values._BLOCK_PAIRS), and
-whose paste points above the own trigger take one vectorized root pass.
+and computes the triggers once per block; each set of states in a block
+takes one value call, which returns every entry, so conditions that share
+states share the call (see _grid_conditions).  A call's missing B values
+take two 64-pair passes of B's quadrature (values._BLOCK_PAIRS), and its
+paste points above the own trigger one vectorized root pass.
 """
 
 from __future__ import annotations
@@ -147,13 +148,12 @@ class _Worst:
         if metric > self.value:
             self.value, self.at = metric, (float(x), float(q_i), float(q_mi))
 
-    def result(self, name: str, tol: float, note: str = "",
-               void: str | None = None) -> ConditionResult:
+    def result(self, name: str, tol: float, void: str | None = None) -> ConditionResult:
         """The verdict; with `void`, a void one of that note when no state
         was folded in."""
         if void is not None and not self.at:
             return _void(name, void)
-        return ConditionResult(name, self.value, self.at, tol, self.value <= tol, note)
+        return ConditionResult(name, self.value, self.at, tol, self.value <= tol)
 
 
 def _tolerance(value_fn) -> float:
@@ -186,11 +186,19 @@ def _grid_conditions(value_fn, pair, spec: GridSpec) -> tuple:
       {min(triggers) < x <= opp trigger}, where the own firm invests and the
       value is the continuation, capped at 1/x_lo_frac times the own
       trigger; void when no capital pair has a strip;
-    - the propagation identity: above the own trigger V_qmi(x, q_i, q_mi)
-      equals the branch's V_qmi(x, phi(x, q_mi), q_mi).  The continuation
-      hands back the paste point it solved, so each point solves phi once.
-      With an infinite own trigger the region is empty and the check falls
-      back to condition 3's content (V_qmi = 0 above the opponent trigger).
+    - condition 3 takes 1, 1.3, 2 and 4 times the opponent trigger, capped
+      at the own trigger, where the own trigger is the larger;
+    - one evaluate call at the own trigger gives V_qi for condition 2 and
+      V_qmi for condition 6, which keeps the pairs whose own trigger is at
+      most the opponent's;
+    - the propagation identity: above the own trigger, at 1.05, 1.3 and 2
+      times it, V_qmi(x, q_i, q_mi) equals the branch's V_qmi(x, phi(x,
+      q_mi), q_mi).  The continuation hands back the paste point it solved,
+      so each point solves phi once.  The same call gives condition 2's
+      V_qi at those levels, so condition 2 reads 1, 1.05, 1.3 and 2 times
+      the own trigger.  With an infinite own trigger the region is empty,
+      condition 2 is void and the check falls back to condition 3's content
+      (V_qmi = 0 above the opponent trigger).
     """
     params, (own, opp) = value_fn.params, pair
     infinite = own.p == math.inf
@@ -206,12 +214,16 @@ def _grid_conditions(value_fn, pair, spec: GridSpec) -> tuple:
         # refuses with an OverflowError.
         with np.errstate(over="ignore", invalid="ignore"):
             # Conditions 1 and 5 and the hypothesis, below both triggers.
+            # `low` lives until the next block.  Freed earlier, its arrays
+            # let glibc's malloc trim the heap, which the paste points' B
+            # passes then fault back in: 4,000-4,900 more page faults and
+            # about 5% more time per verify_dynamic round.
             xs = spec.x_levels(np.minimum(t_own, t_opp))
-            at = value_fn.evaluate(xs, q_i, q_mi, ("v", "x", "xx", "qi"))
-            resid = _pricing_residual(params, xs, q_i, q_mi, at["v"], at["x"], at["xx"])
+            low = value_fn.evaluate(xs, q_i, q_mi)
+            resid = _pricing_residual(params, xs, q_i, q_mi, low["v"], low["x"], low["xx"])
             worst["pde_equality"].add(np.abs(resid), xs, q_i, q_mi)
-            worst["own_derivative_below_trigger"].add(at["qi"] - 1.0, xs, q_i, q_mi)
-            linear.add(np.abs(at["v"]) / (1.0 + q_i + q_mi), xs, q_i, q_mi)
+            worst["own_derivative_below_trigger"].add(low["qi"] - 1.0, xs, q_i, q_mi)
+            linear.add(np.abs(low["v"]) / (1.0 + q_i + q_mi), xs, q_i, q_mi)
 
             # Condition 4: pricing equation <= 0 on the strip between them.
             strip = (t_own < t_opp).ravel()
@@ -219,16 +231,19 @@ def _grid_conditions(value_fn, pair, spec: GridSpec) -> tuple:
                 qs_i, qs_mi, lo = q_i[strip], q_mi[strip], t_own[strip]
                 hi = np.minimum(t_opp[strip], lo / spec.x_lo_frac)
                 xs = np.minimum(lo * (hi / lo) ** steps, hi)
-                at = value_fn.evaluate(xs, qs_i, qs_mi, ("v", "x", "xx"))
+                at = value_fn.evaluate(xs, qs_i, qs_mi)
                 worst["pde_inequality"].add(
                     _pricing_residual(params, xs, qs_i, qs_mi, at["v"], at["x"], at["xx"]),
                     xs, qs_i, qs_mi)
 
-        # Condition 2: V_qi = 1 at and above the own trigger.
+        # Conditions 2 and 6 at the own trigger, from one call.
         if not infinite:
-            x = np.array([1.0, 1.25, 2.0]) * t_own
-            d = value_fn.evaluate(x, q_i, q_mi, ("qi",))["qi"]
-            worst["own_derivative_on_trigger"].add(np.abs(d - 1.0), x, q_i, q_mi)
+            at = value_fn.evaluate(t_own, q_i, q_mi)
+            worst["own_derivative_on_trigger"].add(np.abs(at["qi"] - 1.0), t_own, q_i, q_mi)
+            on = (t_own <= t_opp * (1.0 + 1e-12)).ravel()
+            if on.any():
+                worst["opp_derivative_on_trigger"].add(
+                    at["qmi"][on], t_own[on], q_i[on], q_mi[on])
 
         # Condition 3: V_qmi = 0 where own trigger strictly dominates, between them.
         strict = (t_own > t_opp).ravel()
@@ -237,27 +252,22 @@ def _grid_conditions(value_fn, pair, spec: GridSpec) -> tuple:
             x = np.array([1.0, 1.3, 2.0, 4.0]) * xb
             x = np.where(np.isfinite(hi), np.minimum(x, hi), x)
             worst["opp_derivative_above_trigger"].add(
-                np.abs(value_fn.evaluate(x, qs_i, qs_mi, ("qmi",))["qmi"]), x, qs_i, qs_mi)
+                np.abs(value_fn.evaluate(x, qs_i, qs_mi)["qmi"]), x, qs_i, qs_mi)
 
-        # Condition 6: V_qmi <= 0 on {x = own trigger <= opp trigger}.
-        on = (np.isfinite(t_own) & (t_own <= t_opp * (1.0 + 1e-12))).ravel()
-        if on.any():
-            qs_i, qs_mi, xb = q_i[on], q_mi[on], t_own[on]
-            worst["opp_derivative_on_trigger"].add(
-                value_fn.evaluate(xb, qs_i, qs_mi, ("qmi",))["qmi"], xb, qs_i, qs_mi)
-
-        # The propagation identity above the own trigger.
+        # The propagation identity above the own trigger, whose call also
+        # gives condition 2 there.
         if infinite:
             x = np.array([1.0, 1.5, 3.0]) * t_opp
-            diff = value_fn.evaluate(x, q_i, q_mi, ("qmi",))["qmi"]
+            diff = value_fn.evaluate(x, q_i, q_mi)["qmi"]
         else:
             x = np.array([1.05, 1.3, 2.0]) * t_own
-            at = value_fn.evaluate(x, q_i, q_mi, ("qmi", "phi"))
+            at = value_fn.evaluate(x, q_i, q_mi)
+            worst["own_derivative_on_trigger"].add(np.abs(at["qi"] - 1.0), x, q_i, q_mi)
             phi = at["phi"]
             # Rounding can put x above the trigger at phi, where evaluate
             # would paste again and compare the chain rule with itself.
             diff = at["qmi"] - value_fn.evaluate(np.minimum(x, own.trigger(phi, q_mi)), phi,
-                                                 q_mi, ("qmi",))["qmi"]
+                                                 q_mi)["qmi"]
         worst["derivative_propagation"].add(np.abs(diff), x, q_i, q_mi)
 
     tol = _tolerance(value_fn)
@@ -341,7 +351,7 @@ def _increment_derivative(value_fn, outcomes) -> ConditionResult:
     worst = _Worst(0.0)
     if on.any():
         x, q1, q2 = x[on], q1[on], q2[on]
-        worst.add(np.abs(value_fn.evaluate(x, q1, q2, ("qmi",))["qmi"]), x, q1, q2)
+        worst.add(np.abs(value_fn.evaluate(x, q1, q2)["qmi"]), x, q1, q2)
     return worst.result("opponent_increment_derivative", _tolerance(value_fn))
 
 

@@ -196,7 +196,7 @@ def test_evaluate_solves_many_paste_points_in_one_pass(golden, monkeypatch):
         real = getattr(Boundary, name)
         monkeypatch.setattr(Boundary, name, lambda self, *a, real=real, name=name: (
             calls.__setitem__(name, calls[name] + 1) or real(self, *a)))
-    phi = fn.evaluate(xs, q_i, q_mi, ("qmi", "phi"))["phi"]
+    phi = fn.evaluate(xs, q_i, q_mi)["phi"]
     assert calls == {"base_capacity": 1, "_inverse": 0}
     assert np.all(np.abs(fn.boundary.trigger(phi, q_mi) / xs - 1.0) <= 1e-15)
 

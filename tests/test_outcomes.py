@@ -359,6 +359,30 @@ def test_symmetric_floor_enforced(golden):
         build_symmetric_outcome((dyn, dyn), path, 0.1, 1.0)
 
 
+def test_symmetric_kind_mismatch(golden):
+    """The builder reads the pair's (p, c): unequal premia, a price other
+    than p_star and the never-invest trigger are refused."""
+    path = _path(golden, T=0.1)
+    d05, d1 = DynamicBoundary(golden, 0.5), DynamicBoundary(golden, 1.0)
+    cp2 = ConstantPriceBoundary(golden, 2.0 * golden.p_star)
+    inf = InfiniteBoundary(golden)
+    for pair in ((d05, d1), (d1, d05), (cp2, cp2), (inf, inf), (d1, inf)):
+        with pytest.raises(KindMismatchError):
+            build_symmetric_outcome(pair, path, 2.0, 2.0)
+
+
+def test_symmetric_constant_price_at_p_star_builds_as_c0(golden, cp):
+    """A constant price p_star is the pair (p_star, 0): its knot capitals
+    are those of DynamicBoundary(0), bit for bit."""
+    d0 = DynamicBoundary(golden, 0.0)
+    path = _path(golden, x0=3.0, seed=71, T=2.0)
+    got = build_symmetric_outcome((cp, cp), path, 1.0, 1.3)
+    want = build_symmetric_outcome((d0, d0), path, 1.0, 1.3)
+    assert np.array_equal(got.knots, want.knots)
+    assert np.array_equal(got.K1, want.K1) and np.array_equal(got.K2, want.K2)
+    assert got.K1[-1] > 1.3
+
+
 # ---------------------------------------------------------------------------
 # aggregate splits
 # ---------------------------------------------------------------------------

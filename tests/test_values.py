@@ -61,7 +61,7 @@ def test_abstain_golden_state(golden):
 def test_abstain_vanishes_linearly(golden):
     fn = AbstainValue(golden, golden.p_star)
     small = fn.value(1e-9, 1.0, 1.0)
-    v_x = fn.evaluate(1e-12, 1.0, 1.0, ("x",))["x"] / 1e-12
+    v_x = fn.evaluate(1e-12, 1.0, 1.0)["x"] / 1e-12
     assert small == pytest.approx(1e-9 * v_x, rel=1e-3)
     assert fn.value(1e-12, 1.0, 1.0) < 1e-11
 
@@ -71,7 +71,7 @@ def test_abstain_own_derivative_above_boundary(golden):
     q_i, q_mi = 0.8, 1.1
     xb = fn.opponent_boundary.trigger(q_i, q_mi)
     for x in (xb, 1.5 * xb, 4 * xb):
-        assert fn.evaluate(x, q_i, q_mi, ("qi",))["qi"] == pytest.approx(1.2, rel=1e-12)
+        assert fn.evaluate(x, q_i, q_mi)["qi"] == pytest.approx(1.2, rel=1e-12)
 
 
 def test_abstain_own_derivative_increasing_in_x(golden):
@@ -79,7 +79,7 @@ def test_abstain_own_derivative_increasing_in_x(golden):
     q_i, q_mi = 1.3, 0.7
     xb = fn.opponent_boundary.trigger(q_i, q_mi)
     xs = np.linspace(0.05, 1.0, 40) * xb
-    d = [fn.evaluate(float(x), q_i, q_mi, ("qi",))["qi"] for x in xs]
+    d = [fn.evaluate(float(x), q_i, q_mi)["qi"] for x in xs]
     assert all(a < b for a, b in zip(d, d[1:]))
 
 
@@ -127,14 +127,14 @@ def test_investor_smooth_fit(golden):
     fn = SoleInvestorValue(golden, 1.15 * golden.p_star)
     q_i, q_mi = 0.9, 1.4
     xb = fn.own_boundary.trigger(q_i, q_mi)
-    assert fn.evaluate(xb, q_i, q_mi, ("qi",))["qi"] == pytest.approx(1.0, abs=1e-12)
-    assert fn.evaluate(1.7 * xb, q_i, q_mi, ("qi",))["qi"] == 1.0
+    assert fn.evaluate(xb, q_i, q_mi)["qi"] == pytest.approx(1.0, abs=1e-12)
+    assert fn.evaluate(1.7 * xb, q_i, q_mi)["qi"] == 1.0
 
 
 def test_above_trigger_partials_solve_phi_once(golden, monkeypatch):
     """Above the own trigger one evaluate call solves for the paste point
-    once, however many entries it asks for, and V_qi alone needs no solve.
-    Each entry equals the one asked for alone."""
+    once and returns every entry from it: V_qi is one and "phi" is the
+    solved paste point.  A second call repeats every entry bit for bit."""
     for fn in (SoleInvestorValue(golden, 1.1 * golden.p_star), DynamicValue(golden, 0.5)):
         own = fn.strategy_pair()[0]
         solve, calls = type(own).base_capacity, []
@@ -142,13 +142,10 @@ def test_above_trigger_partials_solve_phi_once(golden, monkeypatch):
                             lambda self, x, q_mi: calls.append(x) or solve(self, x, q_mi))
         q_i, q_mi = own.q_floor + 0.7, own.q_floor + 0.4
         x = 1.5 * own.trigger(q_i, q_mi)
-        keys = ("x", "qi", "qmi")
-        d = fn.evaluate(x, q_i, q_mi, keys)
+        d = fn.evaluate(x, q_i, q_mi)
         assert len(calls) == 1, fn.kind
-        calls.clear()
-        assert fn.evaluate(x, q_i, q_mi, ("qi",)) == {"qi": 1.0} and not calls, fn.kind
-        for key in keys:
-            assert fn.evaluate(x, q_i, q_mi, (key,))[key] == d[key], (fn.kind, key)
+        assert d["qi"] == 1.0 and d["phi"] == solve(own, x, q_mi), fn.kind
+        assert fn.evaluate(x, q_i, q_mi) == d and len(calls) == 2, fn.kind
 
 
 def _central_difference(f, q):
@@ -173,7 +170,7 @@ def test_fd_matches_analytic_partials(golden):
             q_i, q_mi = own.q_floor + rng.uniform(0.3, 3.0, size=2)
             for frac in (rng.uniform(0.1, 0.9), 1.0, rng.uniform(1.1, 2.0)):
                 x = frac * own.trigger(q_i, q_mi)
-                d = fn.evaluate(x, q_i, q_mi, ("qi", "qmi"))
+                d = fn.evaluate(x, q_i, q_mi)
                 fd_own = _central_difference(lambda q: fn.value(x, q, q_mi), q_i)
                 fd_opp = _central_difference(lambda q: fn.value(x, q_i, q), q_mi)
                 assert fd_own == pytest.approx(d["qi"], abs=5e-9), (fn.kind, frac)
@@ -188,7 +185,7 @@ def test_power_rule_second_derivative(golden):
     btil = fn._btil(q_i, q_mi)
     expected = btil * golden.beta * (golden.beta - 1) \
         * (x * P / fn.p) ** (golden.beta - 2) * (P / fn.p) ** 2
-    assert fn.evaluate(x, q_i, q_mi, ("xx",))["xx"] / x ** 2 == pytest.approx(expected, rel=1e-12)
+    assert fn.evaluate(x, q_i, q_mi)["xx"] / x ** 2 == pytest.approx(expected, rel=1e-12)
 
 
 def test_pde_identity_analytic_kinds(golden, state_grid):
@@ -200,7 +197,7 @@ def test_pde_identity_analytic_kinds(golden, state_grid):
             if x > xb:
                 continue
             v = fn.value(x, q_i, q_mi)
-            d = fn.evaluate(x, q_i, q_mi, ("x", "xx"))
+            d = fn.evaluate(x, q_i, q_mi)
             pi = golden.profit_flow(x, q_i, q_mi)
             resid = -golden.r * v + pi + golden.mu * d["x"] + 0.5 * golden.sigma ** 2 * d["xx"]
             assert abs(resid) / (golden.r * abs(v) + 1.0) < 1e-9
@@ -228,10 +225,10 @@ def test_closed_form_values_homogeneous_of_degree_one(golden, scale):
                 scaled = fn.value(x_scaled, scale * q_i, scale * q_mi)
                 assert abs(scaled - scale * v) <= 1e-14 * abs(scale * v), \
                     (fn.kind, q_i, q_mi, frac)
-                d = fn.evaluate(x, q_i, q_mi, ("qi", "qmi"))
-                d_scaled = fn.evaluate(x_scaled, scale * q_i, scale * q_mi, ("qi", "qmi"))
-                for key, got in d_scaled.items():
-                    assert abs(got - d[key]) <= 1e-14 * (1.0 + abs(d[key])), \
+                d = fn.evaluate(x, q_i, q_mi)
+                d_scaled = fn.evaluate(x_scaled, scale * q_i, scale * q_mi)
+                for key in ("qi", "qmi"):
+                    assert abs(d_scaled[key] - d[key]) <= 1e-14 * (1.0 + abs(d[key])), \
                         (fn.kind, key, q_i, q_mi, frac)
     sole = SoleInvestorValue(golden, 2.6)
     v = sole.value(2.0 * 1e308 ** (1.0 / golden.gamma), 1e308, 0.0)
@@ -257,8 +254,8 @@ def test_c_grad_matches_central_difference(golden):
 @pytest.mark.parametrize("c", [0.5, 1.0])
 def test_below_evaluate_looks_b_up_once(golden, monkeypatch, c):
     """One evaluate of a block of states below the trigger asks B_block
-    once, for C and its gradient together, whichever entries it returns
-    and whether or not the block's B values are cached."""
+    once, for C and its gradient together, whether or not the block's B
+    values are cached."""
     fn = DynamicValue(golden, c)
     q = np.linspace(fn.q_floor, fn.q_floor + 3.0, 7)
     q_i, q_mi = (v.ravel()[:, None] for v in np.meshgrid(q, q))
@@ -266,10 +263,10 @@ def test_below_evaluate_looks_b_up_once(golden, monkeypatch, c):
     real, calls = DynamicValue.B_block, []
     monkeypatch.setattr(DynamicValue, "B_block",
                         lambda self, a, b: calls.append(np.size(a)) or real(self, a, b))
-    for which in (("v", "x", "xx", "qi", "qmi", "phi"), ("qmi",), ("v",)):
+    for cached in (False, True):
         calls.clear()
-        fn.evaluate(x, q_i, q_mi, which)
-        assert calls == [len(q_i)], which
+        fn.evaluate(x, q_i, q_mi)
+        assert calls == [len(q_i)], cached
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +342,7 @@ def test_dynamic_smooth_fit_own(golden):
     fn = DynamicValue(golden, 1.0)
     for (q_i, q_mi) in [(1.0, 0.9), (0.9, 1.3), (fn.q_floor, fn.q_floor), (2.2, 2.2)]:
         xb = fn.boundary.trigger(q_i, q_mi)
-        d = fn.evaluate(xb, q_i, q_mi, ("qi",))["qi"]
+        d = fn.evaluate(xb, q_i, q_mi)["qi"]
         assert d == pytest.approx(1.0, abs=1e-14)
 
 
@@ -353,7 +350,7 @@ def test_dynamic_opponent_derivative_zero_when_bigger(golden):
     fn = DynamicValue(golden, 1.0)
     for (q_i, q_mi) in [(1.0, 0.9), (2.0, 1.0), (1.5, 1.5)]:
         xb = fn.boundary.trigger(q_i, q_mi)
-        d = fn.evaluate(xb, q_i, q_mi, ("qmi",))["qmi"]
+        d = fn.evaluate(xb, q_i, q_mi)["qmi"]
         assert d == pytest.approx(0.0, abs=1e-13)
 
 
@@ -372,13 +369,13 @@ def test_branch_continuity_all_kinds(golden):
         q_i = max(1.1, getattr(fn, "q_floor", 0.0) + 0.3)
         q_mi = q_i + 0.2
         xb = trig(q_i, q_mi)
-        slope = abs(fn.evaluate(0.999 * xb, q_i, q_mi, ("x",))["x"] / (0.999 * xb)) * xb
+        slope = abs(fn.evaluate(0.999 * xb, q_i, q_mi)["x"] / (0.999 * xb)) * xb
         for eps in (1e-7, 1e-9):
             below = fn.value(xb * (1 - eps), q_i, q_mi)
             above = fn.value(xb * (1 + eps), q_i, q_mi)
             assert abs(above - below) <= 1e-9 * (1 + abs(below)) + 3 * eps * slope
-            dbelow = fn.evaluate(xb * (1 - eps), q_i, q_mi, ("x",))["x"] / (xb * (1 - eps))
-            dabove = fn.evaluate(xb * (1 + eps), q_i, q_mi, ("x",))["x"] / (xb * (1 + eps))
+            dbelow = fn.evaluate(xb * (1 - eps), q_i, q_mi)["x"] / (xb * (1 - eps))
+            dabove = fn.evaluate(xb * (1 + eps), q_i, q_mi)["x"] / (xb * (1 + eps))
             assert abs(dabove - dbelow) <= 1e-6 * (1 + abs(dbelow))
 
 
@@ -423,18 +420,14 @@ def test_array_partials_match_scalar(golden):
     for fn, q_i, q_mi, xs in _array_cases(golden):
         levels = np.append(xs, 1.6 * xs[-1])
         vals = fn.value(levels, q_i, q_mi)
-        keys = ("x", "qi", "qmi")
-        arr = fn.evaluate(levels, q_i, q_mi, keys)
-        arr["x"] = arr["x"] / levels
-        arr["xx"] = fn.evaluate(xs, q_i, q_mi, ("xx",))["xx"] / xs ** 2
+        arr = fn.evaluate(levels, q_i, q_mi)
+        arr["x"], arr["xx"] = arr["x"] / levels, arr["xx"] / levels ** 2
         for k, x in enumerate(levels):
             x = float(x)
             v = fn.value(x, q_i, q_mi)
             assert abs(vals[k] - v) <= _ULPS * (1.0 + abs(v)), (fn.kind, k)
-            one = fn.evaluate(x, q_i, q_mi, keys)
-            one["x"] = one["x"] / x
-            if k < len(xs):
-                one["xx"] = fn.evaluate(x, q_i, q_mi, ("xx",))["xx"] / x ** 2
+            one = fn.evaluate(x, q_i, q_mi)
+            one["x"], one["xx"] = one["x"] / x, one["xx"] / x ** 2
             for key, d in one.items():
                 assert abs(arr[key][k] - d) <= _ULPS * (1.0 + abs(d)), (fn.kind, key, k)
 
@@ -445,15 +438,15 @@ def test_perturbed_below_branch_matches_loop(golden):
     branch below the trigger, and on the continuation above it, where the
     option term is held at its value on the trigger.  Every other entry is
     the base's."""
-    keys = ("v", "x", "xx", "qi", "qmi", "phi")
     for fn, q_i, q_mi, xs in _array_cases(golden):
         base = fn.base if isinstance(fn, PerturbedValue) else fn
         bad = PerturbedValue(base, 1.01)
         levels = np.append(xs, 1.6 * xs[-1])
-        got, want = bad.evaluate(levels, q_i, q_mi, keys), base.evaluate(levels, q_i, q_mi, keys)
+        got, want = bad.evaluate(levels, q_i, q_mi), base.evaluate(levels, q_i, q_mi)
         loop = want["v"] + 0.01 * np.array([base.option_term(x, q_i, q_mi) for x in levels])
         assert np.all(np.abs(got["v"] - loop) <= _ULPS * np.abs(loop)), base.kind
-        for key in keys[1:]:
+        assert got.keys() == want.keys()
+        for key in ("x", "xx", "qi", "qmi", "phi"):
             assert np.array_equal(got[key], want[key]), (base.kind, key)
 
 
@@ -463,8 +456,9 @@ def test_perturbed_value_channel_only(golden):
     q_i, q_mi = 1.0, 1.2
     x = 0.6 * base.boundary.trigger(q_i, q_mi)
     assert bad.value(x, q_i, q_mi) != base.value(x, q_i, q_mi)
-    keys = ("x", "xx", "qi", "qmi")
-    assert bad.evaluate(x, q_i, q_mi, keys) == base.evaluate(x, q_i, q_mi, keys)
+    got, want = bad.evaluate(x, q_i, q_mi), base.evaluate(x, q_i, q_mi)
+    del got["v"], want["v"]
+    assert got == want
 
 
 def test_perturbed_dynamic_option_term_held_above_trigger(golden):
@@ -763,22 +757,43 @@ def test_array_states_match_scalar_calls(golden):
     kinds = [DynamicValue(golden, c) for c in (0.0, 0.5, 1.0)] + [
         AbstainValue(golden, golden.p_star), SoleInvestorValue(golden, 1.2 * golden.p_star),
         PerturbedValue(DynamicValue(golden, 0.5), 1.01)]
-    keys = ("x", "xx", "qi", "qmi", "phi")
     for fn in kinds:
         xs, q_i, q_mi = _state_arrays(fn, rng)
         vals = fn.value(xs, q_i, q_mi)
-        arr = fn.evaluate(xs, q_i, q_mi, keys)
+        arr = fn.evaluate(xs, q_i, q_mi)
         arr["x"], arr["xx"] = arr["x"] / xs, arr["xx"] / xs ** 2
         assert vals.shape == xs.shape and all(v.shape == xs.shape for v in arr.values())
         for (r, k), x in np.ndenumerate(xs):
             state = (float(x), float(q_i[r, 0]), float(q_mi[r, 0]))
             v = fn.value(*state)
             assert abs(vals[r, k] - v) <= 1e-15 * (1.0 + abs(v)), (fn.kind, state)
-            one = fn.evaluate(*state, keys)
+            one = fn.evaluate(*state)
             one["x"], one["xx"] = one["x"] / state[0], one["xx"] / state[0] ** 2
             for key, d in one.items():
                 assert isinstance(d, float)
                 assert abs(arr[key][r, k] - d) <= 1e-15 * (1.0 + abs(d)), (fn.kind, key, state)
+
+
+def test_evaluate_returns_every_entry(golden):
+    """evaluate takes states only and returns the six entries on every
+    call: floats for float states, and arrays of the broadcast shape for
+    array states below, at and above the own trigger, each element equal
+    bit for bit to the entry of the one-state call."""
+    keys = {"v", "x", "xx", "qi", "qmi", "phi"}
+    for fn in (AbstainValue(golden, golden.p_star), SoleInvestorValue(golden, 1.2 * golden.p_star),
+               DynamicValue(golden, 0.5), PerturbedValue(DynamicValue(golden, 0.5), 1.01)):
+        q_i, q_mi = 0.3 + np.array([[0.9], [1.4]]), 0.3 + np.array([[1.2], [0.5]])
+        xs = getattr(fn, "base", fn)._own_trigger(q_i, q_mi) * np.array([0.5, 1.0, 1.7])
+        arr = fn.evaluate(xs, q_i, q_mi)
+        assert set(arr) == keys, fn.kind
+        for key, got in arr.items():
+            assert isinstance(got, np.ndarray) and got.shape == xs.shape, (fn.kind, key)
+        for (r, k), x in np.ndenumerate(xs):
+            one = fn.evaluate(float(x), float(q_i[r, 0]), float(q_mi[r, 0]))
+            assert set(one) == keys, fn.kind
+            for key, d in one.items():
+                assert isinstance(d, float), (fn.kind, key)
+                assert arr[key][r, k] == d, (fn.kind, key, r, k)
 
 
 def test_second_derivative_above_trigger_matches_differences(golden):
@@ -793,5 +808,5 @@ def test_second_derivative_above_trigger_matches_differences(golden):
                 h = 1e-3 * x
                 fd = (fn.value(x + h, q_i, q_mi) - 2.0 * fn.value(x, q_i, q_mi)
                       + fn.value(x - h, q_i, q_mi)) / h ** 2
-                got = fn.evaluate(x, q_i, q_mi, ("xx",))["xx"] / x ** 2
+                got = fn.evaluate(x, q_i, q_mi)["xx"] / x ** 2
                 assert got == pytest.approx(fd, rel=1e-5, abs=1e-9), (fn.kind, q_i, q_mi, frac)

@@ -88,9 +88,9 @@ def test_condition5_edge_margin(golden):
     fn = DynamicValue(golden, 1.0)
     qf = fn.q_floor
     xb = fn.boundary.trigger(qf, qf)
-    d_at = fn.evaluate(xb, qf, qf, ("qi",))["qi"]
+    d_at = fn.evaluate(xb, qf, qf)["qi"]
     assert d_at == pytest.approx(1.0, abs=1e-14)
-    d_in = fn.evaluate(0.995 * xb, qf, qf, ("qi",))["qi"]
+    d_in = fn.evaluate(0.995 * xb, qf, qf)["qi"]
     assert d_in <= 1.0 + 1e-9
     assert d_in > 1.0 - 5e-4
 
@@ -259,9 +259,9 @@ def _checked_increments(fn, outcomes, monkeypatch):
 
     states, real = [], type(fn).evaluate
 
-    def captured(self, x, q_i, q_mi, which):
+    def captured(self, x, q_i, q_mi):
         states.append(np.stack(np.broadcast_arrays(x, q_i, q_mi), axis=-1))
-        return real(self, x, q_i, q_mi, which)
+        return real(self, x, q_i, q_mi)
 
     monkeypatch.setattr(type(fn), "evaluate", captured)
     res = verify._increment_derivative(fn, outcomes)
@@ -385,17 +385,17 @@ def test_pde_inequality_void_on_the_default_reports(golden):
 def test_report_evaluates_the_below_grid_once(golden, monkeypatch):
     """pde_equality, own_derivative_below_trigger and the transversality
     hypothesis read one evaluation of the grid below both triggers: one
-    evaluate call for V, x V_x, x**2 V_xx and V_qi per block of
-    _CHECK_PAIRS capital pairs."""
+    evaluate call of nx levels per capital pair per block of _CHECK_PAIRS
+    capital pairs."""
     import duopoly_invest.verify as verify
 
     for fn, sim in (_criterion4_sim(golden, 0.5, n_paths=2), _abstain_sim(golden)):
         calls, real = [], type(fn).evaluate
 
-        def counted(self, x, q_i, q_mi, which):
-            if tuple(which) == ("v", "x", "xx", "qi"):
-                calls.append(which)
-            return real(self, x, q_i, q_mi, which)
+        def counted(self, x, q_i, q_mi):
+            if np.ndim(x) == 2 and np.shape(x)[1] == SPEC.nx:
+                calls.append(np.shape(x))
+            return real(self, x, q_i, q_mi)
 
         monkeypatch.setattr(type(fn), "evaluate", counted)
         run_verification(fn, spec=SPEC, simulation=sim)
@@ -403,6 +403,29 @@ def test_report_evaluates_the_below_grid_once(golden, monkeypatch):
         blocks = list(SPEC.pair_blocks(fn.strategy_pair()))
         assert len(calls) == len(blocks) == -(-len(SPEC.capital_pairs(fn.strategy_pair()))
                                                // verify._CHECK_PAIRS)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0])
+def test_report_reads_conditions_2_and_6_from_one_call(golden, monkeypatch, c):
+    """A default-grid report makes four evaluate calls per block of
+    _CHECK_PAIRS capital pairs: the grid below both triggers, the own
+    trigger (conditions 2 and 6 together), and the propagation identity's
+    two sides, whose first also gives condition 2 above the trigger.  The
+    400 pairs are four blocks."""
+    import duopoly_invest.verify as verify
+
+    fn, spec = DynamicValue(golden, c), GridSpec()
+    calls, real = [], DynamicValue.evaluate
+    monkeypatch.setattr(DynamicValue, "evaluate",
+                        lambda self, x, q_i, q_mi: calls.append(np.shape(x))
+                        or real(self, x, q_i, q_mi))
+    rep = run_verification(fn, spec=spec)
+    assert rep.all_pass
+    pairs = len(spec.capital_pairs(fn.strategy_pair()))
+    blocks = -(-pairs // verify._CHECK_PAIRS)
+    assert (pairs, blocks) == (400, 4)
+    assert len(calls) == 4 * blocks == 16
+    assert calls.count((verify._CHECK_PAIRS, 1)) == blocks - 1
 
 
 def test_report_walks_the_pair_blocks_once(golden, monkeypatch):
