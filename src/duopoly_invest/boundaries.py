@@ -49,40 +49,11 @@ _NEWTON_MAX_ITER = 200
 # 8 us per point, so they cross at 35-41 points for paste points (phi) and
 # for running-max records (psi); from 48 points the pass is faster on both.
 _ARRAY_ROOTS = 48
-# Geometric expansions of a bisection bracket before giving up.
+# Geometric expansions of the reference bisection's bracket before giving up.
 _MAX_EXPAND = 400
 # Relative slack when validating the capital floor, so that capital grids
 # built from floating-point arithmetic at exactly q_floor stay admissible.
 _FLOOR_SLACK = 1e-9
-
-
-def _bisect_increasing(g, target, lo, hi):
-    """Vectorized bisection for g(q) = target with g strictly increasing.
-
-    lo/hi/target are broadcastable arrays; hi is expanded geometrically while
-    g(hi) < target (the guard against a bad initial bracket).  Returns the
-    root to absolute tolerance _ROOT_TOL * max(1, root).
-    """
-    target = np.asarray(target, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), target.shape).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), target.shape).copy()
-    for _ in range(_MAX_EXPAND):
-        bad = g(hi) < target
-        if not bad.any():
-            break
-        hi = np.where(bad, np.maximum(hi * 2.0, 1.0), hi)
-    else:
-        raise RootBracketError("could not bracket trigger inverse after expansion")
-    # Enough bisection steps to push the bracket below tolerance everywhere.
-    width = float(np.max(hi - lo))
-    scale = float(np.max(np.maximum(1.0, hi)))
-    n_iter = max(1, int(math.ceil(math.log2(max(width / (_ROOT_TOL * scale), 2.0)))) + 2)
-    for _ in range(min(n_iter, 120)):
-        mid = 0.5 * (lo + hi)
-        high = g(mid) >= target
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    return 0.5 * (lo + hi)
 
 
 def _total_capacity(q_i, q_mi):
@@ -339,35 +310,44 @@ class InfiniteBoundary(Boundary):
         return {"kind": self.kind}
 
 
-def _reference_base_capacity(boundary: Boundary, x, q_mi=None):
-    """Bisection re-derivation of boundary.base_capacity(x, q_mi), or
-    of the symmetric base capacity when q_mi is None, for a boundary with a
-    premium; without one it goes to the closed forms.
+def _reference_base_capacity(boundary: Boundary, x, q_mi):
+    """Bisection re-derivation of boundary.base_capacity(x, q_mi) at every
+    point of the arrays x and q_mi, the own-capital inverse that
+    check_consistency compares each stored capital with; without a premium
+    it goes to the closed form.
 
-    It shares no code with the Newton solver, so check_consistency, which
-    re-derives capital with it, can catch their errors.  Its tolerance is
-    absolute, 1e-12 * max(1, q), which moves |rhs - Q| / (1 + Q) by at most
-    1e-12, far inside check_consistency's 1e-8 bound.
+    It shares no code with the Newton solver, so check_consistency can catch
+    the builders' errors.  The bracket [q_floor, max(q_floor, (x/p)**gamma -
+    q_mi) + 1] doubles its top where the trigger there is still below x, at
+    most _MAX_EXPAND times, and then halves at its midpoints until it is
+    narrower than the absolute tolerance 1e-12 * max(1, q).  That moves
+    |rhs - Q| / (1 + Q) by at most 1e-12, far inside check_consistency's
+    1e-8 bound.
     """
     if boundary.c == 0.0:
-        if q_mi is None:
-            return boundary.symmetric_base_capacity(x)
         return boundary.base_capacity(x, q_mi)
-    p, gamma = boundary.p, boundary.params.gamma
-    x = np.asarray(x, dtype=float)
+    boundary._check_floor(q_mi)
     floor = boundary.q_floor
-    if q_mi is None:
-        g = lambda q: boundary._raw_trigger(q, q)
-        hi = np.maximum(floor, 0.5 * (x / p) ** gamma) + 1.0
+    lo = np.full_like(x, floor)
+    hi = np.maximum(floor, (x / boundary.p) ** boundary.params.gamma - q_mi) + 1.0
+    for _ in range(_MAX_EXPAND):
+        bad = boundary._raw_trigger(hi, q_mi) < x
+        if not bad.any():
+            break
+        hi = np.where(bad, np.maximum(hi * 2.0, 1.0), hi)
     else:
-        boundary._check_floor(q_mi)
-        q_mi = np.asarray(q_mi, dtype=float)
-        g = lambda q: boundary._raw_trigger(q, q_mi)
-        hi = np.maximum(floor, (x / p) ** gamma - q_mi) + 1.0
-    at_floor = x <= g(floor)
-    root = _bisect_increasing(g, x, np.full_like(x, floor), hi)
-    out = np.where(at_floor, floor, np.maximum(root, floor))
-    return out if out.shape else float(out)
+        raise RootBracketError("could not bracket trigger inverse after expansion")
+    # Enough bisection steps to push the bracket below tolerance everywhere.
+    width = float(np.max(hi - lo))
+    scale = float(np.max(np.maximum(1.0, hi)))
+    n_iter = max(1, int(math.ceil(math.log2(max(width / (_ROOT_TOL * scale), 2.0)))) + 2)
+    for _ in range(min(n_iter, 120)):
+        mid = 0.5 * (lo + hi)
+        high = boundary._raw_trigger(mid, q_mi) >= x
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
+    at_floor = x <= boundary._raw_trigger(floor, q_mi)
+    return np.where(at_floor, floor, np.maximum(0.5 * (lo + hi), floor))
 
 
 def boundary_from_json(block: dict, params: ModelParams) -> Boundary:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -106,10 +106,7 @@ class DeviationResult:
         return self.diff_mean < -3.0 * self.diff_se
 
     def to_json(self) -> dict:
-        return {"payoff_deviant": self.payoff_deviant,
-                "payoff_equilibrium": self.payoff_equilibrium,
-                "diff_mean": self.diff_mean, "diff_se": self.diff_se, "n": self.n,
-                "se_deviant": self.se_deviant, "se_equilibrium": self.se_equilibrium}
+        return asdict(self)
 
 
 def deviation_experiment(params: ModelParams, equilibrium_boundary: Boundary,

@@ -10,7 +10,7 @@ construction time so that downstream code never re-solves anything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -81,15 +81,7 @@ class ModelParams:
         return q ** (-1.0 / self.gamma - 1.0) * ((self.gamma - 1.0) / self.gamma * q_i + q_mi)
 
     def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "p_star": self.p_star,
-            "mu_gamma": self.mu_gamma,
-        }
+        return asdict(self)
 
 
 def derive_params(r: float, mu: float, sigma: float, gamma: float) -> ModelParams:

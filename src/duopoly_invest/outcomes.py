@@ -32,7 +32,7 @@ from .boundaries import (
     _reference_base_capacity,
     require_same_constant_price,
 )
-from .errors import BelowFloorError, InvalidSplitError, KindMismatchError
+from .errors import InvalidSplitError, KindMismatchError
 from .model import ModelParams
 from .paths import ShockPath, running_sup
 
@@ -100,13 +100,8 @@ def build_abstain_outcome(boundary_pair, path: ShockPath, q1_0: float, q2_0: flo
     require_same_constant_price(*boundary_pair)
     if abstaining_firm not in (1, 2):
         raise KindMismatchError(f"abstaining_firm must be 1 or 2, got {abstaining_firm}")
-    q_abs = q1_0 if abstaining_firm == 1 else q2_0
-    q_inv = q2_0 if abstaining_firm == 1 else q1_0
-    knots, investor = _one_mover(path, boundary_pair[2 - abstaining_firm], q_inv, q_abs)
-    abstainer = np.full_like(investor, q_abs)
-    K1, K2 = (abstainer, investor) if abstaining_firm == 1 else (investor, abstainer)
-    return Outcome(path, K1, K2, q1_0, q2_0, construction=f"abstain({abstaining_firm})",
-                   knots=knots)
+    return _one_mover(path, boundary_pair[2 - abstaining_firm], 3 - abstaining_firm,
+                      q1_0, q2_0, f"abstain({abstaining_firm})")
 
 
 def _records(values):
@@ -133,14 +128,19 @@ def _records(values):
     return np.concatenate(([0], starts[live[row]] + col))
 
 
-def _one_mover(path: ShockPath, mover: Boundary, q_mover: float, q_frozen: float):
-    """Knots and knot capitals of the only firm that invests, against an
-    opponent frozen at q_frozen: the running supremum of its base capacity,
-    which by monotonicity in x is q_mover v phi(M_t, q_frozen) at the running
-    maximum M of X.  The knots are the running-max records, where phi is
-    evaluated."""
+def _one_mover(path: ShockPath, mover: Boundary, firm: int, q1_0: float, q2_0: float,
+               construction: str) -> Outcome:
+    """Outcome in which only `firm` invests, against an opponent frozen at
+    its initial capital q_frozen: the mover's capital is the running
+    supremum of its base capacity, which by monotonicity in x is
+    q_mover v phi(M_t, q_frozen) at the running maximum M of X.  The knots
+    are the running-max records, where phi is evaluated."""
+    q_mover, q_frozen = (q1_0, q2_0) if firm == 1 else (q2_0, q1_0)
     rec = _records(path.values)
-    return rec, np.maximum(q_mover, mover.base_capacity(path.values[rec], q_frozen))
+    moving = np.maximum(q_mover, mover.base_capacity(path.values[rec], q_frozen))
+    frozen = np.full_like(moving, q_frozen)
+    K1, K2 = (moving, frozen) if firm == 1 else (frozen, moving)
+    return Outcome(path, K1, K2, q1_0, q2_0, construction=construction, knots=rec)
 
 
 def build_symmetric_outcome(boundary_pair, path: ShockPath, q1_0: float,
@@ -173,9 +173,7 @@ def build_symmetric_outcome(boundary_pair, path: ShockPath, q1_0: float,
     if not (b1.p == b2.p == b1.params.p_star and b1.c == b2.c):
         raise KindMismatchError("symmetric outcome needs a matched pair (p_star, c), "
                                 f"got ({b1.p}, {b1.c}) and ({b2.p}, {b2.c})")
-    floor = b1.q_floor
-    if min(q1_0, q2_0) < floor - 1e-12 * max(1.0, floor):
-        raise BelowFloorError(f"initial capitals must be at least {floor}")
+    b1._check_floor(q1_0, q2_0)
     rec = _records(path.values)
     x = path.values[rec]
     psi = np.asarray(b1.symmetric_base_capacity(x))
@@ -204,10 +202,10 @@ def build_aggregate_split(boundary_pair, path: ShockPath, q1_0: float, q2_0: flo
     if len(w) != 2 or min(w) < 0.0 or abs(w[0] + w[1] - 1.0) > 1e-12:
         raise InvalidSplitError(f"weights must be nonnegative and sum to 1, got {w}")
     s0 = q1_0 + q2_0
-    knots, aggregate = _one_mover(path, boundary_pair[0], s0, 0.0)
-    K1 = q1_0 + w[0] * (aggregate - s0)
-    K2 = q2_0 + w[1] * (aggregate - s0)
-    return Outcome(path, K1, K2, q1_0, q2_0, construction=f"split{w}", knots=knots)
+    aggregate = _one_mover(path, boundary_pair[0], 1, s0, 0.0, "aggregate")
+    K1 = q1_0 + w[0] * (aggregate.K1 - s0)
+    K2 = q2_0 + w[1] * (aggregate.K1 - s0)
+    return Outcome(path, K1, K2, q1_0, q2_0, construction=f"split{w}", knots=aggregate.knots)
 
 
 def build_joint_outcome(b1: Boundary, b2: Boundary, path: ShockPath,
@@ -252,13 +250,9 @@ def _joint_closed_form(b1, b2, path, q1_0, q2_0):
     of X.
     """
     if b2.p == math.inf or (b2.p >= b1.p and b2.c >= b1.c):
-        knots, K1 = _one_mover(path, b1, q1_0, q2_0)
-        return Outcome(path, K1, np.full_like(K1, q2_0), q1_0, q2_0, construction="joint",
-                       knots=knots)
+        return _one_mover(path, b1, 1, q1_0, q2_0, "joint")
     if b1.p == math.inf:
-        knots, K2 = _one_mover(path, b2, q2_0, q1_0)
-        return Outcome(path, np.full_like(K2, q1_0), K2, q1_0, q2_0, construction="joint",
-                       knots=knots)
+        return _one_mover(path, b2, 2, q1_0, q2_0, "joint")
     return None
 
 

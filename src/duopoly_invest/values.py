@@ -143,7 +143,7 @@ def _gk15_panels(f, edges):
 
 class ValueFunction:
     """Shared evaluation of every kind (see the module docstring).  A kind
-    supplies p_ref, its strategy pair (own boundary first) and _coef, which
+    supplies p_ref, own_boundary and opponent_boundary, and _coef, which
     gives the option coefficient and its gradient (C, dC/dq_i, dC/dq_mi)
     together, elementwise over arrays of capital pairs, so that a
     quadrature-backed C is looked up once per branch pass.
@@ -164,11 +164,14 @@ class ValueFunction:
     params: ModelParams
     p_ref: float
 
+    def strategy_pair(self):
+        return self.own_boundary, self.opponent_boundary
+
     def _own_trigger(self, q_i, q_mi):
-        return self.strategy_pair()[0].trigger(q_i, q_mi)
+        return self.own_boundary.trigger(q_i, q_mi)
 
     def _phi(self, x, q_mi):
-        return self.strategy_pair()[0].base_capacity(x, q_mi)
+        return self.own_boundary.base_capacity(x, q_mi)
 
     def _coef(self, q_i, q_mi):
         raise NotImplementedError
@@ -178,10 +181,7 @@ class ValueFunction:
     def _branch(self, x, q_i, q_mi):
         """unit = p_ref/(r-mu) * y and y**beta at the normalised price y."""
         pr = self.params
-        q = q_i + q_mi
-        if np.any(q <= 0.0):
-            raise ZeroCapacityError("value needs positive aggregate capacity")
-        y = x * (q ** (-1.0 / pr.gamma) / self.p_ref)
+        y = x * ((q_i + q_mi) ** (-1.0 / pr.gamma) / self.p_ref)
         return self.p_ref / (pr.r - pr.mu) * y, y ** pr.beta
 
     def _below(self, x, q_i, q_mi):
@@ -225,7 +225,7 @@ class ValueFunction:
         continuation override this."""
         phi = self._phi(x, q_mi)
         at = self._below(x, phi, q_mi)
-        t_qi, t_qmi = self.strategy_pair()[0].trigger_grad(phi, q_mi)
+        t_qi, t_qmi = self.own_boundary.trigger_grad(phi, q_mi)
         return {"v": at["v"] - phi + q_i, "x": at["x"],
                 "xx": at["xx"] + x / t_qi * at["xqi"], "qi": np.ones(np.shape(x)),
                 "qmi": at["qmi"] - (at["qi"] - 1.0) * t_qmi / t_qi, "phi": phi}
@@ -295,9 +295,6 @@ class AbstainValue(ValueFunction):
 
     kind = "abstain"
 
-    def strategy_pair(self):
-        return self.own_boundary, self.opponent_boundary
-
     # The "own" trigger of the piecewise formula is the opponent's: the
     # abstainer itself never invests.
     def _own_trigger(self, q_i, q_mi):
@@ -338,9 +335,6 @@ class SoleInvestorValue(ValueFunction):
 
     kind = "sole_investor"
 
-    def strategy_pair(self):
-        return self.own_boundary, self.opponent_boundary
-
     def _btil(self, q_i, q_mi):
         return self.coef * (self.k_own * q_i + self.k_opp * q_mi)
 
@@ -370,15 +364,12 @@ class DynamicValue(ValueFunction):
         self.params = params
         self.p_ref = params.p_star
         self.c = c
-        self.boundary = DynamicBoundary(params, c)
+        self.boundary = self.own_boundary = self.opponent_boundary = DynamicBoundary(params, c)
         # (q_i, q_mi) -> (B, B_qmi).  An OrderedDict drops its oldest entry
         # in O(1); a dict's first key is found past every deleted one.
         self._b_cache: OrderedDict = OrderedDict()
 
     kind = "dynamic_c"
-
-    def strategy_pair(self):
-        return self.boundary, self.boundary
 
     @property
     def q_floor(self) -> float:
@@ -614,9 +605,7 @@ class PerturbedValue(ValueFunction):
         self.params = base.params
         self.option_scale = option_scale
         self.kind = f"perturbed({base.kind})"
-
-    def strategy_pair(self):
-        return self.base.strategy_pair()
+        self.own_boundary, self.opponent_boundary = base.strategy_pair()
 
     def evaluate(self, x, q_i, q_mi) -> dict:
         out = self.base.evaluate(x, q_i, q_mi)

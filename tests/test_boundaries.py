@@ -12,7 +12,6 @@ from duopoly_invest.boundaries import (
     ConstantPriceBoundary,
     DynamicBoundary,
     InfiniteBoundary,
-    _reference_base_capacity,
     boundary_from_json,
 )
 from duopoly_invest.errors import (
@@ -81,9 +80,9 @@ def _levels(b, q_mi):
         [1e3 * t_floor, 1e3 * t_kink]))
 
 
-def test_newton_base_capacity_matches_bisection(golden):
+def test_newton_base_capacity_matches_brentq(golden, brentq_inverse):
     """base_capacity over an array of levels, which loops the scalar
-    inverse, and at each level alone agree with the reference bisection, and
+    inverse, and at each level alone agree with brentq's inverse, and
     with each other, within 1e-12 * max(1, q): at the floor, just above the
     floor trigger, across the kink q = q_mi and far above the trigger.  At
     q_mi = q_floor the kink is the floor, where the trigger's slope in q
@@ -95,7 +94,6 @@ def test_newton_base_capacity_matches_bisection(golden):
         qf = b.q_floor
         for q_mi in (qf, qf + 0.3, qf + 1.0, 3.0):
             xs = _levels(b, q_mi)
-            ref = _reference_base_capacity(b, xs, q_mi)
             got = b.base_capacity(xs, q_mi)
             one = np.array([b.base_capacity(float(x), q_mi) for x in xs])
             assert got[0] == got[1] == one[0] == one[1] == qf
@@ -104,6 +102,7 @@ def test_newton_base_capacity_matches_bisection(golden):
                     up = xs > b.trigger(qf, q_mi)
                     assert np.all(np.abs(b.trigger(q[up], q_mi) / xs[up] - 1.0) <= 1e-15)
                 continue
+            ref = brentq_inverse(b, xs, q_mi)
             for q in (got, one):
                 assert np.all(np.abs(q - ref) <= 1e-12 * np.maximum(1.0, ref)), (c, q_mi)
             assert np.all(np.abs(got - one) <= 1e-12 * np.maximum(1.0, one)), (c, q_mi)
@@ -116,13 +115,13 @@ def _loop(b, xs, q_mi, k):
     return np.array([b._inverse(x, w, k) for x, w in zip(xs.tolist(), q_mis.tolist())])
 
 
-def test_vectorized_roots_match_scalar_loop_and_bisection(golden):
+def test_vectorized_roots_match_scalar_loop_and_brentq(golden, brentq_inverse):
     """An array of at least _ARRAY_ROOTS levels goes through the vectorized
     Newton pass, which agrees with the scalar solver within 2e-15 relative
-    and with the reference bisection within 1e-12 * max(1, q): at the floor,
+    and with brentq's inverse within 1e-12 * max(1, q): at the floor,
     just above the floor trigger, on both sides of the kink q = q_mi, far
     above the trigger, and for psi (k = 2).  At q_mi = q_floor the root is
-    ill-conditioned (see test_newton_base_capacity_matches_bisection), so
+    ill-conditioned (see test_newton_base_capacity_matches_brentq), so
     there it must reproduce x instead."""
     for c in (0.5, 1.0, 2.0):
         b = DynamicBoundary(golden, c)
@@ -137,7 +136,7 @@ def test_vectorized_roots_match_scalar_loop_and_bisection(golden):
                 up = xs > t_floor
                 assert np.all(np.abs(b.trigger(got[up], q_mi) / xs[up] - 1.0) <= 1e-15)
                 continue
-            one, ref = _loop(b, xs, q_mi, 1), _reference_base_capacity(b, xs, q_mi)
+            one, ref = _loop(b, xs, q_mi, 1), brentq_inverse(b, xs, q_mi)
             assert np.all(np.abs(got - one) <= 2e-15 * one), (c, q_mi)
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, ref)), (c, q_mi)
             assert got[4] < q_mi < got[8]
@@ -146,7 +145,7 @@ def test_vectorized_roots_match_scalar_loop_and_bisection(golden):
             [0.5, 1.0, 1.0 + 1e-15, 1.0 + 1e-9, 1e3],
             np.exp(np.linspace(0.01, 5.0, _ARRAY_ROOTS))))
         got = b.symmetric_base_capacity(xs)
-        one, ref = _loop(b, xs, 0.0, 2), _reference_base_capacity(b, xs)
+        one, ref = _loop(b, xs, 0.0, 2), brentq_inverse(b, xs)
         assert got[0] == got[1] == qf
         assert np.all(np.abs(got - one) <= 2e-15 * one), c
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, ref)), c
@@ -225,8 +224,8 @@ def test_base_capacity_shapes(golden, kind):
         assert np.all(grid > 0.0)
 
 
-def test_symmetric_newton_matches_bisection(golden):
-    """psi against the reference bisection within 1e-12 * max(1, q), and
+def test_symmetric_newton_matches_brentq(golden, brentq_inverse):
+    """psi against brentq's inverse within 1e-12 * max(1, q), and
     against its closed form at c = 0."""
     for c in (0.5, 1.0, 2.0):
         b = DynamicBoundary(golden, c)
@@ -234,7 +233,7 @@ def test_symmetric_newton_matches_bisection(golden):
         xs = t_floor * np.concatenate((
             [0.5, 1.0, 1.0 + 1e-15, 1.0 + 1e-9, 1e3],
             np.exp(np.linspace(0.01, 5.0, 60))))
-        ref = _reference_base_capacity(b, xs)
+        ref = brentq_inverse(b, xs)
         got = b.symmetric_base_capacity(xs)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, ref)), c
         assert got[0] == got[1] == b.q_floor

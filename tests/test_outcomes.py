@@ -10,7 +10,6 @@ from duopoly_invest.boundaries import (
     ConstantPriceBoundary,
     DynamicBoundary,
     InfiniteBoundary,
-    _reference_base_capacity,
 )
 from duopoly_invest.errors import (
     BelowFloorError,
@@ -213,30 +212,51 @@ def test_symmetric_records_match_full_path(golden, c):
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0])
-def test_record_builders_match_reference_bisection(golden, c):
+def test_record_builders_match_brentq_reference(golden, brentq_inverse, c):
     """The Newton roots at the running-max records stay within
-    1e-12 * (1 + Q) of the full-path construction by the reference
-    bisection, for the symmetric and the one-mover joint outcomes, and
-    check_consistency, which re-derives capital by bisection, sees a
-    deviation below 1e-9."""
+    1e-12 * max(1, Q) of the full-path construction by brentq's inverse,
+    for the symmetric and the one-mover joint outcomes, and
+    check_consistency, which re-derives capital by its own bisection, sees
+    a deviation below 1e-9.  The inverses rise in x, so at every grid point
+    they are taken at the running maximum M of the shock, where brentq
+    solves one root per distinct level."""
     dyn = DynamicBoundary(golden, c)
     inf = InfiniteBoundary(golden)
     for path, q1, q2 in _symmetric_cases(golden, dyn, 60):
-        x = path.values
-        psi = _reference_base_capacity(dyn, x)
+        m = running_sup(path.values)
+        psi = brentq_inverse(dyn, m)
         out = build_symmetric_outcome((dyn, dyn), path, q1, q2)
         for q, q_own, q_opp in ((out.Q1, q1, q2), (out.Q2, q2, q1)):
-            ref = np.maximum(q_own, running_sup(np.minimum(
-                _reference_base_capacity(dyn, x, q_opp), psi)))
-            assert np.all(np.abs(q - ref) <= 1e-12 * (1.0 + ref))
+            ref = np.maximum(q_own, running_sup(np.minimum(brentq_inverse(dyn, m, q_opp), psi)))
+            assert np.all(np.abs(q - ref) <= 1e-12 * np.maximum(1.0, ref))
         for firm in (1, 2):
             assert check_consistency(out, dyn, firm).max_deviation < 1e-9
         for b1, firm, q_mover, q_frozen in ((dyn, 1, q1, q2), (inf, 2, q2, q1)):
             out = build_joint_outcome(b1, dyn, path, q1, q2)
-            ref = np.maximum(q_mover, running_sup(_reference_base_capacity(dyn, x, q_frozen)))
+            ref = np.maximum(q_mover, running_sup(brentq_inverse(dyn, m, q_frozen)))
             q = out.capital(firm)
-            assert np.all(np.abs(q - ref) <= 1e-12 * (1.0 + ref))
+            assert np.all(np.abs(q - ref) <= 1e-12 * np.maximum(1.0, ref))
             assert check_consistency(out, dyn, firm).max_deviation < 1e-9
+
+
+def test_consistency_flags_a_small_capital_change_after_catch_up(golden):
+    """On a c = 1 catch-up outcome, check_consistency re-derives capital by
+    its bisection against the opponent's growing capital: it reads below
+    1e-11 as built, and above criterion 8's 1e-9 bound once one firm's
+    capital is scaled by 1 +- 1e-8 from tau on."""
+    dyn = DynamicBoundary(golden, 1.0)
+    qf = dyn.q_floor
+    path = _path(golden, x0=5.0, dt=1e-3, T=3.0, seed=900)
+    out = build_symmetric_outcome((dyn, dyn), path, qf, 1.3 * qf)
+    tau = catch_up_report(dyn, out)["tau_index"]
+    after = out.knots >= tau
+    assert 0 < tau < len(path.values) and out.K1[-1] > out.K1[after][0]
+    for firm in (1, 2):
+        assert check_consistency(out, dyn, firm).max_deviation < 1e-11
+    for sign in (1.0, -1.0):
+        k1 = np.where(after, out.K1 * (1.0 + sign * 1e-8), out.K1)
+        bad = type(out)(path, k1, out.K2, out.q1_0, out.q2_0, out.construction, out.knots)
+        assert check_consistency(bad, dyn, firm=1).max_deviation > 1e-9, sign
 
 
 def _firm_cases(params, dyn, n_paths, seed):
@@ -357,6 +377,19 @@ def test_symmetric_floor_enforced(golden):
     path = _path(golden, T=0.1)
     with pytest.raises(BelowFloorError):
         build_symmetric_outcome((dyn, dyn), path, 0.1, 1.0)
+
+
+def test_symmetric_floor_rule_is_the_boundarys(golden):
+    """The builder admits the initial capitals that the trigger and the
+    value functions admit, down to q_floor - 1e-9 * max(1, q_floor), and
+    refuses those below."""
+    dyn = DynamicBoundary(golden, 1.0)
+    qf = dyn.q_floor
+    path = _path(golden, T=0.1)
+    out = build_symmetric_outcome((dyn, dyn), path, qf * (1.0 - 1e-10), qf)
+    assert out.K1[0] >= qf * (1.0 - 1e-10)
+    with pytest.raises(BelowFloorError):
+        build_symmetric_outcome((dyn, dyn), path, qf * (1.0 - 1e-8), qf)
 
 
 def test_symmetric_kind_mismatch(golden):
