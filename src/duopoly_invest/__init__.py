@@ -34,7 +34,7 @@ from .outcomes import (
     discount_identity_defect,
     payoff,
 )
-from .paths import ShockPath, generate_path, running_sup
+from .paths import ShockPath, generate_path, generate_paths, running_sup
 from .values import AbstainValue, DynamicValue, PerturbedValue, SoleInvestorValue
 from .verify import GridSpec, VerificationReport, run_verification
 
@@ -47,6 +47,6 @@ __all__ = [
     "build_symmetric_outcome",
     "catch_up_report", "check_consistency", "derive_params",
     "deviation_experiment", "discount_identity_defect", "estimate_payoff",
-    "generate_path", "npv_at_boundary", "params_from_json", "payoff",
+    "generate_path", "generate_paths", "npv_at_boundary", "params_from_json", "payoff",
     "running_sup", "run_verification", "solve_beta",
 ]

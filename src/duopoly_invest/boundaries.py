@@ -48,6 +48,8 @@ _NEWTON_MAX_ITER = 200
 # all of it numpy's per-call overhead on small arrays, and the loop about
 # 8 us per point, so they cross at 35-41 points for paste points (phi) and
 # for running-max records (psi); from 48 points the pass is faster on both.
+# One path's records mostly stay on the loop; the records of a block of
+# side-condition paths and a verification block's paste points take a pass.
 _ARRAY_ROOTS = 48
 # Geometric expansions of the reference bisection's bracket before giving up.
 _MAX_EXPAND = 400
@@ -155,10 +157,11 @@ class Boundary:
         at each point (_roots).  A loop of the scalar solver is faster below
         _ARRAY_ROOTS = 48 points, where one vectorized pass costs more in
         numpy calls than the loop in arithmetic; they cross at 35-41 points.
-        The builders pass the running-max records of a path, at most a few
-        dozen points and mostly fewer than ten, which stay on the loop; a
-        verification block passes its paste points, 384 of them, which take
-        one vectorized pass."""
+        A builder passes the running-max records of its path or block: one
+        path's, mostly fewer than ten, stay on the loop; a block of 80
+        side-condition paths passes 650-980 records to psi in one pass and
+        the 37-162 at which phi can move a capital to phi, in a pass from 48
+        on; a verification block passes its 384 paste points in one pass."""
         if self.c == 0.0:
             phi = (x / self.p) ** self.params.gamma - q_mi
             return np.maximum(0.0, phi) if isinstance(phi, np.ndarray) else max(0.0, float(phi))

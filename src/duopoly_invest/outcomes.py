@@ -1,10 +1,13 @@
 """Capital-path pairs consistent with reflection strategies.
 
-Every construction works on one discretized shock path and returns a pair of
+Every construction works on a discretized shock path and returns a pair of
 nondecreasing capital paths on the path's time grid.  Investment is a
 singular control: capital moves only where the running maximum of the shock
 sets a record, so an Outcome stores both capitals at knots, the grid indices
-at which they may change, and holds each until the next knot.  Discrete-time
+at which they may change, and holds each until the next knot.  The abstain,
+split and symmetric builders also take a block of paths (ShockPath rows) and
+return one Outcome whose rows' knots and capitals are concatenated, so the
+roots of every row's records take one vectorized solve.  Discrete-time
 semantics: at each grid point the running-supremum update uses the opponent
 capital carried over from the previous grid point (for the built-in
 symmetric constructions this matters only at O(dt)).  A discrete jump at
@@ -45,13 +48,18 @@ _RECORD_BLOCK = 64
 
 @dataclass(frozen=True)
 class Outcome:
-    """Both firms' capital paths on one shock path, stored at knots.
+    """Both firms' capital paths on one shock path, or on each row of a
+    block of paths, stored at knots.
 
     knots are the grid indices at which a capital may change, knots[0] == 0,
     and they include every running-max record of the path; K1 and K2 are the
     capitals at the knots, each held until the next knot.  Without knots, K1
     and K2 are full-grid arrays and every grid index is a knot.  Q1 and Q2
-    are the full-grid arrays, built on first use.
+    are the full-grid arrays, built on first use, with the shape of
+    path.values.  On a block, knots, K1 and K2 are the rows' concatenated:
+    row r's are the slice offsets[r]:offsets[r + 1].  The payoff
+    accumulators, check_consistency, catch_up_report and the CSV dump read
+    one path.
     """
 
     path: ShockPath
@@ -66,8 +74,21 @@ class Outcome:
         if self.knots is None:
             object.__setattr__(self, "knots", np.arange(len(self.K1)))
 
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Start of each row's knots and its end: a row's knots begin at
+        index 0, which no later knot of the row repeats."""
+        return np.append(np.flatnonzero(self.knots == 0), len(self.knots))
+
+    @cached_property
+    def knot_shock(self) -> np.ndarray:
+        """The shock at the knots, row by row."""
+        return _at_knots(self.path.values, self.knots)
+
     def _expand(self, k: np.ndarray) -> np.ndarray:
-        return np.repeat(k, np.diff(self.knots, append=len(self.path.values)))
+        values = self.path.values
+        at = _positions(values, self.knots)
+        return np.repeat(k, np.diff(at, append=values.size)).reshape(values.shape)
 
     @cached_property
     def Q1(self) -> np.ndarray:
@@ -87,6 +108,34 @@ class Outcome:
         return self.q1_0 if firm == 1 else self.q2_0
 
 
+def _positions(values, knots):
+    """Positions in values.ravel() of the knots of one path (values 1-D) or
+    of a block's rows, whose knots each start at 0."""
+    if values.ndim == 1:
+        return knots
+    return knots + values.shape[1] * (np.cumsum(knots == 0) - 1)
+
+
+def _at_knots(values, knots):
+    """values at the knots of one path or of every row of a block."""
+    return values.ravel()[_positions(values, knots)]
+
+
+def _row_running_max(v, values, knots):
+    """Running maximum of v along the knots of one path (values 1-D) or of
+    each row of a block; the rows' maxima are taken side by side in one
+    (rows, longest row) array."""
+    if values.ndim == 1:
+        return running_sup(v)
+    first = knots == 0
+    row = np.cumsum(first) - 1
+    col = np.arange(len(v)) - np.flatnonzero(first)[row]
+    grid = np.full((row[-1] + 1, col.max() + 1), -np.inf)
+    grid[row, col] = v
+    np.maximum.accumulate(grid, axis=1, out=grid)
+    return grid[row, col]
+
+
 def build_abstain_outcome(boundary_pair, path: ShockPath, q1_0: float, q2_0: float,
                           abstaining_firm: int) -> Outcome:
     """Unique outcome in which one firm never invests.
@@ -104,28 +153,55 @@ def build_abstain_outcome(boundary_pair, path: ShockPath, q1_0: float, q2_0: flo
                       q1_0, q2_0, f"abstain({abstaining_firm})")
 
 
+@lru_cache(maxsize=16)
+def _record_layout(m: int, n: int) -> tuple:
+    """Where _records reads m rows of n values, as flat indices: each row's
+    blocks of _RECORD_BLOCK values (block maxima), each block's window of
+    w = min(_RECORD_BLOCK, n) values with the ragged last block's moved
+    back to end at its row's end, the window starts as grid indices, and
+    the window's lanes 0..w-1."""
+    w = min(_RECORD_BLOCK, n)
+    blocks = np.arange(0, n, _RECORD_BLOCK)
+    windows = np.minimum(blocks, n - w)
+    rows = n * np.arange(m)[:, None]
+    layout = ((rows + blocks).ravel(), (rows + windows).ravel(), np.tile(windows, m),
+              np.arange(w))
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
 def _records(values):
     """Indices at which the running maximum of values sets a new record,
     index 0 included: the k with running_sup(values)[k] >
-    running_sup(values)[k-1].  Every builder's knots are these indices, so
-    the knots include every running-max record.
+    running_sup(values)[k-1].  On a 2-D block, the records of every row,
+    concatenated in row order; each row's begin with its index 0.  Every
+    builder's knots are these indices, so the knots include every
+    running-max record.
 
     A block of _RECORD_BLOCK values holds a record only if its maximum beats
-    every earlier block's, so only those blocks get a running maximum, seeded
-    with the maximum before them.  The ragged last block reads its final
-    value again to fill its row, which an equal value never makes a record.
+    every earlier block's of its row, so only those blocks get a running
+    maximum over their window, seeded with the maximum before the block
+    (-inf before a row's first block, which makes index 0 a record).  The
+    ragged last block's window ends at the row's end and starts inside the
+    block before, whose values are at most the seed and so never records.
     """
-    n = len(values)
-    starts = np.arange(0, n, _RECORD_BLOCK)
-    block_max = np.maximum.reduceat(values, starts)
-    before = np.maximum.accumulate(np.concatenate(([values[0]], block_max[:-1])))
+    n = values.shape[-1]
+    flat = values.ravel()
+    m = flat.size // n
+    blocks, windows, at, lanes = _record_layout(m, n)
+    block_max = np.maximum.reduceat(flat, blocks).reshape(m, -1)
+    before = np.empty_like(block_max)
+    before[:, 0] = -np.inf
+    before[:, 1:] = block_max[:, :-1]
+    np.maximum.accumulate(before, axis=1, out=before)
     live = np.flatnonzero(block_max > before)
-    rows = np.empty((len(live), _RECORD_BLOCK + 1))
-    rows[:, 0] = before[live]
-    rows[:, 1:] = values[np.minimum(starts[live, None] + np.arange(_RECORD_BLOCK), n - 1)]
-    np.maximum.accumulate(rows, axis=1, out=rows)
-    row, col = np.nonzero(rows[:, 1:] > rows[:, :-1])
-    return np.concatenate(([0], starts[live[row]] + col))
+    run = np.empty((len(live), len(lanes) + 1))
+    run[:, 0] = before.ravel()[live]
+    run[:, 1:] = flat[windows[live, None] + lanes]
+    np.maximum.accumulate(run, axis=1, out=run)
+    hit, col = np.nonzero(run[:, 1:] > run[:, :-1])
+    return at[live[hit]] + col
 
 
 def _one_mover(path: ShockPath, mover: Boundary, firm: int, q1_0: float, q2_0: float,
@@ -134,10 +210,11 @@ def _one_mover(path: ShockPath, mover: Boundary, firm: int, q1_0: float, q2_0: f
     its initial capital q_frozen: the mover's capital is the running
     supremum of its base capacity, which by monotonicity in x is
     q_mover v phi(M_t, q_frozen) at the running maximum M of X.  The knots
-    are the running-max records, where phi is evaluated."""
+    are the running-max records, where phi is evaluated, in one call for
+    every row of a block."""
     q_mover, q_frozen = (q1_0, q2_0) if firm == 1 else (q2_0, q1_0)
     rec = _records(path.values)
-    moving = np.maximum(q_mover, mover.base_capacity(path.values[rec], q_frozen))
+    moving = np.maximum(q_mover, mover.base_capacity(_at_knots(path.values, rec), q_frozen))
     frozen = np.full_like(moving, q_frozen)
     K1, K2 = (moving, frozen) if firm == 1 else (frozen, moving)
     return Outcome(path, K1, K2, q1_0, q2_0, construction=construction, knots=rec)
@@ -163,7 +240,9 @@ def build_symmetric_outcome(boundary_pair, path: ShockPath, q1_0: float,
     The trigger rises in both capitals, so the minimum is phi_i where
     psi <= q_mi and psi elsewhere, and it is at most psi.  psi is solved at
     every record; phi_i only at the records where q_i < psi < q_mi, the
-    only ones at which the minimum can move firm i's capital.
+    only ones at which the minimum can move firm i's capital.  On a block,
+    psi at every row's records takes one call, and phi_i one per firm; the
+    running supremum restarts at each row.
 
     The pair must be one trigger (p_star, c) for both firms, read from its
     parameters: a constant price p_star is (p_star, 0) and builds as
@@ -175,7 +254,7 @@ def build_symmetric_outcome(boundary_pair, path: ShockPath, q1_0: float,
                                 f"got ({b1.p}, {b1.c}) and ({b2.p}, {b2.c})")
     b1._check_floor(q1_0, q2_0)
     rec = _records(path.values)
-    x = path.values[rec]
+    x = _at_knots(path.values, rec)
     psi = np.asarray(b1.symmetric_base_capacity(x))
     caps = []
     for b, q_own, q_opp in ((b1, q1_0, q2_0), (b2, q2_0, q1_0)):
@@ -183,7 +262,7 @@ def build_symmetric_outcome(boundary_pair, path: ShockPath, q1_0: float,
         solve = (psi > q_own) & (psi < q_opp)
         if solve.any():
             cap[solve] = np.minimum(b.base_capacity(x[solve], q_opp), psi[solve])
-        caps.append(np.maximum(q_own, running_sup(cap)))
+        caps.append(np.maximum(q_own, _row_running_max(cap, path.values, rec)))
     return Outcome(path, *caps, q1_0, q2_0, construction="symmetric", knots=rec)
 
 

@@ -5,13 +5,14 @@ same distribution as the continuous process at the grid times; the only
 discretization effect downstream is that suprema are taken over the grid.
 Randomness comes from the counter-based Philox generator keyed by
 (seed, path_index), which makes every path a pure function of those two
-numbers regardless of how work is scheduled across workers.
+numbers regardless of how work is scheduled across workers, or of whether it
+is sampled alone (generate_path) or as a row of a block (generate_paths).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +22,13 @@ from .model import ModelParams
 
 @dataclass(frozen=True)
 class ShockPath:
-    """One simulated trajectory on the uniform grid t_k = k * dt."""
+    """Simulated trajectories on the uniform grid t_k = k * dt.
+
+    values has one path's n_steps + 1 grid values, or, for a block of
+    paths, one row per path, shape (n_paths, n_steps + 1).  Row r is the
+    path of index path_index + r, the same bytes that generate_path gives
+    for that index.
+    """
 
     x0: float
     dt: float
@@ -32,11 +39,20 @@ class ShockPath:
 
     @property
     def n_steps(self) -> int:
-        return len(self.values) - 1
+        return self.values.shape[-1] - 1
 
     @property
     def times(self) -> np.ndarray:
-        return self.dt * np.arange(len(self.values))
+        return self.dt * np.arange(self.values.shape[-1])
+
+
+def _grid_steps(dt: float, horizon: float) -> int:
+    """Steps of length dt to the horizon, round(horizon / dt), for finite
+    dt > 0 and horizon >= dt; anything else is a ParamDomainError."""
+    if not (math.isfinite(dt) and math.isfinite(horizon)) or dt <= 0.0 or horizon < dt:
+        raise ParamDomainError(f"need finite dt > 0 and horizon >= dt, got dt={dt}, "
+                               f"horizon={horizon}")
+    return int(round(horizon / dt))
 
 
 def generate_path(params: ModelParams, x0: float, dt: float, horizon: float,
@@ -47,10 +63,7 @@ def generate_path(params: ModelParams, x0: float, dt: float, horizon: float,
     """
     if x0 <= 0.0:
         raise ParamDomainError(f"initial shock must be positive, got {x0}")
-    if not (math.isfinite(dt) and math.isfinite(horizon)) or dt <= 0.0 or horizon < dt:
-        raise ParamDomainError(f"need finite dt > 0 and horizon >= dt, got dt={dt}, "
-                               f"horizon={horizon}")
-    n = int(round(horizon / dt))
+    n = _grid_steps(dt, horizon)
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(path_index,)))
     )
@@ -69,6 +82,21 @@ def generate_path(params: ModelParams, x0: float, dt: float, horizon: float,
     values.setflags(write=False)
     return ShockPath(x0=x0, dt=dt, horizon=n * dt, values=values,
                      seed=seed, path_index=path_index)
+
+
+def generate_paths(params: ModelParams, x0: float, dt: float, horizon: float,
+                   seed: int, n_paths: int, path_index: int = 0) -> ShockPath:
+    """A block of n_paths >= 1 paths: row r is generate_path's path of
+    index path_index + r, stacked into one (n_paths, n_steps + 1) array.
+    Every row is sampled by generate_path, so a path has one sampler and
+    the same bytes alone or in a block."""
+    first = generate_path(params, x0, dt, horizon, seed, path_index)
+    values = np.empty((n_paths, len(first.values)))
+    values[0] = first.values
+    for r in range(1, n_paths):
+        values[r] = generate_path(params, x0, dt, horizon, seed, path_index + r).values
+    values.setflags(write=False)
+    return replace(first, values=values)
 
 
 def running_sup(values) -> np.ndarray:

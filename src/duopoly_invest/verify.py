@@ -42,7 +42,7 @@ import numpy as np
 from .errors import UsageError
 from .mc import value_linear_bound_coeff
 from .model import ModelParams
-from .paths import generate_path
+from .paths import _grid_steps, generate_paths
 from .values import _BLOCK_PAIRS
 
 TOL_ANALYTIC = 1e-9
@@ -55,6 +55,8 @@ TOL_QUAD = 1e-7
 _CHECK_PAIRS = 2 * _BLOCK_PAIRS
 # Opponent increments checked per simulated path, evenly subsampled.
 _MAX_INCREMENTS = 60
+# Grid values per block of side-condition paths (0.5 MiB of shock).
+_BLOCK_VALUES = 2 ** 16
 # Default simulation seed of the opponent-increment check.
 SEED = 7
 
@@ -313,29 +315,20 @@ def _discounted_max_moment(params: ModelParams, t: float) -> float:
     return disc + pr.gamma * (i + j)
 
 
-def _increment_derivative(value_fn, outcomes) -> ConditionResult:
-    """The opponent-increment verdict: |V_qmi| at the opponent's increments
-    along the outcomes, where they lie on firm 1's trigger, gathered over
-    every outcome in one pass and evaluated in one call.  Capitals change
-    only at an outcome's knots, so the increments are read there: at a
-    path's first knot against the opponent's initial stock, at every other
-    against the knot before."""
-    own = value_fn.strategy_pair()[0]
-    if own.p == math.inf:
-        return _void("opponent_increment_derivative",
-                     "void: own trigger infinite, opponent increments unrestricted")
-    # Each outcome is dropped once read: only its knots' states are kept.
-    xs, q1s, q2s, q2_0 = zip(*((out.path.values[out.knots], out.K1, out.K2, out.initial(2))
-                               for out in outcomes))
-    x, q1, q2 = (np.concatenate(parts) for parts in (xs, q1s, q2s))
-    sizes = np.array([len(k) for k in q2s])
-    starts = np.cumsum(sizes) - sizes
-    jump = np.empty(len(q2), dtype=bool)
-    jump[1:] = np.diff(q2) > 1e-12 * (1.0 + q2[1:])
-    jump[starts] = q2[starts] > np.array(q2_0) + 1e-12
-    idx = np.flatnonzero(jump)
-    # Paths with more than _MAX_INCREMENTS increments keep that many, evenly
-    # spaced over the path's own list.
+def _increments(outcome) -> tuple:
+    """The states (x, q_1, q_2) at the opponent's increments along each row
+    of an outcome, at most _MAX_INCREMENTS per row.  Capitals change only
+    at the knots, so the increments are read there: at a row's first knot
+    against the opponent's initial stock, at every other against the knot
+    before, each by check_consistency's rule, more than 1e-12 * (1 + q_2)."""
+    x, q1, q2 = outcome.knot_shock, outcome.K1, outcome.K2
+    sizes = np.diff(outcome.offsets)
+    before = np.empty_like(q2)
+    before[1:] = q2[:-1]
+    before[outcome.offsets[:-1]] = outcome.initial(2)
+    idx = np.flatnonzero(q2 - before > 1e-12 * (1.0 + q2))
+    # Rows with more than _MAX_INCREMENTS increments keep that many, evenly
+    # spaced over the row's own list.
     owner = np.repeat(np.arange(len(sizes)), sizes)
     counts = np.bincount(owner[idx], minlength=len(sizes))
     long = np.flatnonzero(counts > _MAX_INCREMENTS)
@@ -345,7 +338,20 @@ def _increment_derivative(value_fn, outcomes) -> ConditionResult:
         picks = np.linspace(0, counts[long] - 1, _MAX_INCREMENTS).astype(int)
         keep[(first[long] + picks).ravel()] = True
         idx = idx[keep]
-    x, q1, q2 = x[idx], q1[idx], q2[idx]
+    return x[idx], q1[idx], q2[idx]
+
+
+def _increment_derivative(value_fn, outcomes) -> ConditionResult:
+    """The opponent-increment verdict: |V_qmi| at the opponent's increments
+    along the outcomes (each one path or a block of them), where they lie on
+    firm 1's trigger, gathered over every outcome and evaluated in one call.
+    Each outcome is dropped once read: only its increments' states are
+    kept."""
+    own = value_fn.strategy_pair()[0]
+    if own.p == math.inf:
+        return _void("opponent_increment_derivative",
+                     "void: own trigger infinite, opponent increments unrestricted")
+    x, q1, q2 = (np.concatenate(parts) for parts in zip(*(_increments(out) for out in outcomes)))
     # An opponent increment strictly inside firm 1's region is unrestricted.
     on = ~(x < own.trigger(q1, q2) * (1.0 - 1e-9))
     worst = _Worst(0.0)
@@ -359,6 +365,11 @@ def _side_conditions(value_fn, pair, linear: float, builder, x0: float, horizon:
                      n_paths: int = 20, dt: float = 0.01, seed: int = SEED) -> tuple:
     """Transversality, and the increment check on n_paths outcomes built to T.
 
+    The paths are sampled and built in blocks of at most _BLOCK_VALUES grid
+    values (one block for up to 109 paths of 600 steps): `builder` receives
+    a block ShockPath and returns its block Outcome.  With an infinite own
+    trigger the increment check is void, and only the first path is built.
+
     Q1 + Q2 <= s0 + (M_t/p_lo)**gamma (M_t: running max of the shock, p_lo:
     the lower price p of the pair's triggers), so where
     |V| <= a (1 + q_i + q_mi), e^{-rt} E|V| is at most the `at` values
@@ -369,18 +380,26 @@ def _side_conditions(value_fn, pair, linear: float, builder, x0: float, horizon:
     if n_paths < 1:
         raise UsageError(f"the side conditions need n_paths >= 1, got {n_paths}")
     params = value_fn.params
-    outcomes = (builder(generate_path(params, x0, dt, horizon, seed, j))
-                for j in range(n_paths))
+    if value_fn.strategy_pair()[0].p == math.inf:
+        n_paths = 1
+    rows = max(1, _BLOCK_VALUES // (_grid_steps(dt, horizon) + 1))
+    outcomes = (builder(generate_paths(params, x0, dt, horizon, seed,
+                                       min(rows, n_paths - j), j))
+                for j in range(0, n_paths, rows))
     first = next(outcomes)
+    one_plus_s0 = 1.0 + first.initial(1) + first.initial(2)
+    # No name keeps the first block once the increment check has read it.
+    outcomes = itertools.chain([first], outcomes)
+    del first
     a = value_linear_bound_coeff(params, [b for b in pair if b.p < math.inf][0])
     p_lo = min(b.p for b in pair)
     worst = linear / a
-    u = [a * (math.exp(-params.r * t) * (1.0 + first.initial(1) + first.initial(2))
+    u = [a * (math.exp(-params.r * t) * one_plus_s0
               + (x0 / p_lo) ** params.gamma * _discounted_max_moment(params, t))
          for t in (horizon, 2.0 * horizon)]
     tv = ConditionResult("transversality", worst, tuple(u), 1.0, worst <= 1.0,
                          note=f"e^-rT E|V| <= {u[0]:.3e} at T, {u[1]:.3e} at 2T")
-    return tv, _increment_derivative(value_fn, itertools.chain([first], outcomes))
+    return tv, _increment_derivative(value_fn, outcomes)
 
 
 def run_verification(value_fn, pair=None, spec: GridSpec = GridSpec(),
@@ -390,8 +409,10 @@ def run_verification(value_fn, pair=None, spec: GridSpec = GridSpec(),
     opponent-increment derivative.
 
     simulation keys: builder, x0, horizon, plus optional n_paths (default
-    20), dt and seed of the opponent-increment check.  Transversality is a
-    closed-form bound that reads only x0 and the first outcome's capitals.
+    20), dt and seed of the opponent-increment check.  The builder maps a
+    block of paths (a ShockPath with one row per path) to one Outcome, as
+    build_symmetric_outcome and build_abstain_outcome do.  Transversality is
+    a closed-form bound that reads only x0 and the first outcome's capitals.
     """
     if pair is None:
         pair = value_fn.strategy_pair()

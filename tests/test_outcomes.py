@@ -29,7 +29,7 @@ from duopoly_invest.outcomes import (
     discounted_cost,
     payoff,
 )
-from duopoly_invest.paths import ShockPath, generate_path, running_sup
+from duopoly_invest.paths import ShockPath, generate_path, generate_paths, running_sup
 
 
 @pytest.fixture(scope="module")
@@ -660,6 +660,82 @@ def test_records_on_benchmark_grids(golden, x0, dt, T):
     for j in range(20):
         values = generate_path(golden, x0, dt, T, 21, j).values
         assert np.array_equal(_records(values), _plain_records(values))
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 601])
+def test_block_records_equal_row_records(n):
+    """On a block, _records gives every row's records in row order, each
+    row's from index 0, equal to the row's own records: among the rows a
+    falling one, whose only record is index 0, and one whose last record
+    lies in the ragged last 64-value block."""
+    rng = np.random.default_rng(n)
+    rows = [np.cumsum(rng.integers(-2, 3, n)), np.full(n, 3), np.arange(n)[::-1],
+            np.arange(n), np.repeat(rng.integers(0, 6, n), rng.integers(1, 100, n))[:n]]
+    ragged = np.zeros(n)
+    ragged[-1 - (n - 1) % 64 // 2] = 1.0
+    rows.append(ragged)
+    block = np.array(rows, dtype=float)
+    got = _records(block)
+    assert np.array_equal(got, np.concatenate([_plain_records(row) for row in block]))
+    assert np.array_equal(got, np.concatenate([_records(row) for row in block]))
+    assert np.array_equal(_records(block[2]), [0])
+    if n > 64:
+        assert _records(ragged)[-1] >= n // 64 * 64
+
+
+def _row_builds(build, params, x0, n_paths, *args):
+    """The block outcome of n_paths 600-step paths and the outcomes of its
+    rows built one by one."""
+    block = generate_paths(params, x0, 0.01, 6.0, 5, n_paths)
+    rows = [build(*args[:1], generate_path(params, x0, 0.01, 6.0, 5, j), *args[1:])
+            for j in range(n_paths)]
+    return build(*args[:1], block, *args[1:]), rows
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0])
+def test_block_symmetric_outcome_equals_row_builds(golden, brentq_inverse, c):
+    """A block of 80 side-condition paths builds as its rows do: the same
+    knots, row offsets and shock at the knots, and capitals within 2e-15
+    relative (the block solves its roots in one vectorized pass, a row in
+    a loop of the scalar solver), each within 1e-12 * max(1, Q) of brentq's
+    min(phi, psi) at the running maximum.  Q1 and Q2 are the rows' full-grid
+    capitals, row by row."""
+    dyn = DynamicBoundary(golden, c)
+    q1 = dyn.q_floor + 0.2
+    q2 = q1 + 0.2
+    out, rows = _row_builds(build_symmetric_outcome, golden, 0.9 * dyn.trigger(q2, q2), 80,
+                            (dyn, dyn), q1, q2)
+    assert np.array_equal(out.knots, np.concatenate([r.knots for r in rows]))
+    assert np.array_equal(out.offsets, np.cumsum([0] + [len(r.knots) for r in rows]))
+    assert np.array_equal(out.knot_shock,
+                          np.concatenate([r.path.values[r.knots] for r in rows]))
+    x = out.knot_shock
+    psi = brentq_inverse(dyn, x)
+    for k, q_own, q_opp, firm in ((out.K1, q1, q2, 1), (out.K2, q2, q1, 2)):
+        want = np.concatenate([r.knot_capital(firm) for r in rows])
+        assert np.all(np.abs(k - want) <= 2e-15 * want)
+        low = np.minimum(brentq_inverse(dyn, x, q_opp), psi)
+        ref = np.concatenate([np.maximum(q_own, running_sup(low[a:b]))
+                              for a, b in zip(out.offsets[:-1], out.offsets[1:])])
+        assert np.all(np.abs(k - ref) <= 1e-12 * np.maximum(1.0, ref))
+        full = np.array([r.capital(firm) for r in rows])
+        assert out.capital(firm).shape == full.shape
+        assert np.all(np.abs(out.capital(firm) - full) <= 2e-15 * full)
+
+
+@pytest.mark.parametrize("build, last", [(build_abstain_outcome, 1),
+                                         (build_abstain_outcome, 2),
+                                         (build_aggregate_split, (0.3, 0.7))])
+def test_block_abstain_outcome_equals_row_builds(golden, cp, build, last):
+    """Without a root solve, a block abstain outcome, for either abstaining
+    firm, and a block aggregate split are their rows' outcomes
+    concatenated, byte for byte."""
+    out, rows = _row_builds(build, golden, 2.0, 40, (cp, cp), 0.8, 1.2, last)
+    for got, part in ((out.knots, "knots"), (out.K1, "K1"), (out.K2, "K2")):
+        want = np.concatenate([getattr(r, part) for r in rows])
+        assert got.tobytes() == want.tobytes(), part
+    for firm in (1, 2):
+        assert out.capital(firm).tobytes() == np.array([r.capital(firm) for r in rows]).tobytes()
 
 
 def _full_grid_payoff(params, out, firm):

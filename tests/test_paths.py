@@ -6,7 +6,7 @@ import pytest
 
 from duopoly_invest.errors import ParamDomainError
 from duopoly_invest.model import ModelParams, derive_params
-from duopoly_invest.paths import generate_path, running_sup
+from duopoly_invest.paths import generate_path, generate_paths, running_sup
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,24 @@ def test_path_bytes_pinned(golden, x0, dt, T, seed, j, digest):
     are formed in one buffer in the order x0 * exp(cumsum(drift + vol * z))."""
     values = generate_path(golden, x0, dt, T, seed, j).values
     assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("x0, dt, T, seed, n_paths, first", [
+    (1.5, 0.01, 6.0, 53, 80, 0),      # 601 steps, a side-condition block
+    (1.3, 1e-3, 20.0, 21, 3, 0),      # 20,001 steps
+    (1.3, 1e-3, 20.0, 21, 2, 7),      # rows from path index 7 on
+])
+def test_block_rows_equal_single_paths(golden, x0, dt, T, seed, n_paths, first):
+    """Row r of a block is generate_path's path of index first + r, bit
+    for bit, with the block's grid and a read-only (n_paths, n + 1) array."""
+    block = generate_paths(golden, x0, dt, T, seed, n_paths, first)
+    one = generate_path(golden, x0, dt, T, seed, first)
+    assert block.values.shape == (n_paths, len(one.values)) and not block.values.flags.writeable
+    assert (block.n_steps, block.horizon, block.path_index) == (one.n_steps, one.horizon, first)
+    assert np.array_equal(block.times, one.times)
+    for r, row in enumerate(block.values):
+        want = generate_path(golden, x0, dt, T, seed, first + r).values
+        assert row.tobytes() == want.tobytes(), r
 
 
 def test_reproducible_and_distinct(golden):

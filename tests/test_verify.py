@@ -7,8 +7,8 @@ import pytest
 from duopoly_invest.boundaries import ConstantPriceBoundary, DynamicBoundary
 from duopoly_invest.errors import UsageError
 from duopoly_invest.model import derive_params
-from duopoly_invest.outcomes import build_abstain_outcome, build_symmetric_outcome
-from duopoly_invest.paths import generate_path
+from duopoly_invest.outcomes import Outcome, build_abstain_outcome, build_symmetric_outcome
+from duopoly_invest.paths import ShockPath, generate_path, generate_paths
 from duopoly_invest.values import (
     AbstainValue,
     DynamicValue,
@@ -164,20 +164,20 @@ def test_discounted_max_moment_matches_quadrature(mu, sigma, t):
 
 
 def test_transversality_decay(golden, monkeypatch):
-    """The bound decays from T to 2T, and the abstain report builds only its
-    first path: the increment check is void, and the bound needs only the
-    initial capitals."""
+    """The bound decays from T to 2T, and the abstain report samples and
+    builds only its first path, a one-row block: the increment check is
+    void, and the bound needs only the initial capitals."""
     import duopoly_invest.verify as verify
 
     fn, sim = _abstain_sim(golden)
     calls = []
-    counted = lambda *args: calls.append(args) or generate_path(*args)
-    monkeypatch.setattr(verify, "generate_path", counted)
+    counted = lambda *args: calls.append(args) or generate_paths(*args)
+    monkeypatch.setattr(verify, "generate_paths", counted)
     res = run_verification(fn, spec=SPEC, simulation=sim).conditions["transversality"]
     assert res.passed and res.tol == 1.0 and 0.0 < res.worst <= 1.0
     bound_T, bound_2T = res.at
     assert math.isfinite(bound_T) and 0.0 < bound_2T < bound_T
-    assert [args[3] for args in calls] == [8.0]
+    assert [(args[3], args[5:]) for args in calls] == [(8.0, (1, 0))]
 
 
 def test_transversality_bound_exceeds_monte_carlo(golden):
@@ -224,19 +224,83 @@ def test_side_conditions_need_a_path(golden):
 
 
 def test_report_builds_each_path_once(golden, monkeypatch):
-    """A report simulates and builds each of its n_paths side-condition
-    paths once, to T, and reads increments on them all."""
+    """A report simulates its 80 side-condition paths to T as one block,
+    builds it once, and reads increments on every row."""
     import duopoly_invest.verify as verify
 
     for c in (0.5, 1.0):
         fn, sim = _criterion4_sim(golden, c)
-        calls = []
-        counted = lambda *args: calls.append(args) or generate_path(*args)
-        monkeypatch.setattr(verify, "generate_path", counted)
+        calls, built = [], []
+        counted = lambda *args: calls.append(args) or generate_paths(*args)
+        monkeypatch.setattr(verify, "generate_paths", counted)
+        builder = sim["builder"]
+        sim["builder"] = lambda block: built.append(block.values.shape) or builder(block)
         rep = run_verification(fn, spec=GridSpec(nx=3, nq=2), simulation=sim)
         monkeypatch.undo()
-        assert [(args[3], args[5]) for args in calls] == [(6.0, j) for j in range(80)]
+        assert [(args[3], args[5:]) for args in calls] == [(6.0, (80, 0))]
+        assert built == [(80, 601)]
         assert rep.conditions["opponent_increment_derivative"].at  # increments were checked
+
+
+def test_side_condition_blocks_split_by_size(golden, monkeypatch):
+    """Paths are sampled in blocks of at most _BLOCK_VALUES grid values,
+    each block from its first path's index, and the report does not depend
+    on the split: the increment verdict agrees within 1e-13 (the block's
+    roots take one vectorized pass, small blocks the scalar loop)."""
+    import duopoly_invest.verify as verify
+
+    fn, sim = _criterion4_sim(golden, 1.0, n_paths=10)
+    whole = run_verification(fn, spec=GridSpec(nx=3, nq=2), simulation=sim).conditions
+    calls = []
+    counted = lambda *args: calls.append(args) or generate_paths(*args)
+    monkeypatch.setattr(verify, "generate_paths", counted)
+    monkeypatch.setattr(verify, "_BLOCK_VALUES", 3 * 601 + 600)
+    split = run_verification(fn, spec=GridSpec(nx=3, nq=2), simulation=sim).conditions
+    assert [args[5:] for args in calls] == [(3, 0), (3, 3), (3, 6), (1, 9)]
+    assert split["transversality"] == whole["transversality"]
+    a, b = whole["opponent_increment_derivative"], split["opponent_increment_derivative"]
+    assert a.at and a.passed == b.passed and abs(a.worst - b.worst) <= 1e-13
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0])
+def test_side_condition_block_solves_its_records_in_passes(golden, monkeypatch, c):
+    """Counted by wrapping the solvers during the build: a criterion-4
+    report's block solves psi at every record of its 80 rows in one
+    vectorized pass and phi in at most one more.  No root takes the scalar
+    solver, except phi's when the block has fewer than _ARRAY_ROOTS of
+    them, which loop instead of taking the second pass."""
+    from duopoly_invest import boundaries
+
+    fn, sim = _criterion4_sim(golden, c)
+    calls, building = [], [False]
+    for name in ("_inverse", "_inverse_array"):
+        real = getattr(boundaries.Boundary, name)
+
+        def counted(self, x, q_mi, k, real=real, name=name):
+            if building[0]:
+                calls.append((name, k, np.size(x)))
+            return real(self, x, q_mi, k)
+
+        monkeypatch.setattr(boundaries.Boundary, name, counted)
+    builder = sim["builder"]
+
+    def build(block):
+        building[0] = True
+        try:
+            return builder(block)
+        finally:
+            building[0] = False
+
+    sim["builder"] = build
+    run_verification(fn, spec=GridSpec(nx=3, nq=2), simulation=sim)
+    passes = [(k, n) for name, k, n in calls if name == "_inverse_array"]
+    scalar = [k for name, k, _ in calls if name == "_inverse"]
+    assert passes[0][0] == 2 and passes[0][1] >= 80
+    assert len(passes) <= 2 and all(k == 1 for k, _ in passes[1:])
+    assert len(scalar) < boundaries._ARRAY_ROOTS and set(scalar) <= {1}
+    assert not (scalar and len(passes) == 2)
+    if c == 0.5:
+        assert len(passes) == 2 and not scalar
 
 
 def test_opponent_increment_derivative(golden):
@@ -252,9 +316,9 @@ def test_opponent_increment_derivative(golden):
     assert res.worst < 1e-6
 
 
-def _checked_increments(fn, outcomes, monkeypatch):
-    """The states (x, q_1, q_2) at which the increment check evaluates V_qmi,
-    and its verdict."""
+def _checked_increments(fn, outcome, monkeypatch):
+    """The states (x, q_1, q_2) at which the increment check of one outcome
+    evaluates V_qmi, and its verdict."""
     import duopoly_invest.verify as verify
 
     states, real = [], type(fn).evaluate
@@ -264,7 +328,7 @@ def _checked_increments(fn, outcomes, monkeypatch):
         return real(self, x, q_i, q_mi)
 
     monkeypatch.setattr(type(fn), "evaluate", captured)
-    res = verify._increment_derivative(fn, outcomes)
+    res = verify._increment_derivative(fn, [outcome])
     monkeypatch.undo()
     return np.concatenate(states), res
 
@@ -285,7 +349,7 @@ def test_increment_check_reads_the_opening_jump(golden, monkeypatch):
     x0 = 1.5 * dyn.trigger(q2, q2)
     out = build_symmetric_outcome((dyn, dyn), generate_path(golden, x0, 0.01, 1.0, 7), q1, q2)
     assert out.K2[0] > q2
-    states, res = _checked_increments(fn, [out], monkeypatch)
+    states, res = _checked_increments(fn, out, monkeypatch)
     jump = [x0, out.K1[0], out.K2[0]]
     assert any(np.array_equal(state, jump) for state in states)
     assert len(states) == len(_increment_indices(out)) + 1 and res.passed
@@ -304,11 +368,28 @@ def test_increment_check_subsamples_long_paths(golden, monkeypatch):
     out = build_symmetric_outcome((dyn, dyn), path, q1, q2)
     idx = _increment_indices(out)
     assert len(idx) > verify._MAX_INCREMENTS and out.K2[0] == q2
-    states, res = _checked_increments(fn, [out], monkeypatch)
+    states, res = _checked_increments(fn, out, monkeypatch)
     assert len(states) == verify._MAX_INCREMENTS and res.passed
     for k in (idx[0], idx[-1]):
         state = [path.values[out.knots[k]], out.K1[k], out.K2[k]]
         assert any(np.array_equal(row, state) for row in states)
+
+
+def test_increment_rule_is_relative_at_the_opening_knot(golden):
+    """An opening capital counts as an increment by the rule of every later
+    knot, more than 1e-12 * (1 + q_2) above the stock before: at
+    q2_0 = 1e4, 5e-13 relative above it is rounding, 1e-9 is an increment."""
+    import duopoly_invest.verify as verify
+
+    path = ShockPath(x0=2.0, dt=0.5, horizon=1.0, values=np.array([2.0, 2.5, 3.0]),
+                     seed=0, path_index=0)
+    q2_0 = 1e4
+    for rel, counted in ((5e-13, False), (1e-9, True)):
+        k2 = np.array([q2_0 * (1.0 + rel), q2_0 * (1.0 + rel), q2_0 * (1.0 + 2e-9)])
+        out = Outcome(path, np.full(3, 1.0), k2, 1.0, q2_0, "hand-made")
+        x, _, q2 = verify._increments(out)
+        assert list(x) == ([2.0, 3.0] if counted else [3.0]), rel
+        assert q2[-1] == k2[-1]
 
 
 def test_full_report_json_shape(golden):
