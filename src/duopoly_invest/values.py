@@ -37,20 +37,20 @@ which is evaluated directly against the below-trigger branch (never by
 re-dispatching, so floating-point ties at the trigger cannot recurse), with
 one root solve for phi per state.
 
-DynamicValue's B is an improper integral over [q_i, inf).  It is evaluated as
-one integral over t in (0, 1], where s = q + q_mi = (q_i + q_mi) * t**(-1/d),
-d = beta/gamma - 1: a fixed layout of six Gauss-Kronrod 15 panels, finer
-toward t = 1, plus one more from the image of the integrand's kink q = q_mi
-when q_i < q_mi, split only where their error gauges miss the tolerance (see
-DynamicValue._integral).  One vectorized pass integrates a block of up to
-64 capital pairs (_BLOCK_PAIRS), and one matrix product forms every node
-set's Kronrod and Gauss sums.  B's q_mi-derivative is integrated in the same
-call; its q_i-derivative is the integrand at q_i.
+DynamicValue's B is an improper integral over [q_i, inf) with a kink at
+q = q_mi.  Only the anchors (q_mi, q_mi) and the pairs q_i > _FAR_ABOVE * q_mi
+are integrated whole, as one integral over t in (0, 1], s = q + q_mi =
+(q_i + q_mi) * t**(-1/d), d = beta/gamma - 1, on six Gauss-Kronrod 15 panels
+split only where their error gauges miss the tolerance (see _integral).  Any
+other pair is its anchor less the integral from q_i to q_mi: a closed form
+below the kink, two panels of the mapped integrand above it.  B_qmi is found
+alongside B; B_qi is the integrand at q_i.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import OrderedDict
 from functools import cached_property
 
@@ -94,23 +94,23 @@ _G7_WEIGHTS = np.array([
 _GK_STACK = np.stack((_GK_WEIGHTS, _G7_WEIGHTS), axis=1)
 
 
-# B's panel edges in its mapped variable t (see DynamicValue._integral),
-# scaled onto [0, t_k] when the kink t_k lies inside (0, 1).
+# B's panel edges in its mapped variable t (see DynamicValue._integral), and
+# a segment's from t_hi down to 1 as 1 + _SEGMENT * (t_hi - 1).  Segments up
+# to q_i = _FAR_ABOVE * q_mi hold the tolerance unsplit for c >= 0.5 at the
+# golden parameters (gauges 0.79 of it, 1.9 at 20 q_mi); farther is whole.
 _B_LAYOUT = np.array([0.0, 0.5, 0.75, 0.875, 0.9375, 0.96875, 1.0])
+_SEGMENT = np.array([1.0, 0.5, 0.0])
+_FAR_ABOVE = 16.0
 # The integral beyond s = _S_MAX, which the map's nodes may not pass, must
 # stay below _TAIL_REL_TOL.
 _S_MAX = 1e300
 _TAIL_REL_TOL = 1e-12
-# B values kept per DynamicValue: a default verification report with 80
-# side-condition paths integrates about 2,200 distinct capital pairs, so
-# this holds about 18 reports.
+# B values kept per DynamicValue, anchors included: a default verification
+# report with 80 side-condition paths finds about 2,300 distinct pairs, of
+# which it integrates about 750 whole, so this holds about 17 reports.
 _B_CACHE_SIZE = 40_000
-# Distinct uncached capital pairs integrated together in one vectorized
-# quadrature pass, and capital pairs looked up in the cache at a time.  On
-# a 2-core machine (Python 3.11, numpy 2.4) a fresh pair costs 13.7 us in
-# passes of 32, 11.0 at 48, 10.7 at 64, 12.5 at 96 and 13.1 at 128 (medians
-# of 30 alternated passes), and a 64-pair pass peaks at 0.54 MiB of
-# temporaries.
+# Pairs integrated whole per quadrature pass (0.5 MiB of temporaries; a
+# segment pass holds as many nodes), and pairs looked up at a time.
 _BLOCK_PAIRS = 64
 _LOOKUP_CHUNK = 2048
 # B's target |error| <= _REL_TOL * (1 + |B|), within _MAX_SPLITS refinement
@@ -123,10 +123,10 @@ _ENTRIES = ("v", "x", "xx", "qi", "qmi", "phi")
 
 def _gk15_panels(f, edges):
     """Integrate the stacked integrands f over consecutive [edges[..., j],
-    edges[..., j+1]] panels, one row of edges per capital pair.
+    edges[..., j+1]] panels, one row of edges per capital pair or one for all.
 
     One vectorized call evaluates f at all 15-point node sets, of shape
-    (rows, panels, 15), and returns the Kronrod integrals and |K15 - G7|
+    (rows or 1, panels, 15), and returns the Kronrod integrals and |K15 - G7|
     error gauges, each of shape (integrands, rows, panels).  One matrix
     product of the node sets, stacked as rows, with _GK_STACK gives both
     sums of every node set; a row of a product is computed from that row
@@ -189,8 +189,8 @@ class ValueFunction:
         S = unit * q_i and the option term O = C * y**beta.  Both capitals
         lower the price P(q), which moves y by dy/dq = -y/(gamma q); own
         capital also scales S.  "xqi" (d(x V_x)/dq_i) serves the
-        continuation's x**2 V_xx.  Written in y, the entries stay finite
-        where x**2 overflows.
+        continuation's x**2 V_xx, and "option" (O) the negative control.
+        Written in y, the entries stay finite where x**2 overflows.
 
         S and O are formed divided by a power of two m <= max(1, q_i) and
         the sums multiplied by m: exact scalings, which keep S from
@@ -209,7 +209,7 @@ class ValueFunction:
                 "qmi": c_qmi * y_beta - via_price,
                 "xqi": unit * (1.0 - q_i / g_q)
                 + pr.beta * (c_qi * y_beta - pr.beta * option * m / g_q),
-                "phi": q_i}
+                "option": option * m, "phi": q_i}
 
     def _above(self, x, q_i, q_mi):
         """The continuation at states above the own trigger: the branch at
@@ -400,14 +400,14 @@ class DynamicValue(ValueFunction):
             )
         return pr.beta / pr.gamma - 1.0
 
-    def _split_until(self, f, edges):
-        """Integrals of the stacked integrands f over the panels between
-        edges (one row), splitting panels until each integrand's error gauge
-        sum is within _REL_TOL * (1 + |its integral|)."""
+    def _split_until(self, f, edges, base):
+        """base plus the integrals of the stacked integrands f over the panels
+        between edges (one row), splitting panels until each integrand's
+        error gauge sum is within _REL_TOL * (1 + |its total|)."""
         for _ in range(_MAX_SPLITS + 1):
             vals, errs = _gk15_panels(f, edges[None, :])
             vals, errs = vals[:, 0], errs[:, 0]
-            totals = vals.sum(axis=1)
+            totals = base + vals.sum(axis=1)
             # Each gauge as a share of its integrand's error budget.
             share = errs / (_REL_TOL * (1.0 + np.abs(totals)))[:, None]
             if np.all(share.sum(axis=1) <= 1.0):
@@ -417,14 +417,14 @@ class DynamicValue(ValueFunction):
             if not split.any():
                 split = worst == worst.max()
             mids = 0.5 * (edges[:-1] + edges[1:])
-            edges = np.sort(np.concatenate((edges, mids[split])))
+            edges = np.insert(edges, split.nonzero()[0] + 1, mids[split])
         raise QuadratureNotConvergedError(
             f"panel errors {share.sum(axis=1).max():.3g} times the tolerance after refinement")
 
     def _integrand(self, q_i, q_mi):
         """B's mapped integrand and its q_mi-derivative (see _integral) for
         the capital pairs of the 1-D arrays q_i, q_mi: f(t) takes nodes of
-        shape (pairs, panels, 15) and stacks the two integrands first."""
+        shape (pairs or 1, panels, 15) and stacks the two integrands first."""
         pr = self.params
         d = self._decay
         s0 = (q_i + q_mi)[:, None, None]
@@ -436,36 +436,33 @@ class DynamicValue(ValueFunction):
         mr_kink = q_mi / (pr.gamma * (pr.r - pr.mu))
         kappa = 1.0 / (pr.gamma * (pr.r - pr.mu))   # d mr_kink / d q_mi
 
-        def premium(s, growth):
-            """The price p* + c/max(q, q_mi) and its q_mi-derivative.  d_*
-            are q_mi-derivatives at fixed t: s moves by s/s0 = growth, s -
-            q_mi by growth - 1 and q_mi/s by (q_i/s0)/s."""
-            q = s - q_mi
-            beyond = q > q_mi
-            m = np.where(beyond, q, q_mi)
-            prem = self.c / m
-            return pr.p_star + prem, -prem * np.where(beyond, growth - 1.0, 1.0) / m
-
         def mapped(t):
             with np.errstate(over="ignore"):   # an overflow is refused below
                 growth = t ** (-1.0 / d)
                 s = s0 * growth
-            # Nodes come in increasing t, so a row's first node is its largest s.
-            past = np.flatnonzero(s[:, 0, 0] == np.inf)
+            # A whole row's first node has its largest s; a segment's s <= s0.
+            past = (s[:, 0, 0] == np.inf).nonzero()[0]
             if past.size:
                 raise QuadratureNotConvergedError(
                     f"B's nodes beyond s = {s0.flat[past[0]]:.6g} passed the floating-point range")
-            price, d_price = premium(s, growth) if self.c > 0.0 else (pr.p_star, 0.0)
+            # The price p* + c/q and d_*, q_mi-derivatives at fixed t: s moves
+            # by s/s0 = growth, q = s - q_mi by growth - 1, q_mi/s by q_i/s0/s.
+            price, d_price, q = pr.p_star, 0.0, None
+            if self.c > 0.0:
+                q = s - q_mi
+                price = self.c / q   # the premium, until p* is added
+                d_price = -price * (growth - 1.0) / q
+                price += pr.p_star
             # Temporaries are dropped as soon as they are spent, which keeps a
             # block's working set near ten node arrays.
-            del growth
+            del growth, q
             mr = mr_lim + mr_kink / s
             d_margin = -d_price * mr - price * kappa * (q_i / s0) / s
             del s
             margin = 1.0 - price * mr
             del mr
             weight = price ** (-pr.beta) * scale
-            out = np.empty((2, *t.shape))
+            out = np.empty((2, *margin.shape))
             value = np.multiply(margin, weight, out=out[0])
             np.multiply(d_margin - pr.beta * margin * d_price / price, weight, out=out[1])
             out[1] -= d / s0 * value
@@ -473,95 +470,135 @@ class DynamicValue(ValueFunction):
 
         return mapped
 
-    def _integral(self, q_i, q_mi):
-        """Integrals over [q_i, inf) of B's integrand and of its
-        q_mi-derivative, in one variable t, for a block of capital pairs
-        (1-D arrays): two arrays of the pairs' length.
+    def _integral(self, q_i, q_mi, edges, base):
+        """base (2, pairs) plus the integrals in t of B's integrand and its
+        q_mi-derivative on the panels between each pair's row of edges (or
+        one row for all) for capital pairs (1-D arrays); each spans [q_i, inf).
 
         With s = q + q_mi the map s = s0 * t**(-1/d), s0 = q_i + q_mi, takes
         the range onto (0, 1], as QUADPACK's QAGI does for infinite ranges but
         with the power matched to the decay.  dq = -s/(d t) dt, and the
         integrand falls like s**(-beta/gamma), so the mapped integrand is
-        margin * price**-beta * s**(-d) / (d t), where s**(-d) / t is the
-        constant s0**(-d): nothing in it underflows before the Jacobian
-        applies.  It varies through t**(1/d), flat near t = 0 and steep near
-        1, so the panels get finer toward t = 1; the kink q = q_mi, at
-        t_k = (s0 / (2 q_mi))**d, is a panel edge.  The q_mi-derivative is
-        taken at fixed t, where ds/dq_mi = s/s0; the kink is continuous and
-        on a panel edge, so it adds no boundary term.
+        margin * price**-beta * s0**(-d) / d: nothing in it underflows.  It
+        varies through t**(1/d), so _B_LAYOUT gets finer toward t = 1.  The
+        q_mi-derivative is at fixed t, where ds/dq_mi = s/s0.  Every node
+        lies above the kink.
 
-        Every pair gets seven panels, the last one empty ([1, 1]) when there
-        is no kink, so the block is one _gk15_panels call and a pair's bits
-        do not depend on its block.  Only the pairs whose gauges miss the
-        tolerance are refined, each on its own (_split_until).  An integral
-        outside the envelope, or a B beyond its linear bound, is an error
-        (the first such pair's), not a result.
+        A pass holds as many nodes as _BLOCK_PAIRS pairs on _B_LAYOUT, and a
+        pair's bits do not depend on its pass.  Only the pairs whose gauges
+        miss the tolerance are refined, each on its own (_split_until).  A
+        total outside the envelope, or a B beyond its linear bound, is an
+        error (the first such pair's), not a result.
         """
         s0 = q_i + q_mi
-        if np.any(s0 <= 0.0):
-            raise ZeroCapacityError("B needs positive aggregate capacity")
-        d = self._decay
-        t_k = np.ones(len(s0))
-        kink = q_i < q_mi
-        t_k[kink] = (s0[kink] / (2.0 * q_mi[kink])) ** d
-        edges = np.concatenate((_B_LAYOUT * t_k[:, None], np.ones((len(s0), 1))), axis=1)
-        vals, errs = _gk15_panels(self._integrand(q_i, q_mi), edges)
-        totals = vals.sum(axis=2)
-        share = errs.sum(axis=2) / (_REL_TOL * (1.0 + np.abs(totals)))
-        for k in np.flatnonzero(np.any(share > 1.0, axis=0)):
-            totals[:, k] = self._split_until(
-                self._integrand(q_i[k:k + 1], q_mi[k:k + 1]), edges[k])
-        total, d_total = totals
-        outside = np.flatnonzero(~(np.abs(total) <= self._tail_envelope(s0)))
-        if outside.size:
-            k = outside[0]
-            raise QuadratureNotConvergedError(
-                f"integral {total[k]:.6g} beyond s = {s0[k]:.6g} exceeds its envelope")
+        totals, gauges = base.copy(), np.empty_like(base)
+        step = _BLOCK_PAIRS * (len(_B_LAYOUT) - 1) // (edges.shape[1] - 1)
+        for start in range(0, len(s0), step):
+            k = slice(start, start + step)
+            vals, errs = _gk15_panels(self._integrand(q_i[k], q_mi[k]),
+                                      edges if len(edges) == 1 else edges[k])
+            totals[:, k] += vals.sum(axis=2)
+            gauges[:, k] = errs.sum(axis=2)
+        for k in (gauges > _REL_TOL * (1.0 + np.abs(totals))).any(axis=0).nonzero()[0]:
+            totals[:, k] = self._split_until(self._integrand(q_i[k:k + 1], q_mi[k:k + 1]),
+                                             edges[min(k, len(edges) - 1)], base[:, k])
+        size = np.abs(totals[0])
+        outside = ~(size <= self._tail_envelope(s0))
         bound = self.b_linear_bound(q_i, q_mi)
-        beyond = np.flatnonzero(np.abs(total) > bound * (1.0 + 1e-6) + 1e-250)
-        if beyond.size:
-            k = beyond[0]
+        for k in (outside | (size > bound * (1.0 + 1e-6) + 1e-250)).nonzero()[0][:1]:
+            if outside[k]:
+                raise QuadratureNotConvergedError(
+                    f"integral {totals[0, k]:.6g} beyond s = {s0[k]:.6g} exceeds its envelope")
             raise QuadratureNotConvergedError(
-                f"|B|={abs(total[k]):.6g} violates its certified bound {bound[k]:.6g}")
-        return total, d_total
+                f"|B|={size[k]:.6g} violates its certified bound {bound[k]:.6g}")
+        return totals
+
+    def _kink_terms(self, q_i, q_mi):
+        """For pairs below the kink (1-D arrays), the integrals from q_i to
+        q_mi of B's integrand g and of its q_mi-derivative at fixed q, and g
+        at the kink, g_k.  There P = p* + c/q_mi is frozen, g = P**-beta (A -
+        K/s) s**-(1+d) (A = 1 - P mr_lim, K = P mr_kink: see _integrand)."""
+        pr, d = self.params, self._decay
+        price = pr.p_star + self.c / q_mi
+        rho = -(self.c / q_mi) / (q_mi * price)   # d log P / d q_mi
+        a = 1.0 - price * (pr.gamma - 1.0) / (pr.gamma * (pr.r - pr.mu))
+        k = price * q_mi / (pr.gamma * (pr.r - pr.mu))
+        w, s0, s_k = price ** -pr.beta, q_i + q_mi, 2.0 * q_mi
+        g_k = w * (a - k / s_k) * s_k ** (-1.0 - d)
+        u = np.log1p((q_mi - q_i) / s0)   # log(2 q_mi / s0)
+        f0, f1, f2 = (-np.expm1(-e * u) / e for e in (d, 1.0 + d, 2.0 + d))
+        w, k = w * s0 ** -d, k / s0
+        r = w * (a * f0 - k * f1)
+        r_qmi = -pr.beta * rho * r + w * ((a - 1.0) * rho * f0 + k * (2.0 + d) / s0 * f2
+                                          - (k * (rho + 1.0 / q_mi) + a * (1.0 + d) / s0) * f1)
+        return r, r_qmi, g_k
 
     def B_block(self, q_i, q_mi) -> tuple:
         """(B, B_qmi) at broadcastable arrays of capital pairs, each of their
-        broadcast shape, through the cache: B is certified to _REL_TOL *
-        (1 + |B|) and its q_mi-derivative alike.  The pairs are looked up
-        _LOOKUP_CHUNK at a time, so memory stays bounded however many
-        there are."""
+        broadcast shape, certified to _REL_TOL * (1 + |B|) alike.  Pairs are
+        looked up _LOOKUP_CHUNK at a time, so memory stays bounded; distinct
+        misses are found once (_b_misses) and cached in order of first
+        appearance, after the anchors integrated for them."""
         q_i, q_mi = np.broadcast_arrays(np.asarray(q_i, dtype=float),
                                         np.asarray(q_mi, dtype=float))
-        flat_qi, flat_qmi = q_i.ravel(), q_mi.ravel()
-        out = np.empty((2, flat_qi.size))
-        for start in range(0, flat_qi.size, _LOOKUP_CHUNK):
+        out, cache = np.empty((2, q_i.size)), self._b_cache
+        for start in range(0, q_i.size, _LOOKUP_CHUNK):
             part = slice(start, start + _LOOKUP_CHUNK)
-            out[:, part] = self._b_lookup(flat_qi[part], flat_qmi[part])
+            a, b, o = q_i.ravel()[part], q_mi.ravel()[part], out[:, part]
+            # One probe per pair; a hit is its (B, B_qmi) tuple.
+            found = list(map(cache.get, zip(a.tolist(), b.tolist())))
+            miss = np.fromiter(map(operator.not_, found), bool, len(found))
+            o[:, ~miss] = np.fromiter(itertools.chain.from_iterable(filter(None, found)),
+                                      float).reshape(-1, 2).T
+            if not miss.any():
+                continue
+            # The distinct missing pairs in order of first appearance.
+            pairs, first, inverse = np.unique(
+                np.stack((a[miss], b[miss]), axis=1).view(complex).ravel(),
+                return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            a, b = pairs.real[order], pairs.imag[order]
+            anchors, at_anchors, entries = self._b_misses(a, b)
+            o[:, miss] = entries[:, np.argsort(order)[inverse]]
+            for keys, values in ((anchors, anchors), at_anchors), ((a, b), entries):
+                cache.update(zip(zip(*(k.tolist() for k in keys)), zip(*values.tolist())))
+            for _ in range(len(cache) - _B_CACHE_SIZE):
+                cache.popitem(last=False)
         return out[0].reshape(q_i.shape), out[1].reshape(q_i.shape)
 
-    def _b_lookup(self, q_i, q_mi):
-        """(B, B_qmi) at 1-D arrays of capital pairs.  Each distinct pair
-        missing from the cache is integrated once, in blocks of at most
-        _BLOCK_PAIRS pairs per quadrature pass."""
-        # The distinct pairs in order of first appearance, and each pair's.
-        index = {}
-        inverse = [index.setdefault(key, len(index))
-                   for key in zip(q_i.tolist(), q_mi.tolist())]
-        cache = self._b_cache
-        # One probe per distinct pair; a hit is its (B, B_qmi) tuple, which
-        # an eviction below does not change.
-        found = [cache.get(key) for key in index]
-        missing = [key for key, hit in zip(index, found) if hit is None]
-        for start in range(0, len(missing), _BLOCK_PAIRS):
-            keys = missing[start:start + _BLOCK_PAIRS]
-            total, d_total = self._integral(*np.array(keys).T)
-            for key, entry in zip(keys, zip((-total).tolist(), (-d_total).tolist())):
-                if len(cache) >= _B_CACHE_SIZE:
-                    cache.popitem(last=False)
-                cache[key] = found[index[key]] = entry
-        flat = np.fromiter(itertools.chain.from_iterable(found), float, 2 * len(found))
-        return flat.reshape(-1, 2).T.take(inverse, axis=1)
+    def _b_misses(self, q_i, q_mi):
+        """(B, B_qmi) at distinct uncached pairs (1-D arrays), after the q and
+        (B, B_qmi) of the new anchors (q, q) not asked for.  Pairs above
+        _FAR_ABOVE * q_mi and new anchors are integrated whole; any other is
+        its anchor less the integral from q_i to q_mi: a closed form below
+        the kink (_kink_terms), above it the mapped integrand from t_hi =
+        (s0 / (2 q_mi))**d down to 1, whose q_mi-derivative gains g_k at the
+        anchor's limit and f(t_hi) dt_hi/dq_mi = g_k 2 q_mi (1/s0 - 1/q_mi)."""
+        if np.any(q_i + q_mi <= 0.0):
+            raise ZeroCapacityError("B needs positive aggregate capacity")
+        near = q_i <= _FAR_ABOVE * q_mi
+        qs, pos = np.unique(q_mi[near], return_inverse=True)
+        hits = list(map(self._b_cache.get, zip(qs.tolist(), qs.tolist())))
+        new = np.fromiter(map(operator.not_, hits), bool, len(qs))
+        a, b = (np.concatenate((v[~near], qs[new])) for v in (q_i, q_mi))
+        whole = -self._integral(a, b, _B_LAYOUT[None], np.zeros((2, len(a))))
+        anchor = np.empty((2, len(qs)))
+        anchor[:, ~new] = np.fromiter(itertools.chain.from_iterable(filter(None, hits)),
+                                      float).reshape(-1, 2).T
+        anchor[:, new] = whole[:, len(a) - new.sum():]
+        out = np.empty((2, len(q_i)))
+        out[:, ~near] = whole[:, :len(a) - new.sum()]
+        q_i, q_mi, at = q_i[near], q_mi[near], anchor[:, pos]
+        r, r_qmi, g_k = self._kink_terms(q_i, q_mi)
+        lo, hi = q_i < q_mi, q_i > q_mi
+        at[:, lo] -= (r[lo], r_qmi[lo])
+        s0, s_k = q_i[hi] + q_mi[hi], 2.0 * q_mi[hi]
+        rise = np.expm1(self._decay * np.log1p((q_i[hi] - q_mi[hi]) / s_k))   # t_hi - 1
+        base = -np.stack((at[0, hi], at[1, hi] + g_k[hi] * (s_k / s0 - 1.0)))
+        at[:, hi] = -self._integral(q_i[hi], q_mi[hi], 1.0 + rise[:, None] * _SEGMENT, base)
+        out[:, near] = at
+        fresh = new & (np.bincount(pos[q_i == q_mi], minlength=len(qs)) == 0)   # not asked for
+        return qs[fresh], anchor[:, fresh], out
 
     def B(self, q_i: float, q_mi: float) -> float:
         """Coefficient of x**beta at one capital pair: the one-pair block of
@@ -597,8 +634,7 @@ class PerturbedValue(ValueFunction):
     value entry only, adding (option_scale - 1) * option_term to "v", while
     every derivative entry stays that of the base function.  The resulting
     value/derivative mismatch violates the pricing equation, which residual
-    checks must flag.
-    """
+    checks must flag; only states above the own trigger call option_term."""
 
     def __init__(self, base: ValueFunction, option_scale: float):
         self.base = base
@@ -606,8 +642,14 @@ class PerturbedValue(ValueFunction):
         self.option_scale = option_scale
         self.kind = f"perturbed({base.kind})"
         self.own_boundary, self.opponent_boundary = base.strategy_pair()
+        self._own_trigger = base._own_trigger
 
-    def evaluate(self, x, q_i, q_mi) -> dict:
-        out = self.base.evaluate(x, q_i, q_mi)
+    def _below(self, x, q_i, q_mi):
+        out = self.base._below(x, q_i, q_mi)
+        out["v"] = out["v"] + (self.option_scale - 1.0) * out["option"]
+        return out
+
+    def _above(self, x, q_i, q_mi):
+        out = self.base._above(x, q_i, q_mi)
         out["v"] = out["v"] + (self.option_scale - 1.0) * self.base.option_term(x, q_i, q_mi)
         return out

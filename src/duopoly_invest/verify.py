@@ -26,7 +26,7 @@ goes over the blocks of _CHECK_PAIRS capital pairs (GridSpec.pair_blocks)
 and computes the triggers once per block; each set of states in a block
 takes one value call, which returns every entry, so conditions that share
 states share the call (see _grid_conditions).  A call's missing B values
-take two 64-pair passes of B's quadrature (values._BLOCK_PAIRS), and its
+take a few vectorized passes (see values.DynamicValue._b_misses), and its
 paste points above the own trigger one vectorized root pass.
 """
 
@@ -43,16 +43,14 @@ from .errors import UsageError
 from .mc import value_linear_bound_coeff
 from .model import ModelParams
 from .paths import _grid_steps, generate_paths
-from .values import _BLOCK_PAIRS
 
 TOL_ANALYTIC = 1e-9
 TOL_QUAD = 1e-7
-# Capital pairs per value call of a check: two of B's quadrature passes.
-# Each call pays a fixed cost (triggers, the split at the own trigger, the
-# cache lookup), which larger blocks spread thinner.  Past 128 pairs a
-# report gains a few percent at most, while the block's temporaries add
-# about 0.5 MiB of peak memory per doubling.
-_CHECK_PAIRS = 2 * _BLOCK_PAIRS
+# Capital pairs per value call of a check.  Each call pays a fixed cost
+# (triggers, the split at the own trigger, the B lookup), which larger
+# blocks spread thinner.  Past 128 pairs a report gained a few percent at
+# most, while the block's temporaries add about 0.5 MiB per doubling.
+_CHECK_PAIRS = 128
 # Opponent increments checked per simulated path, evenly subsampled.
 _MAX_INCREMENTS = 60
 # Grid values per block of side-condition paths (0.5 MiB of shock).

@@ -289,9 +289,12 @@ def test_dynamic_b_against_scipy_oracle(golden):
     split at the kink q = q_mi, with the infinite-range rule beyond it.  B's
     q_mi-derivative, integrated alongside B, against a central difference of
     the oracle."""
+    import duopoly_invest.values as values
+
     pr = golden
     opts = dict(epsabs=0.0, epsrel=1e-13, limit=500)
-    for c in (0.0, 0.5, 1.0):
+    far = values._FAR_ABOVE
+    for c in (0.0, 0.5, 1.0, 2.0):
         fn = DynamicValue(golden, c)
 
         def integrand(q, q_mi):
@@ -313,10 +316,15 @@ def test_dynamic_b_against_scipy_oracle(golden):
                 ref += quad(integrand, lo, math.inf, args=(q_mi,), **opts)[0]
             return -ref
 
-        # q_i below, at and above the kink q = q_mi, up to far above it.
+        # q_i below, at and above the kink q = q_mi, up to far above it:
+        # next to the kink on both sides, and on both sides of the pairs
+        # integrated whole (q_i > _FAR_ABOVE * q_mi).
         for (q_i, q_mi) in [(1.0, 1.0), (0.8, 1.5), (2.5, 0.9), (1.2, 1.2),
                             (1.3 * 2.0 ** -8, 1.3), (1.3 * 8.0, 1.3), (1.3 * 1.37, 1.3),
-                            (0.9 * 2.0 ** 14, 0.9)]:
+                            (0.9 * 2.0 ** 14, 0.9), (1.3 * 2.0 ** -20, 1.3),
+                            (1.3 * (1.0 - 1e-12), 1.3), (1.3 * (1.0 + 1e-12), 1.3),
+                            (1.3 * (1.0 - 1e-3), 1.3), (1.3 * (1.0 + 1e-3), 1.3),
+                            (1.3 * far * (1.0 - 1e-6), 1.3), (1.3 * far * (1.0 + 1e-6), 1.3)]:
             ref = oracle(q_i, q_mi)
             b = fn.B(q_i, q_mi)
             assert abs(b - ref) <= 1e-10 * (1.0 + abs(ref)), (c, q_i, q_mi, b, ref)
@@ -497,17 +505,30 @@ def _count_panels(monkeypatch, rows=None):
 
 
 def test_b_miss_integrates_one_call_of_a_few_panels(golden, monkeypatch):
-    """A default B miss is one vectorized call over the fixed layout: six
-    panels, plus one below the kink when q_i < q_mi and an empty one in its
-    place otherwise, so that every pair has seven."""
+    """A default B miss integrates one vectorized call over the fixed layout
+    of six panels: its anchor (q_mi, q_mi), or the pair itself when it lies
+    above _FAR_ABOVE * q_mi.  Below the kink that is all, the rest being a
+    closed form; above it, up to _FAR_ABOVE * q_mi, one more call integrates
+    a segment of two panels.  With the anchor cached, a miss below the kink
+    integrates nothing and one above it only its segment."""
+    import duopoly_invest.values as values
+
     panels = _count_panels(monkeypatch)
     for c in (0.0, 0.5, 1.0, 2.0):
+        q_mi = DynamicValue(golden, c).q_floor + 1.3
+        far = q_mi * values._FAR_ABOVE
+        cases = ((q_mi - 1.25, [6]), (q_mi, [6]), (q_mi * 3.0, [6, 2]), (far, [6, 2]),
+                 (far * (1.0 + 1e-9), [6]), (q_mi * 2.0 ** 16, [6]))
+        for q_i, want in cases:
+            panels.clear()
+            DynamicValue(golden, c).B(q_i, q_mi)
+            assert panels == want, (c, q_i, panels)
         fn = DynamicValue(golden, c)
-        q_mi = fn.q_floor + 1.3
-        for q_i in (fn.q_floor + 0.05, q_mi, q_mi * 2.0 ** 16):
+        fn.B(q_mi, q_mi)
+        for q_i, want in ((q_mi - 1.25, []), (q_mi * 3.0, [2])):
             panels.clear()
             fn.B(q_i, q_mi)
-            assert panels == [7], (c, q_i, panels)
+            assert panels == want, (c, q_i, panels)
 
 
 def test_b_strict_tolerance_splits_panels(golden, monkeypatch):
@@ -526,8 +547,10 @@ def test_b_strict_tolerance_splits_panels(golden, monkeypatch):
 
 
 def test_b_cache_is_bounded(golden, monkeypatch):
-    """The B cache evicts its oldest entries at the cap and keeps B a pure
-    function of its arguments."""
+    """The B cache evicts its oldest entries at the cap, counting the
+    anchors (q_mi, q_mi) it integrates for pairs below the kink, each
+    cached before its pair, and keeps B a pure function of its
+    arguments."""
     import duopoly_invest.values as values
 
     monkeypatch.setattr(values, "_B_CACHE_SIZE", 5)
@@ -537,7 +560,9 @@ def test_b_cache_is_bounded(golden, monkeypatch):
         for a in args:
             assert fn.B(*a) == fresh.B(*a)
             assert len(fn._b_cache) <= 5
-    assert list(fn._b_cache) == args[-5:]
+    assert all(q_i < q_mi for q_i, q_mi in args)
+    inserted = [key for q_i, q_mi in args for key in ((q_mi, q_mi), (q_i, q_mi))]
+    assert list(fn._b_cache) == inserted[-5:]
 
 
 def test_dynamic_c0_matches_abstain_at_huge_capital(golden):
@@ -600,6 +625,30 @@ def test_b_block_bits_do_not_depend_on_the_block(golden, c):
                 assert (b[j], b_qmi[j]) == alone[k], (c, size, pairs[k])
 
 
+@pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
+def test_b_bits_do_not_depend_on_the_anchor(golden, monkeypatch, c):
+    """A pair's B and B_qmi are bit-identical whether its anchor (q_mi, q_mi)
+    is integrated in the same call, found in the cache, or evicted from a
+    cache of one entry and integrated again, below and above the kink."""
+    import duopoly_invest.values as values
+
+    q_mi = DynamicValue(golden, c).q_floor + 1.3
+    pairs = [(q_mi - 1.2, q_mi), (q_mi * (1.0 - 1e-12), q_mi), (q_mi * 3.0, q_mi),
+             (q_mi * (1.0 + 1e-12), q_mi), (q_mi * 12.0, q_mi)]
+
+    def entry(fn, q):
+        return tuple(float(v) for v in fn.B_block(*q))
+
+    same_call = [entry(DynamicValue(golden, c), q) for q in pairs]
+    cached = DynamicValue(golden, c)
+    cached.B(q_mi, q_mi)
+    assert [entry(cached, q) for q in pairs] == same_call
+    monkeypatch.setattr(values, "_B_CACHE_SIZE", 1)
+    evicted = DynamicValue(golden, c)
+    assert [entry(evicted, q) for q in pairs] == same_call
+    assert list(evicted._b_cache) == [pairs[-1]]
+
+
 def test_gk15_fused_sums_match_separate_sums(golden):
     """_gk15_panels forms the Kronrod integrals and error gauges from one
     matrix product; they match the node sets weighted and summed on their
@@ -627,21 +676,35 @@ def test_gk15_fused_sums_match_separate_sums(golden):
 
 def test_b_block_integrates_each_distinct_pair_once(golden, monkeypatch):
     """Duplicates in a block, and pairs already cached, are not integrated
-    again; every entry is the pair's B, in the shape of the arguments."""
+    again: each distinct anchor (q_mi, q_mi), and each pair above
+    _FAR_ABOVE * q_mi, is integrated whole once, each pair between the two
+    integrates one segment, and a pair below the kink none.  Every entry is
+    the pair's B, in the shape of the arguments."""
     import duopoly_invest.values as values
 
-    integrated = []
+    whole, segments = [], []
     real = values.DynamicValue._integral
-    monkeypatch.setattr(values.DynamicValue, "_integral", lambda self, q_i, q_mi: (
-        integrated.extend(zip(q_i.tolist(), q_mi.tolist())) or real(self, q_i, q_mi)))
+
+    def counting(self, q_i, q_mi, edges, base):
+        whole_layout = edges.shape[1] == len(values._B_LAYOUT)
+        (whole if whole_layout else segments).extend(zip(q_i.tolist(), q_mi.tolist()))
+        return real(self, q_i, q_mi, edges, base)
+
+    monkeypatch.setattr(values.DynamicValue, "_integral", counting)
     fn = DynamicValue(golden, 0.5)
     pairs = _b_pairs(fn, np.random.default_rng(47), 40)
+    # Pairs above the kink that share their anchors with pairs below it.
+    pairs += [(3.0 * q_mi, q_mi) for _, q_mi in pairs[:4]]
     fn.B(*pairs[0])
-    rows = [pairs[k % 40] for k in range(120)]
-    q_i, q_mi = np.array(rows).reshape(10, 12, 2).transpose(2, 0, 1)
+    rows = [pairs[k % 44] for k in range(132)]
+    q_i, q_mi = np.array(rows).reshape(11, 12, 2).transpose(2, 0, 1)
     b, b_qmi = fn.B_block(q_i, q_mi)
-    assert sorted(integrated) == sorted(pairs)
-    assert b.shape == b_qmi.shape == (10, 12)
+    near = [q for q in pairs if q[0] <= values._FAR_ABOVE * q[1]]
+    assert sorted(whole) == sorted({(q_mi, q_mi) for _, q_mi in near}
+                                   | {q for q in pairs if q not in near})
+    assert sorted(segments) == sorted(q for q in near if q[0] > q[1])
+    assert len(segments) >= 4
+    assert b.shape == b_qmi.shape == (11, 12)
     fresh = DynamicValue(golden, 0.5)
     for (q, got) in zip(rows, b.ravel()):
         assert got == fresh.B(*q)
@@ -657,7 +720,8 @@ def test_b_strict_tolerance_splits_only_the_rows_that_miss_it(golden, monkeypatc
     split_rows = []
     real = values.DynamicValue._split_until
     monkeypatch.setattr(values.DynamicValue, "_split_until",
-                        lambda self, f, edges: split_rows.append(edges) or real(self, f, edges))
+                        lambda self, f, edges, base: split_rows.append(edges)
+                        or real(self, f, edges, base))
     qf = DynamicValue(golden, 1.0).q_floor
     pairs = [(1.0, 1.0), (2.5, 0.9), (0.8, 1.5), (5.0, 5.0), (qf, qf), (20.0, 1.0), (qf, 4.0)]
     alone, splits = [], []
@@ -676,8 +740,9 @@ def test_b_strict_tolerance_splits_only_the_rows_that_miss_it(golden, monkeypatc
 
 def test_b_block_errors_match_the_pair_alone(golden):
     """An envelope failure and a floating-point-range failure inside a
-    block raise the error of the failing pair alone."""
-    good = [(1.0, 1.2), (2.0, 0.7), (0.9, 3.1)]
+    block raise the error of the failing pair alone.  A pair whose anchor
+    (q_mi, q_mi) fails raises the anchor's error."""
+    good = [(1.0, 1.2), (2.0, 0.7), (0.9, 2.0)]
 
     def error(fn, pairs):
         with pytest.raises(QuadratureNotConvergedError) as info:
@@ -697,6 +762,9 @@ def test_b_block_errors_match_the_pair_alone(golden):
     in_block = error(tight(DynamicValue(golden, 1.0)), good + [(4.0, 2.5)] + good)
     assert in_block == error(tight(DynamicValue(golden, 1.0)), [(4.0, 2.5)])
     assert "envelope" in in_block
+    # (0.9, 3.1) has s0 = 4, but its anchor's integral starts at s = 6.2.
+    assert error(tight(DynamicValue(golden, 1.0)), [(0.9, 3.1)]) == error(
+        tight(DynamicValue(golden, 1.0)), [(3.1, 3.1)])
 
 
 def test_b_block_through_a_small_cache(golden, monkeypatch):
